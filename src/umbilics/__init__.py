@@ -15,12 +15,11 @@ from .surface import (
 from .forms import (
     CurvatureSummary,
     FundamentalForms,
-    ShapeOperator,
     convexity_scan,
     curvature_summary,
     forms_closed,
     forms_numeric,
-    shape_operator,
+    principal_frame,
 )
 from .umbilic import (
     FindConfig,
@@ -33,9 +32,7 @@ from .umbilic import (
 )
 from .flowlines import (
     CurveTrace,
-    DirectionPair,
     TraceConfig,
-    principal_quadratic,
     residual_log,
     trace_line,
 )

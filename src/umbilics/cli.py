@@ -24,15 +24,7 @@ from . import forms as fm
 from . import index as ix
 from . import surface as sf
 from . import umbilic as um
-from .errors import (
-    AllCoefficientsZero,
-    InvalidChartPoint,
-    MarginTooSmall,
-    NotApplicable,
-    SpecError,
-    StartsAtUmbilic,
-    UmbilicsError,
-)
+from .errors import NotApplicable, SpecError, StartsAtUmbilic, UmbilicsError
 from .svg import SvgPlot
 
 CLOSED_FORM_TOL = 1e-7
@@ -206,20 +198,24 @@ def cmd_umbilics(args) -> int:
     return 2 if failed else 0
 
 
-def _bidirectional(spec, start, branch, arclen, cfg):
-    """Stitch the two traversal senses of one branch into a single polyline.
+def _bidirectional(spec, start, branch, arclen, cfg) -> fl.CurveTrace:
+    """Stitch the two traversal senses of one branch into a single trace.
 
-    Returns (points, signed arclengths, residuals, stop_reasons).
+    Arclengths are signed (negative along the backward sense); the stop
+    reason reads "backward/forward".
     """
     fwd = fl.trace_line(spec, start, branch, arclen, cfg)
     bwd = fl.trace_line(
         spec, start, branch, arclen,
         fl.TraceConfig(**{**cfg.__dict__, "initial_sign": -cfg.initial_sign}),
     )
-    pts = list(reversed(bwd.points))[:-1] + list(fwd.points)
-    arcs = [-s for s in reversed(bwd.arclengths)][:-1] + list(fwd.arclengths)
-    residuals = list(reversed(bwd.residuals)) + list(fwd.residuals)
-    return pts, arcs, residuals, (bwd.stop_reason, fwd.stop_reason)
+    return fl.CurveTrace(
+        start.chart,
+        bwd.points[:0:-1] + fwd.points,
+        tuple(-s for s in bwd.arclengths[:0:-1]) + fwd.arclengths,
+        bwd.residuals[::-1] + fwd.residuals,
+        f"{bwd.stop_reason}/{fwd.stop_reason}",
+    )
 
 
 _PORTRAIT_KINDS = ("pole", "axis", "diag", "equator")
@@ -287,24 +283,20 @@ def cmd_trace(args) -> int:
         starts.append(sf.ChartPoint(chart, u, v))
 
     all_ok = True
-    res_series = []
+    traces = []
     for si, start in enumerate(starts):
         for branch in branches:
             try:
-                pts, arcs, residuals, stops = _bidirectional(
-                    spec, start, branch, args.length, cfg
-                )
+                trace = _bidirectional(spec, start, branch, args.length, cfg)
             except StartsAtUmbilic:
                 if args.portrait:
                     continue
                 raise
-            bad = sum(1 for r in residuals if r >= cfg.res_bound)
-            ok = bad <= cfg.excursion_frac * max(len(residuals), 1)
-            all_ok = all_ok and ok
+            all_ok = all_ok and trace.within_residual_bound(cfg)
             name = f"trace_s{si}_u{start.u:g}_v{start.v:g}_b{branch}.csv"
-            _write_trace_csv(spec, start.chart, pts, arcs, residuals, outdir / name)
-            plot.add_curve(pts, stroke=("#1f77b4" if branch == 0 else "#d62728"))
-            res_series.append((arcs, residuals))
+            fl.trace_to_csv(spec, trace, outdir / name)
+            plot.add_curve(trace.points, stroke=("#1f77b4" if branch == 0 else "#d62728"))
+            traces.append(trace)
 
     for u, v in markers:
         plot.add_marker(u, v)
@@ -312,32 +304,13 @@ def cmd_trace(args) -> int:
         plot.write(args.svg)
     if args.residual_plot:
         rp = SvgPlot()
-        for arcs, residuals in res_series:
-            series = [
-                (s, math.log10(max(r, 1e-300)))
-                for s, r in zip(arcs[1:], residuals)
-            ]
-            if len(series) > 1:
-                rp.add_curve(series)
+        for trace in traces:
+            rp.add_curve(fl.residual_log(trace))
         rp.write(args.residual_plot)
     if not all_ok:
         print("FAIL: trace residual bound exceeded", file=sys.stderr)
         return 2
     return 0
-
-
-def _write_trace_csv(spec, chart, pts, arcs, residuals, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arclength", "u", "v", "x", "y", "z", "residual"])
-        for i, ((u, v), s) in enumerate(zip(pts, arcs)):
-            p = sf.chart_points(spec, chart, u, v)
-            res = residuals[i - 1] if 0 < i <= len(residuals) else 0.0
-            writer.writerow(
-                [format(val, ".17g") for val in (s, u, v, p[0], p[1], p[2], res)]
-            )
 
 
 # Index reading flagged when contradicted: six axis points at -1/2 and eight
@@ -525,16 +498,6 @@ def main(argv=None) -> int:
         args.out = "."
     try:
         return args.fn(args)
-    except (
-        SpecError,
-        InvalidChartPoint,
-        MarginTooSmall,
-        NotApplicable,
-        StartsAtUmbilic,
-        AllCoefficientsZero,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except UmbilicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

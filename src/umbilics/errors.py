@@ -17,24 +17,12 @@ class MarginTooSmall(UmbilicsError):
     """Point is valid but too close to the chart boundary for the stencil."""
 
 
-class DegenerateMetric(UmbilicsError):
-    """First fundamental form is singular (EG - F^2 <= 0)."""
-
-
 class NotApplicable(UmbilicsError):
     """Closed-form result does not exist for the given parameters."""
 
 
-class NonConvergence(UmbilicsError):
-    """Iterative refinement failed to converge for a seed."""
-
-
 class StartsAtUmbilic(UmbilicsError):
     """Curve tracing requested from an umbilic point."""
-
-
-class AllCoefficientsZero(UmbilicsError):
-    """Principal-direction quadratic vanishes identically (umbilic point)."""
 
 
 class NotIsolated(UmbilicsError):

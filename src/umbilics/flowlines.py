@@ -1,17 +1,16 @@
-"""Lines of curvature: principal-direction quadratic and adaptive tracing.
+"""Lines of curvature: adaptive tracing of the principal line field.
 
-A curvature line satisfies the homogeneous quadratic
+Field directions come from :func:`umbilics.forms.principal_frame`.  Tracing
+integrates the unit-speed direction field with an embedded Fehlberg 4(5)
+pair, keeping line-field orientation by maximizing the dot product with the
+previous direction.  A curvature line satisfies the homogeneous quadratic
 
     (fE - eF) u'^2 + (gE - eG) u'v' + (gF - fG) v'^2 = 0
 
-whose two root directions are the principal directions.  The quadratic is
-solved projectively in the angle (u', v') = (cos t, sin t), which has no
-blow-up when either component vanishes.  Tracing integrates the unit-speed
-direction field with an embedded Fehlberg 4(5) pair, keeping line-field
-orientation by maximizing the dot product with the previous direction, and
-logs a discretization residual per accepted step: the quadratic evaluated on
-the cubic-Hermite midpoint derivative of the step, i.e. a measure of how
-well the numerical curve satisfies the defining equation between nodes.
+and each accepted step logs a discretization residual: that quadratic
+evaluated on the cubic-Hermite midpoint derivative of the step, i.e. a
+measure of how well the numerical curve satisfies the defining equation
+between nodes.
 """
 
 from __future__ import annotations
@@ -25,25 +24,12 @@ import numpy as np
 from . import forms as fm
 from . import surface as sf
 from . import umbilic as um
-from .errors import AllCoefficientsZero, InvalidChartPoint, StartsAtUmbilic
+from .errors import InvalidChartPoint, StartsAtUmbilic
 
 LENGTH_REACHED = "length_reached"
 NEAR_UMBILIC = "near_umbilic"
 CHART_BOUNDARY = "chart_boundary"
 STEP_UNDERFLOW = "step_underflow"
-
-# Threshold below which all three quadratic coefficients count as zero,
-# relative to the natural product scale of the form coefficients.
-COEF_ZERO_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class DirectionPair:
-    A: float                  # fE - eF
-    B: float                  # gE - eG
-    C: float                  # gF - fG
-    dirs: tuple               # one or two (du, dv), unit in the first form
-
 
 @dataclass(frozen=True)
 class TraceConfig:
@@ -82,74 +68,18 @@ class CurveTrace:
         return bad <= cfg.excursion_frac * len(self.residuals)
 
 
-def _quadratic_coefficients(ff):
-    A = ff.f * ff.E - ff.e * ff.F
-    B = ff.g * ff.E - ff.e * ff.G
-    C = ff.g * ff.F - ff.f * ff.G
-    return A, B, C
-
-
-def _root_angles(A, B, C):
-    """Both root directions of A c^2 + B c s + C s^2 = 0 as angles mod pi.
-
-    Written via the double angle: the form equals
-    (A + C)/2 + (A - C)/2 cos 2t + B/2 sin 2t.
-    """
-    half_sum = 0.5 * (A + C)
-    rx = 0.5 * (A - C)
-    ry = 0.5 * B
-    amp = math.hypot(rx, ry)
-    if amp < 1e-300:
-        # All coefficients (numerically) zero: any orthogonal pair serves.
-        return 0.0, math.pi / 2.0
-    phi = math.atan2(ry, rx)
-    ratio = max(-1.0, min(1.0, -half_sum / amp))
-    d = math.acos(ratio)
-    return ((phi + d) / 2.0) % math.pi, ((phi - d) / 2.0) % math.pi
-
-
-def principal_quadratic(spec, cp) -> DirectionPair:
-    """Quadratic coefficients and its root directions at a chart point.
-
-    Raises AllCoefficientsZero at umbilic points, where the quadratic
-    degenerates and every direction is principal.
-    """
-    ff = fm.forms_closed(spec, cp)
-    A, B, C = _quadratic_coefficients(ff)
-    scale = (abs(ff.E) + abs(ff.F) + abs(ff.G)) * (abs(ff.e) + abs(ff.f) + abs(ff.g))
-    if max(abs(A), abs(B), abs(C)) < COEF_ZERO_REL * scale + 1e-300:
-        raise AllCoefficientsZero(
-            f"principal quadratic vanishes at ({cp.u}, {cp.v}) on {cp.chart.label}"
-        )
-    t1, t2 = _root_angles(A, B, C)
-    dirs = []
-    for t in (t1, t2):
-        w = fm._first_form_normalize(ff, (math.cos(t), math.sin(t)))
-        dirs.append(w)
-    if abs((t1 - t2) % math.pi) < 1e-12:
-        dirs = dirs[:1]
-    return DirectionPair(A, B, C, tuple(dirs))
+def _principal_axes(spec, chart, u, v):
+    """Both principal directions at (u, v), unit in the first form and
+    ordered by chart angle mod pi."""
+    E, F, G, e, f, g = (float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
+    angles = sorted(fm.principal_frame(E, F, G, e, f, g)[2:])
+    return [np.array(fm.first_form_unit(E, F, G, math.cos(t), math.sin(t))) for t in angles]
 
 
 def _field_direction(spec, chart, u, v, prev):
     """Principal direction at (u, v) continuing prev (unit in first form)."""
-    ff = fm.FundamentalForms(*(float(x) for x in fm.closed_forms_arrays(spec, chart, u, v)))
-    A, B, C = _quadratic_coefficients(ff)
-    t1, t2 = _root_angles(A, B, C)
-    best = None
-    best_dot = -math.inf
-    for t in (t1, t2):
-        w = np.array([math.cos(t), math.sin(t)])
-        norm = math.sqrt(
-            max(ff.E * w[0] ** 2 + 2 * ff.F * w[0] * w[1] + ff.G * w[1] ** 2, 1e-300)
-        )
-        w = w / norm
-        d = float(w @ prev)
-        for cand, dd in ((w, d), (-w, -d)):
-            if dd > best_dot:
-                best_dot = dd
-                best = cand
-    return best
+    axes = _principal_axes(spec, chart, u, v)
+    return max((sign * w for w in axes for sign in (1.0, -1.0)), key=lambda w: float(w @ prev))
 
 
 # Fehlberg 4(5) embedded pair.
@@ -185,14 +115,9 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
             f"({start.u}, {start.v}) on {chart.label} is an umbilic point"
         )
 
-    pair = principal_quadratic(spec, start)
     if branch not in (0, 1):
         raise ValueError("branch must be 0 or 1")
-    angles = sorted(math.atan2(d[1], d[0]) % math.pi for d in pair.dirs)
-    t0 = angles[min(branch, len(angles) - 1)]
-    ff0 = fm.forms_closed(spec, start)
-    d = fm._first_form_normalize(ff0, (math.cos(t0), math.sin(t0)))
-    prev = np.array(d) * float(cfg.initial_sign)
+    prev = _principal_axes(spec, chart, start.u, start.v)[branch] * float(cfg.initial_sign)
 
     x = np.array([start.u, start.v])
     s = 0.0

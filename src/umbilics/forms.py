@@ -1,4 +1,4 @@
-"""First/second fundamental forms, shape operator, curvatures, convexity scan.
+"""First/second fundamental forms, principal frame, curvatures, convexity scan.
 
 Two independent evaluation paths are provided and cross-checked in tests:
 
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import surface as sf
-from .errors import DegenerateMetric, InvalidChartPoint, MarginTooSmall
+from .errors import InvalidChartPoint, MarginTooSmall
 
 # Step for 4th-order difference stencils, scaled by (1 + |u| + |v|).
 H_FD = float(np.finfo(float).eps) ** 0.2
@@ -44,19 +44,6 @@ class FundamentalForms:
     @property
     def det_first(self):
         return self.E * self.G - self.F * self.F
-
-
-@dataclass(frozen=True)
-class ShapeOperator:
-    """Weingarten matrix entries in the chart frame."""
-
-    c00: float
-    c01: float
-    c10: float
-    c11: float
-
-    def as_matrix(self):
-        return np.array([[self.c00, self.c01], [self.c10, self.c11]])
 
 
 @dataclass(frozen=True)
@@ -221,48 +208,40 @@ def forms_numeric(spec, cp, step=None) -> FundamentalForms:
     return FundamentalForms(*(float(x) for x in vals))
 
 
-def shape_operator(ff: FundamentalForms) -> ShapeOperator:
-    """Weingarten matrix (inverse first form times second form)."""
-    det = ff.det_first
-    if not det > 0.0:
-        raise DegenerateMetric(f"EG - F^2 = {det:.3e} is not positive")
-    E, F, G, e, f, g = ff.E, ff.F, ff.G, ff.e, ff.f, ff.g
-    return ShapeOperator(
-        c00=(e * G - f * F) / det,
-        c01=(f * G - g * F) / det,
-        c10=(f * E - e * F) / det,
-        c11=(g * E - f * F) / det,
-    )
+def principal_frame(E, F, G, e, f, g):
+    """Principal curvatures k1 >= k2 and their chart-direction angles mod pi.
 
-
-def _eig2(op: ShapeOperator):
-    """Real eigenvalues (k1 >= k2) of the 2x2 Weingarten matrix."""
-    tr = op.c00 + op.c11
-    det = op.c00 * op.c11 - op.c01 * op.c10
-    disc = tr * tr / 4.0 - det
-    root = math.sqrt(max(disc, 0.0))
-    return tr / 2.0 + root, tr / 2.0 - root
-
-
-def principal_direction(op: ShapeOperator, k):
-    """Chart-coordinate eigenvector of the Weingarten matrix for eigenvalue k.
-
-    Picks whichever defining row is better conditioned; not normalized.
+    Eigen-decomposition of the Weingarten matrix (inverse first form times
+    second form); each angle comes from whichever defining row of
+    (W - k I) w = 0 is better conditioned.  Scalar floats in and out.  At
+    (near-)umbilic points the angles are arbitrary: callers apply their own
+    degeneracy rule to k1 - k2.
     """
-    w1 = (op.c01, k - op.c00)
-    w2 = (k - op.c11, op.c10)
-    n1 = math.hypot(*w1)
-    n2 = math.hypot(*w2)
-    return w1 if n1 >= n2 else w2
+    det = E * G - F * F
+    c00 = (e * G - f * F) / det
+    c01 = (f * G - g * F) / det
+    c10 = (f * E - e * F) / det
+    c11 = (g * E - f * F) / det
+    mean = (c00 + c11) / 2.0
+    root = math.sqrt(max((c00 - c11) ** 2 / 4.0 + c01 * c10, 0.0))
+    # Larger-magnitude root directly; the other from the product K = k1 k2,
+    # which avoids cancellation when one curvature is near zero.
+    big = mean + math.copysign(root, mean)
+    small = (e * g - f * f) / det / big if big else 0.0
+    k1, k2 = (big, small) if big >= small else (small, big)
+
+    def angle(k):
+        w1 = (c01, k - c00)
+        w2 = (k - c11, c10)
+        w = w1 if math.hypot(*w1) >= math.hypot(*w2) else w2
+        return math.atan2(w[1], w[0]) % math.pi
+
+    return k1, k2, angle(k1), angle(k2)
 
 
-def _first_form_normalize(ff, w):
-    du, dv = w
-    norm = math.sqrt(
-        max(ff.E * du * du + 2.0 * ff.F * du * dv + ff.G * dv * dv, 0.0)
-    )
-    if norm == 0.0:
-        return (0.0, 0.0)
+def first_form_unit(E, F, G, du, dv):
+    """Chart direction (du, dv) scaled to unit length in the first form."""
+    norm = math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
     return (du / norm, dv / norm)
 
 
@@ -274,18 +253,18 @@ def curvature_summary(spec, cp) -> CurvatureSummary:
     set so downstream code can detect rather than consume them.
     """
     ff = forms_closed(spec, cp)
-    op = shape_operator(ff)
+    E, F, G, e, f, g = ff.E, ff.F, ff.G, ff.e, ff.f, ff.g
     det = ff.det_first
-    K = (ff.e * ff.g - ff.f * ff.f) / det
-    H = (ff.e * ff.G - 2.0 * ff.f * ff.F + ff.g * ff.E) / (2.0 * det)
-    k1, k2 = _eig2(op)
+    K = (e * g - f * f) / det
+    H = (e * G - 2.0 * f * F + g * E) / (2.0 * det)
+    k1, k2, t1, t2 = principal_frame(E, F, G, e, f, g)
     if abs(k1 - k2) < tol_umb(k1, k2):
-        d1 = _first_form_normalize(ff, (1.0, 0.0))
+        d1 = first_form_unit(E, F, G, 1.0, 0.0)
         # Gram-Schmidt of the v axis against the u axis in the first form
-        d2 = _first_form_normalize(ff, (-ff.F / ff.E, 1.0))
+        d2 = first_form_unit(E, F, G, -F / E, 1.0)
         return CurvatureSummary(K, H, k1, k2, d1, d2, True)
-    d1 = _first_form_normalize(ff, principal_direction(op, k1))
-    d2 = _first_form_normalize(ff, principal_direction(op, k2))
+    d1 = first_form_unit(E, F, G, math.cos(t1), math.sin(t1))
+    d2 = first_form_unit(E, F, G, math.cos(t2), math.sin(t2))
     return CurvatureSummary(K, H, k1, k2, d1, d2, False)
 
 

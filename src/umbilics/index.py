@@ -51,27 +51,15 @@ def _direction_angle(spec, chart, u, v):
     """Major-principal-direction angle mod pi, or None when unresolvable.
 
     A sample is discarded only when the curvature separation is within a
-    couple of decades of floating-point noise on the form coefficients --
-    near planar umbilics the separation is tiny yet still carries many
-    accurate digits, and those samples are exactly the informative ones.
+    couple of decades of floating-point noise on the curvatures -- near
+    planar umbilics the separation is tiny yet still carries many accurate
+    digits, and those samples are exactly the informative ones.
     """
-    E, F, G, e, f, g = (float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
-    det = E * G - F * F
-    c00 = (e * G - f * F) / det
-    c01 = (f * G - g * F) / det
-    c10 = (f * E - e * F) / det
-    c11 = (g * E - f * F) / det
-    tr = c00 + c11
-    disc = (c00 - c11) ** 2 / 4.0 + c01 * c10
-    root = math.sqrt(max(disc, 0.0))
-    k1 = tr / 2.0 + root
-    noise = 1e3 * np.finfo(float).eps * (abs(c00) + abs(c01) + abs(c10) + abs(c11))
-    if 2.0 * root <= noise:
+    forms = (float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
+    k1, k2, theta1, _ = fm.principal_frame(*forms)
+    if k1 - k2 <= 1e3 * np.finfo(float).eps * (abs(k1) + abs(k2)):
         return None
-    w1 = (c01, k1 - c00)
-    w2 = (k1 - c11, c10)
-    w = w1 if math.hypot(*w1) >= math.hypot(*w2) else w2
-    return math.atan2(w[1], w[0]) % math.pi
+    return theta1
 
 
 def _ring_angle(spec, chart, cu, cv, radius, t):

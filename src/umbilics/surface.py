@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -50,6 +51,10 @@ class SurfaceSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise SpecError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name in ("a", "b", "c", "k", "epsilon"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, Real) and math.isfinite(value)):
+                raise SpecError(f"{name} must be a finite number, got {value!r}")
         if not (self.a > 0 and self.b > 0):
             raise SpecError("coefficients a, b must be positive")
         if self.family == SUPERQUADRIC:
@@ -62,6 +67,7 @@ class SurfaceSpec:
                 )
             if self.epsilon is not None:
                 raise SpecError("superquadric takes no epsilon")
+            object.__setattr__(self, "k", int(self.k))   # 2.0 -> 2, validated above
         elif self.family == PERTURBED_ELLIPSOID:
             if self.epsilon is None or self.epsilon < 0:
                 raise SpecError("perturbed_ellipsoid requires epsilon >= 0")
@@ -75,7 +81,7 @@ class SurfaceSpec:
 
     @classmethod
     def superquadric(cls, a, b, c, k):
-        return cls(SUPERQUADRIC, float(a), float(b), float(c), int(k))
+        return cls(SUPERQUADRIC, float(a), float(b), float(c), k)
 
     @classmethod
     def perturbed_ellipsoid(cls, a, b, epsilon):

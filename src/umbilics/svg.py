@@ -7,8 +7,6 @@ diffable verification artifacts.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 CANVAS = 800.0
 MARGIN_FRAC = 0.05
 
@@ -19,7 +17,6 @@ class SvgPlot:
     def __init__(self):
         self._curves = []       # (points, stroke)
         self._markers = []      # (x, y, fill)
-        self._texts = []        # (x, y, string)
 
     def add_curve(self, points, stroke=None):
         """points: iterable of (x, y) in data coordinates."""
@@ -32,9 +29,6 @@ class SvgPlot:
 
     def add_marker(self, x, y, fill="#000000"):
         self._markers.append((float(x), float(y), fill))
-
-    def add_text(self, x, y, s):
-        self._texts.append((float(x), float(y), str(s)))
 
     def _bounds(self):
         xs = [x for pts, _ in self._curves for x, _ in pts]
@@ -75,11 +69,6 @@ class SvgPlot:
         for x, y, fill in self._markers:
             px, py = self._project(x, y, box)
             lines.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="4" fill="{fill}"/>')
-        for x, y, s in self._texts:
-            lines.append(
-                f'<text x="{x:.1f}" y="{y:.1f}" font-family="monospace" '
-                f'font-size="14">{escape(s)}</text>'
-            )
         lines.append("</svg>")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -74,32 +74,24 @@ class FindConfig:
     seed_margin: float = 1e-6   # radicand margin for grid seeds
 
 
-def umbilic_residual_arrays(spec, chart, u, v):
-    """Vectorized scaled umbilic residual at valid chart points."""
-    E, F, G, e, f, g = fm.closed_forms_arrays(spec, chart, u, v)
-    det = E * G - F * F
-    s = np.sqrt((G * f - F * g) ** 2 + (E * f - e * F) ** 2 + (G * e - E * g) ** 2)
-    return s / (det * (1.0 + np.abs(e) + np.abs(f) + np.abs(g)))
-
-
-def umbilic_residual(spec, cp) -> float:
-    """Scale-invariant umbilic residual; zero exactly at umbilic points.
+def scaled_residual(E, F, G, e, f, g):
+    """Scale-invariant umbilic residual of a coefficient set (scalars or arrays).
 
     Norm of (Gf - Fg, Ef - eF, Ge - Eg) over (EG - F^2)(1 + |e| + |f| + |g|).
     """
+    s = np.sqrt((G * f - F * g) ** 2 + (E * f - e * F) ** 2 + (G * e - E * g) ** 2)
+    return s / ((E * G - F * F) * (1.0 + np.abs(e) + np.abs(f) + np.abs(g)))
+
+
+def umbilic_residual_arrays(spec, chart, u, v):
+    """Vectorized scaled umbilic residual at valid chart points."""
+    return scaled_residual(*fm.closed_forms_arrays(spec, chart, u, v))
+
+
+def umbilic_residual(spec, cp) -> float:
+    """Scale-invariant umbilic residual; zero exactly at umbilic points."""
     fm._check_valid(spec, cp)
     return float(umbilic_residual_arrays(spec, cp.chart, cp.u, cp.v))
-
-
-def residual_from_forms(ff) -> float:
-    """Same residual computed from an existing coefficient set."""
-    det = ff.det_first
-    s = math.sqrt(
-        (ff.G * ff.f - ff.F * ff.g) ** 2
-        + (ff.E * ff.f - ff.e * ff.F) ** 2
-        + (ff.G * ff.e - ff.E * ff.g) ** 2
-    )
-    return s / (det * (1.0 + abs(ff.e) + abs(ff.f) + abs(ff.g)))
 
 
 # ---------------------------------------------------------------------------

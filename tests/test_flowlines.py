@@ -1,4 +1,4 @@
-"""Principal-direction quadratic and curvature-line tracing."""
+"""Principal directions and curvature-line tracing."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from umbilics import flowlines as fl
 from umbilics import forms as fm
 from umbilics import surface as sf
-from umbilics.errors import AllCoefficientsZero, InvalidChartPoint, StartsAtUmbilic
+from umbilics.errors import InvalidChartPoint, StartsAtUmbilic
 from umbilics.surface import ChartId, ChartPoint
 
 from conftest import PE_LT, SPHERE, SQ_1112, random_valid_chart_points
@@ -16,47 +16,49 @@ from conftest import PE_LT, SPHERE, SQ_1112, random_valid_chart_points
 Z_PLUS = ChartId("z", 1)
 
 
-def test_quadratic_vanishes_at_pole():
-    with pytest.raises(AllCoefficientsZero):
-        fl.principal_quadratic(SQ_1112, ChartPoint(Z_PLUS, 0.0, 0.0))
+def _principal_dirs(ff):
+    """Both principal directions from the kernel, unit in the first form."""
+    _, _, t1, t2 = fm.principal_frame(ff.E, ff.F, ff.G, ff.e, ff.f, ff.g)
+    return [fm.first_form_unit(ff.E, ff.F, ff.G, math.cos(t), math.sin(t)) for t in (t1, t2)]
 
 
 def test_axis_aligned_on_symmetry_line():
-    pair = fl.principal_quadratic(SQ_1112, ChartPoint(Z_PLUS, 0.0, 0.5))
-    # F = f = 0 on the symmetry line kills the pure-square coefficients.
-    assert pair.A == 0.0 and pair.C == 0.0 and pair.B != 0.0
-    assert len(pair.dirs) == 2
-    angles = sorted(math.atan2(d[1], d[0]) % math.pi for d in pair.dirs)
-    assert abs(angles[0] - 0.0) < 1e-12
-    assert abs(angles[1] - math.pi / 2.0) < 1e-12
+    ff = fm.forms_closed(SQ_1112, ChartPoint(Z_PLUS, 0.0, 0.5))
+    # F = f = 0 on the symmetry line: the Weingarten matrix is diagonal.
+    assert ff.F == 0.0 and ff.f == 0.0
+    _, _, t1, t2 = fm.principal_frame(ff.E, ff.F, ff.G, ff.e, ff.f, ff.g)
+    assert sorted((t1, t2)) == [0.0, math.pi / 2.0]
 
 
 def test_root_angles_diagonal_operator():
     # E=1, F=0, G=1, e=2, f=0, g=1: A = 0, B = -1, C = 0 -> chart axes.
-    t1, t2 = fl._root_angles(0.0, -1.0, 0.0)
+    _, _, t1, t2 = fm.principal_frame(1.0, 0.0, 1.0, 2.0, 0.0, 1.0)
     assert sorted((t1, t2)) == [0.0, math.pi / 2.0]
 
 
 def test_direction_pair_invariants():
+    """Kernel directions are first-form orthogonal roots of the quadratic
+    A du^2 + B du dv + C dv^2 that the step residual evaluates."""
     rng = np.random.default_rng(7)
     for spec in (SQ_1112, PE_LT):
         chart = sf.chart_atlas(spec)[0]
         us, vs = random_valid_chart_points(spec, chart, 120, rng)
         for u, v in zip(us, vs):
-            cp = ChartPoint(chart, float(u), float(v))
-            try:
-                pair = fl.principal_quadratic(spec, cp)
-            except AllCoefficientsZero:
-                continue
-            scale = abs(pair.A) + abs(pair.B) + abs(pair.C) + 1e-300
-            ff = fm.forms_closed(spec, cp)
-            for du, dv in pair.dirs:
-                q = pair.A * du * du + pair.B * du * dv + pair.C * dv * dv
+            ff = fm.forms_closed(spec, ChartPoint(chart, float(u), float(v)))
+            A = ff.f * ff.E - ff.e * ff.F
+            B = ff.g * ff.E - ff.e * ff.G
+            C = ff.g * ff.F - ff.f * ff.G
+            size = (abs(ff.E) + abs(ff.F) + abs(ff.G)) * (abs(ff.e) + abs(ff.f) + abs(ff.g))
+            if max(abs(A), abs(B), abs(C)) < 1e-12 * size + 1e-300:
+                continue  # umbilic: every direction is principal
+            scale = abs(A) + abs(B) + abs(C) + 1e-300
+            dirs = _principal_dirs(ff)
+            for du, dv in dirs:
+                q = A * du * du + B * du * dv + C * dv * dv
                 assert abs(q) < 1e-10 * scale
-            if len(pair.dirs) == 2:
-                (d1u, d1v), (d2u, d2v) = pair.dirs
-                ip = ff.E * d1u * d2u + ff.F * (d1u * d2v + d2u * d1v) + ff.G * d1v * d2v
-                assert abs(ip) < 1e-8
+            (d1u, d1v), (d2u, d2v) = dirs
+            ip = ff.E * d1u * d2u + ff.F * (d1u * d2v + d2u * d1v) + ff.G * d1v * d2v
+            assert abs(ip) < 1e-8
 
 
 def test_trace_figure_start_residuals():
@@ -127,10 +129,8 @@ def test_field_direction_matches_eigenvector():
 
 def test_branch_orthogonality_at_start():
     start = ChartPoint(Z_PLUS, 0.55, 0.25)
-    pair = fl.principal_quadratic(SQ_1112, start)
-    assert len(pair.dirs) == 2
     ff = fm.forms_closed(SQ_1112, start)
-    (a1, b1), (a2, b2) = pair.dirs
+    (a1, b1), (a2, b2) = _principal_dirs(ff)
     ip = ff.E * a1 * a2 + ff.F * (a1 * b2 + a2 * b1) + ff.G * b1 * b2
     assert abs(ip) < 1e-6
     t0 = fl.trace_line(SQ_1112, start, 0, 0.05)

@@ -8,8 +8,7 @@ import pytest
 
 from umbilics import forms as fm
 from umbilics import surface as sf
-from umbilics.errors import DegenerateMetric, MarginTooSmall
-from umbilics.forms import FundamentalForms
+from umbilics.errors import MarginTooSmall
 from umbilics.surface import ChartId, ChartPoint, SurfaceSpec
 
 from conftest import BUNDLED, PE_LT, SQ_1112, random_valid_chart_points
@@ -85,37 +84,33 @@ def test_symmetry_locus_exact_zeros():
 
 
 def test_shape_operator_sphere_identity():
-    op = fm.shape_operator(FundamentalForms(1, 0, 1, 1, 0, 1))
-    assert np.allclose(op.as_matrix(), np.eye(2), atol=0)
+    k1, k2, _, _ = fm.principal_frame(1, 0, 1, 1, 0, 1)
+    assert (k1, k2) == (1.0, 1.0)
 
 
 def test_shape_operator_diagonal():
-    op = fm.shape_operator(FundamentalForms(1, 0, 1, 2, 0, 1))
-    assert np.allclose(op.as_matrix(), np.diag([2.0, 1.0]), atol=0)
+    k1, k2, t1, t2 = fm.principal_frame(1, 0, 1, 2, 0, 1)
+    assert (k1, k2) == (2.0, 1.0)
+    assert (t1, t2) == (0.0, math.pi / 2.0)
 
 
 def test_shape_operator_general_entries():
-    # Direct transcription of the defining quotients for
+    # Weingarten quotients transcribed for
     # E=1, F=0.5, G=2, e=0.3, f=0.1, g=0.7 (det I = 1.75).
-    op = fm.shape_operator(FundamentalForms(1.0, 0.5, 2.0, 0.3, 0.1, 0.7))
     det = 1.75
-    assert math.isclose(op.c00, (0.3 * 2.0 - 0.1 * 0.5) / det, rel_tol=1e-15)
-    assert math.isclose(op.c01, (0.1 * 2.0 - 0.7 * 0.5) / det, rel_tol=1e-15)
-    assert math.isclose(op.c10, (0.1 * 1.0 - 0.3 * 0.5) / det, rel_tol=1e-15)
-    assert math.isclose(op.c11, (0.7 * 1.0 - 0.1 * 0.5) / det, rel_tol=1e-15)
-    tr = op.c00 + op.c11
-    dt = op.c00 * op.c11 - op.c01 * op.c10
-    assert tr * tr - 4.0 * dt >= 0.0  # real eigenvalues
-
-
-def test_shape_operator_degenerate_metric():
-    with pytest.raises(DegenerateMetric):
-        fm.shape_operator(FundamentalForms(1.0, 2.0, 1.0, 1.0, 0.0, 1.0))
+    c00 = (0.3 * 2.0 - 0.1 * 0.5) / det
+    c01 = (0.1 * 2.0 - 0.7 * 0.5) / det
+    c10 = (0.1 * 1.0 - 0.3 * 0.5) / det
+    c11 = (0.7 * 1.0 - 0.1 * 0.5) / det
+    k1, k2, _, _ = fm.principal_frame(1.0, 0.5, 2.0, 0.3, 0.1, 0.7)
+    assert k1 >= k2  # real eigenvalues, ordered
+    assert math.isclose(k1 + k2, c00 + c11, rel_tol=1e-15)
+    assert math.isclose(k1 * k2, c00 * c11 - c01 * c10, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("name", ["sq_2352", "pe_lt", "ellipsoid_123"])
 def test_shape_operator_consistency(name):
-    """trace = 2H and det = K (and det matches (eg - f^2)/(EG - F^2))."""
+    """k1 + k2 = 2H and k1 k2 = K = (eg - f^2)/(EG - F^2)."""
     spec = BUNDLED[name]
     rng = np.random.default_rng(17)
     chart = sf.chart_atlas(spec)[0]
@@ -123,10 +118,10 @@ def test_shape_operator_consistency(name):
     for u, v in zip(us, vs):
         cp = ChartPoint(chart, float(u), float(v))
         ff = fm.forms_closed(spec, cp)
-        op = fm.shape_operator(ff)
+        k1, k2, _, _ = fm.principal_frame(ff.E, ff.F, ff.G, ff.e, ff.f, ff.g)
         cs = fm.curvature_summary(spec, cp)
-        tr = op.c00 + op.c11
-        det = op.c00 * op.c11 - op.c01 * op.c10
+        tr = k1 + k2
+        det = k1 * k2
         assert abs(tr - 2.0 * cs.H) <= 1e-9 * max(abs(tr), 1.0)
         assert abs(det - cs.K) <= 1e-9 * max(abs(det), 1.0)
         direct = (ff.e * ff.g - ff.f**2) / ff.det_first

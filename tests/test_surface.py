@@ -182,6 +182,12 @@ def test_spec_json_roundtrip():
         {"family": "torus", "a": 1, "b": 2},
         {"family": "ellipsoid", "a": -1, "b": 2, "c": 3},
         {"family": "perturbed_ellipsoid", "a": 1, "b": 1, "epsilon": -0.5},
+        {"family": "superquadric", "a": 1, "b": 1, "c": 1, "k": 2.5},      # not truncated
+        {"family": "superquadric", "a": math.inf, "b": 1, "c": 1, "k": 2},
+        {"family": "ellipsoid", "a": 1, "b": math.inf, "c": 3},
+        {"family": "ellipsoid", "a": 1, "b": 2, "c": math.inf},
+        {"family": "perturbed_ellipsoid", "a": 1, "b": 1, "epsilon": math.nan},
+        {"family": "perturbed_ellipsoid", "a": 1, "b": 1, "epsilon": math.inf},
         "not an object",
     ],
 )
