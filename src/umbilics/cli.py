@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("forms", parents=[common], help="fundamental forms and curvature")
     p.add_argument("--at", help="chart coordinates 'u,v'")
-    p.add_argument("--chart", default="Z+", help="chart label (Z+, X-, E+, ...)")
+    p.add_argument("--chart", default="Z+", help="chart label: X+, X-, Y+, Y-, Z+ or Z-")
     p.add_argument("--numeric", action="store_true", help="include numeric-path forms")
     p.add_argument("--convexity", type=int, default=0, metavar="N", help="scan N points")
     p.set_defaults(fn=cmd_forms)

@@ -82,41 +82,23 @@ def _assemble(su, sv, suu, suv, svv, grad):
     return E, F, G, e, f, g
 
 
-def _gradient_component(spec, slot, value):
-    """Implicit-gradient component for one ambient coordinate slot."""
-    if spec.family == sf.PERTURBED_ELLIPSOID:
-        if slot == 2:
-            return 2.0 * spec.b * value
-        return 2.0 * spec.a * value + 4.0 * spec.epsilon * value**3
-    coefs = (spec.a, spec.b, spec.c)
-    m = sf.exponent(spec)
-    return m * coefs[slot] * value ** (m - 1)
-
-
 def closed_forms_arrays(spec, chart, u, v):
     """Vectorized closed-form coefficients (E, F, G, e, f, g) at (u, v).
 
     Uses the Monge-patch identities E = 1 + hu^2, F = hu hv, G = 1 + hv^2
     and |Su x Sv| = sqrt(1 + hu^2 + hv^2); the second form is the height
-    Hessian over that norm, signed so it is positive definite on convex
-    surfaces (sign fixed by the implicit gradient).  Caller guarantees
-    validity; no checks.
+    Hessian over that norm, signed by the chart sign so it is positive
+    definite on convex surfaces (the outward normal's height component has
+    the sign of the height).  Caller guarantees validity; no checks.
     """
-    h, hu, hv, huu, huv, hvv = sf.height_jet(spec, chart, u, v)
+    _, hu, hv, huu, huv, hvv = sf.height_jet(spec, chart, u, v)
     E = 1.0 + hu * hu
     F = hu * hv
     G = 1.0 + hv * hv
     w = np.sqrt(1.0 + hu * hu + hv * hv)
-    iu, iv, ih = sf.placement(chart)
-    beta = (
-        _gradient_component(spec, ih, h)
-        - hu * _gradient_component(spec, iu, np.asarray(u, dtype=float))
-        - hv * _gradient_component(spec, iv, np.asarray(v, dtype=float))
-    )
-    tau = np.where(beta >= 0.0, 1.0, -1.0)
-    e = -tau * huu / w
-    f = -tau * huv / w
-    g = -tau * hvv / w
+    e = -chart.sign * huu / w
+    f = -chart.sign * huv / w
+    g = -chart.sign * hvv / w
     return E, F, G, e, f, g
 
 

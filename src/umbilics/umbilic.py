@@ -290,19 +290,7 @@ def find_umbilics(spec, cfg: FindConfig = None):
                 )
                 continue
             point = sf.chart_points(spec, chart, u, v)
-            kind = (
-                NON_ISOLATED
-                if _probe_non_isolated(spec, chart, u, v, cfg)
-                else ISOLATED
-            )
-            found.append(UmbilicRecord(tuple(point), chart, (u, v), res, kind))
-
-    if any(r.kind == NON_ISOLATED for r in found):
-        # Everywhere-umbilic surface: report one representative.
-        rep = min(
-            (r for r in found if r.kind == NON_ISOLATED), key=lambda r: r.residual
-        )
-        return [_snap_ambient(rep, sf.surface_diameter(spec))]
+            found.append(UmbilicRecord(tuple(point), chart, (u, v), res))
 
     found.sort(key=lambda r: r.residual)
     kept = []
@@ -311,6 +299,10 @@ def find_umbilics(spec, cfg: FindConfig = None):
         if all(np.linalg.norm(p - np.array(k.ambient)) >= r_dedup for k in kept):
             kept.append(rec)
     diam = sf.surface_diameter(spec)
+    for rec in kept:
+        if _probe_non_isolated(spec, rec.chart, *rec.uv, cfg):
+            # Everywhere-umbilic surface: report one representative.
+            return [_snap_ambient(replace(rec, kind=NON_ISOLATED), diam)]
     kept = [_snap_ambient(r, diam) for r in kept]
     kept.sort(key=lambda r: tuple(round(c, 9) for c in r.ambient))
     return kept

@@ -28,7 +28,7 @@ def test_forms_at_pole(capsys):
 
 def test_forms_numeric_flag(capsys):
     code, out, _ = run(
-        capsys, "forms", "--spec", "pe_lt", "--at", "0.2,0.1", "--chart", "E+", "--numeric"
+        capsys, "forms", "--spec", "pe_lt", "--at", "0.1,0.2", "--chart", "Y+", "--numeric"
     )
     assert code == 0
     doc = json.loads(out)

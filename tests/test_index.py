@@ -79,13 +79,15 @@ def test_index_chart_independent(results):
 
 
 def test_equator_index_in_rotated_chart(results):
-    """Equator umbilics measured on the rotated chart give the same index."""
+    """An equator umbilic measured in a second Monge chart gives the same index."""
     recs = results.records(PE_LT)
     eq = next(r for r in recs if abs(r.ambient[2]) < 1e-9 and r.ambient[1] > 0)
     base = ix.umbilic_index(PE_LT, eq, recs).index
-    chart = sf.ChartId("y", 1, sf.ROTATED_EQUATOR)
-    pre = sf.ambient_to_chart(PE_LT, chart, np.array(eq.ambient))
-    assert pre is not None
+    chart, pre = next(
+        (c, pre) for c in sf.chart_atlas(PE_LT)
+        if c != eq.chart
+        and (pre := sf.ambient_to_chart(PE_LT, c, np.array(eq.ambient))) is not None
+    )
     rec2 = replace(eq, chart=chart, uv=(pre[0], pre[1]))
     assert ix.umbilic_index(PE_LT, rec2, recs).index == base == 0.5
 

@@ -229,7 +229,7 @@ def test_records_on_surface(results):
 
 
 def _equator_condition(u, a, b, eps):
-    """Mid-plane umbilic condition on the rotated chart (independent oracle)."""
+    """Umbilic condition along the z = 0 equator, y^2 = q(x) (independent oracle)."""
     q = (math.sqrt(a * a + 4.0 * eps * (1.0 - a * u * u - eps * u**4)) - a) / (2.0 * eps)
     return (
         u * u * (a + 2.0 * eps * u * u) ** 2 * (6.0 * eps * q + a - b)
