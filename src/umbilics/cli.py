@@ -12,6 +12,7 @@ so identical runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from importlib import resources
@@ -144,11 +145,7 @@ def cmd_forms(args) -> int:
 
 
 def _find(spec, args):
-    cfg = um.FindConfig(
-        grid_n=args.grid_n,
-        tol_find=args.tol_find,
-    )
-    return um.find_umbilics(spec, cfg)
+    return um.find_umbilics(spec, um.FindConfig(args.grid_n, args.tol_find))
 
 
 def cmd_umbilics(args) -> int:
@@ -206,8 +203,7 @@ def _bidirectional(spec, start, branch, arclen, cfg) -> fl.CurveTrace:
     """
     fwd = fl.trace_line(spec, start, branch, arclen, cfg)
     bwd = fl.trace_line(
-        spec, start, branch, arclen,
-        fl.TraceConfig(**{**cfg.__dict__, "initial_sign": -cfg.initial_sign}),
+        spec, start, branch, arclen, dataclasses.replace(cfg, initial_sign=-cfg.initial_sign)
     )
     return fl.CurveTrace(
         start.chart,
@@ -440,14 +436,33 @@ def _emit(args, obj, filename):
 # Parser
 
 
+def _positive(kind, zero=False):
+    """argparse type: a finite number of ``kind`` above 0 (or at least 0)."""
+    bound = "non-negative" if zero else "positive"
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        if not (math.isfinite(value) and (value >= 0 if zero else value > 0)):
+            raise argparse.ArgumentTypeError(f"must be a finite {bound} number, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--spec", required=True, help="spec JSON path or bundled name")
     common.add_argument("--out", default=None, help="directory for output artifacts")
     common.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common.add_argument("--grid-n", type=int, default=64, help="scan grid per chart")
     common.add_argument(
-        "--tol-find", type=float, default=1e-10, help="umbilic residual tolerance"
+        "--grid-n", type=_positive(int), default=um.FindConfig.grid_n, help="scan grid per chart"
+    )
+    common.add_argument(
+        "--tol-find", type=_positive(float), default=um.FindConfig.tol_find,
+        help="umbilic residual tolerance",
     )
 
     parser = argparse.ArgumentParser(
@@ -460,7 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", help="chart coordinates 'u,v'")
     p.add_argument("--chart", default="Z+", help="chart label: X+, X-, Y+, Y-, Z+ or Z-")
     p.add_argument("--numeric", action="store_true", help="include numeric-path forms")
-    p.add_argument("--convexity", type=int, default=0, metavar="N", help="scan N points")
+    p.add_argument(
+        "--convexity", type=_positive(int, zero=True), default=0, metavar="N", help="scan N points"
+    )
     p.set_defaults(fn=cmd_forms)
 
     p = subs.add_parser("umbilics", parents=[common], help="locate umbilic points")
@@ -472,13 +489,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", help="chart coordinates 'u,v'")
     p.add_argument("--chart", default="Z+")
     p.add_argument("--branch", default="both", choices=["0", "1", "both"])
-    p.add_argument("--len", dest="length", type=float, default=2.0)
+    p.add_argument("--len", dest="length", type=_positive(float), default=2.0)
     p.add_argument("--svg", help="portrait SVG path")
     p.add_argument("--residual-plot", help="log-residual SVG path")
     p.add_argument("--portrait", help=f"seed a fan around a named umbilic {_PORTRAIT_KINDS}")
-    p.add_argument("--portrait-radius", type=float, default=None)
-    p.add_argument("--portrait-starts", type=int, default=12)
-    p.add_argument("--tol-res", type=float, default=1e-5, help="trace residual bound")
+    p.add_argument("--portrait-radius", type=_positive(float), default=None)
+    p.add_argument("--portrait-starts", type=_positive(int), default=12)
+    p.add_argument(
+        "--tol-res", type=_positive(float), default=fl.TraceConfig.res_bound,
+        help="trace residual bound",
+    )
     p.set_defaults(fn=cmd_trace)
 
     p = subs.add_parser("verify", parents=[common], help="one-shot verification report")

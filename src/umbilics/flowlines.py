@@ -4,6 +4,7 @@ Field directions come from :func:`umbilics.forms.principal_frame`.  Tracing
 integrates the unit-speed direction field with an embedded Fehlberg 4(5)
 pair, keeping line-field orientation by maximizing the dot product with the
 previous direction.  A curvature line satisfies the homogeneous quadratic
+of :func:`umbilics.forms.line_quadratic`
 
     (fE - eF) u'^2 + (gE - eG) u'v' + (gF - fG) v'^2 = 0
 
@@ -24,22 +25,24 @@ import numpy as np
 from . import forms as fm
 from . import surface as sf
 from . import umbilic as um
-from .errors import InvalidChartPoint, StartsAtUmbilic
+from .errors import StartsAtUmbilic
 
 LENGTH_REACHED = "length_reached"
 NEAR_UMBILIC = "near_umbilic"
 CHART_BOUNDARY = "chart_boundary"
 STEP_UNDERFLOW = "step_underflow"
 
+MIN_STEP = 1e-12
+MAX_STEP = 1e-2
+UMB_STOP = 1e-6                # umbilic-residual stop radius
+EXCURSION_FRAC = 0.02          # share of steps allowed above res_bound
+
+
 @dataclass(frozen=True)
 class TraceConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    min_step: float = 1e-12
-    max_step: float = 1e-2
-    umb_stop: float = 1e-6     # umbilic-residual stop radius
     res_bound: float = 1e-5    # advertised per-step residual bound
-    excursion_frac: float = 0.02
     initial_sign: int = 1      # +-1: sense of the initial direction
 
     @property
@@ -62,10 +65,8 @@ class CurveTrace:
 
     def within_residual_bound(self, cfg: TraceConfig = None) -> bool:
         cfg = cfg or TraceConfig()
-        if not self.residuals:
-            return True
         bad = sum(1 for r in self.residuals if r >= cfg.res_bound)
-        return bad <= cfg.excursion_frac * len(self.residuals)
+        return bad <= EXCURSION_FRAC * len(self.residuals)
 
 
 def _principal_axes(spec, chart, u, v):
@@ -106,11 +107,9 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
     """
     cfg = cfg or TraceConfig()
     chart = start.chart
-    r0 = float(sf.radicand(spec, chart, start.u, start.v))
-    if not r0 >= sf.DELTA_VALID:
-        raise InvalidChartPoint(f"start ({start.u}, {start.v}) outside {chart.label}")
-    # Starting on (or within refinement accuracy of) an umbilic is ill-posed.
-    if um.umbilic_residual(spec, start) <= 10.0 * um.FindConfig().tol_find:
+    # Starting on (or within refinement accuracy of) an umbilic is ill-posed;
+    # umbilic_residual raises InvalidChartPoint outside the chart.
+    if um.umbilic_residual(spec, start) <= 10.0 * um.FindConfig.tol_find:
         raise StartsAtUmbilic(
             f"({start.u}, {start.v}) on {chart.label} is an umbilic point"
         )
@@ -121,7 +120,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
 
     x = np.array([start.u, start.v])
     s = 0.0
-    h = min(cfg.max_step, max(arclen_max / 16.0, 4.0 * cfg.min_step))
+    h = min(MAX_STEP, max(arclen_max / 16.0, 4.0 * MIN_STEP))
     pts = [(float(x[0]), float(x[1]))]
     arcs = [0.0]
     residuals = []
@@ -132,12 +131,12 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
             return None
         return _field_direction(spec, chart, y[0], y[1], ref)
 
-    while s < arclen_max - cfg.min_step:
-        if um.umbilic_residual_arrays(spec, chart, x[0], x[1]) < cfg.umb_stop:
+    while s < arclen_max - MIN_STEP:
+        if um.umbilic_residual_arrays(spec, chart, x[0], x[1]) < UMB_STOP:
             stop = NEAR_UMBILIC
             break
         h = min(h, arclen_max - s)
-        if h < cfg.min_step:
+        if h < MIN_STEP:
             stop = STEP_UNDERFLOW
             break
         f0 = field(x, prev)
@@ -146,17 +145,15 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
             break
 
         ks = [f0]
-        failed = False
         for i in range(1, 6):
             y = x + h * sum(a * k for a, k in zip(_RKF_A[i], ks))
             fi = field(y, f0)
             if fi is None:
-                failed = True
                 break
             ks.append(fi)
-        if failed:
+        if len(ks) < 6:
             h *= 0.5
-            if h < cfg.min_step:
+            if h < MIN_STEP:
                 stop = CHART_BOUNDARY
                 break
             continue
@@ -166,7 +163,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
         err = float(np.linalg.norm(x5 - x4))
         tol = cfg.abs_tol + cfg.rel_tol * float(np.linalg.norm(x5))
         if err > tol:
-            h = max(cfg.min_step, 0.9 * h * (tol / err) ** 0.2)
+            h = max(MIN_STEP, 0.9 * h * (tol / err) ** 0.2)
             continue
 
         f1 = field(x5, f0)
@@ -175,7 +172,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
             break
         res = _step_residual(spec, chart, x, x5, f0, f1, h)
         if res > cfg.res_target:
-            if h > 4.0 * cfg.min_step:
+            if h > 4.0 * MIN_STEP:
                 # The (u, v) error estimate missed fast direction-field
                 # variation; retry the step at half size.
                 h *= 0.5
@@ -191,9 +188,9 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
         pts.append((float(x[0]), float(x[1])))
         arcs.append(s)
         if err > 0.0:
-            h = min(cfg.max_step, 0.9 * h * (tol / err) ** 0.2)
+            h = min(MAX_STEP, 0.9 * h * (tol / err) ** 0.2)
         else:
-            h = cfg.max_step
+            h = MAX_STEP
 
     return CurveTrace(chart, tuple(pts), tuple(arcs), tuple(residuals), stop)
 
@@ -208,10 +205,8 @@ def _step_residual(spec, chart, x0, x1, f0, f1, h):
     dmid = 1.5 * (x1 - x0) / h - 0.25 * (f0 + f1)
     if not sf.chart_valid(spec, chart, mid[0], mid[1], margin=sf.DELTA_VALID):
         mid = 0.5 * (x0 + x1)
-    E, F, G, e, f, g = fm.closed_forms_arrays(spec, chart, mid[0], mid[1])
-    A = float(f * E - e * F)
-    B = float(g * E - e * G)
-    C = float(g * F - f * G)
+    forms = fm.closed_forms_arrays(spec, chart, mid[0], mid[1])
+    A, B, C = (float(c) for c in fm.line_quadratic(*forms))
     du, dv = float(dmid[0]), float(dmid[1])
     q = A * du * du + B * du * dv + C * dv * dv
     scale = (abs(A) + abs(B) + abs(C)) * (du * du + dv * dv) + 1e-300

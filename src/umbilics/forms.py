@@ -24,7 +24,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import surface as sf
-from .errors import InvalidChartPoint, MarginTooSmall
+from .errors import MarginTooSmall
 
 # Step for 4th-order difference stencils, scaled by (1 + |u| + |v|).
 H_FD = float(np.finfo(float).eps) ** 0.2
@@ -102,18 +102,9 @@ def closed_forms_arrays(spec, chart, u, v):
     return E, F, G, e, f, g
 
 
-def _check_valid(spec, cp, margin=sf.DELTA_VALID):
-    r = float(sf.radicand(spec, cp.chart, cp.u, cp.v))
-    if not r >= margin:
-        raise InvalidChartPoint(
-            f"chart {cp.chart.label} at ({cp.u}, {cp.v}): radicand {r:.3e}"
-        )
-    return r
-
-
 def forms_closed(spec, cp) -> FundamentalForms:
     """Fundamental form coefficients from the analytic chart jet."""
-    _check_valid(spec, cp)
+    sf.check_valid(spec, cp)
     vals = closed_forms_arrays(spec, cp.chart, cp.u, cp.v)
     return FundamentalForms(*(float(x) for x in vals))
 
@@ -152,7 +143,7 @@ def forms_numeric(spec, cp, step=None) -> FundamentalForms:
     Raises MarginTooSmall when the stencil would leave the chart domain or
     sit too close to the boundary for the advertised accuracy.
     """
-    _check_valid(spec, cp)
+    sf.check_valid(spec, cp)
     u, v = float(cp.u), float(cp.v)
     h = step if step is not None else fd_step(spec, cp.chart, u, v)
     if h < 1e-7:
@@ -161,8 +152,7 @@ def forms_numeric(spec, cp, step=None) -> FundamentalForms:
         )
     offs = np.arange(-2, 3) * h
     uu, vv = np.meshgrid(u + offs, v + offs, indexing="ij")
-    rad = sf.radicand(spec, cp.chart, uu, vv)
-    if not np.all(rad >= sf.DELTA_VALID):
+    if not np.all(sf.chart_valid(spec, cp.chart, uu, vv)):
         raise MarginTooSmall(
             f"difference stencil leaves chart {cp.chart.label} near ({u}, {v})"
         )
@@ -219,6 +209,13 @@ def principal_frame(E, F, G, e, f, g):
         return math.atan2(w[1], w[0]) % math.pi
 
     return k1, k2, angle(k1), angle(k2)
+
+
+def line_quadratic(E, F, G, e, f, g):
+    """Coefficients (fE - eF, gE - eG, gF - fG) of the curvature-line
+    equation A du^2 + B du dv + C dv^2 = 0; all three vanish exactly at
+    umbilics.  Scalars or arrays."""
+    return f * E - e * F, g * E - e * G, g * F - f * G
 
 
 def first_form_unit(E, F, G, du, dv):

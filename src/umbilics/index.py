@@ -30,6 +30,7 @@ from . import umbilic as um
 from .errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 
 MAX_JUMP = math.pi / 4.0
+MAX_BISECT = 48               # recursion budget per over-jump segment
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class WindingResult:
 class IndexConfig:
     radius: float = None      # None: auto = 1e3 * sqrt(tol_find), clipped
     samples: int = 720
-    max_bisect: int = 48      # recursion budget per over-jump segment
 
 
 def _direction_angle(spec, chart, u, v):
@@ -73,7 +73,7 @@ def _nearest_rep(theta, prev):
     return theta + math.pi * round((prev - theta) / math.pi)
 
 
-def _lift_ring(spec, chart, cu, cv, radius, samples, max_bisect):
+def _lift_ring(spec, chart, cu, cv, radius, samples):
     """Continuously lift the direction angle around the circle.
 
     Returns (total change, evaluations, max jump).  Raises NonConvergentLift
@@ -99,7 +99,7 @@ def _lift_ring(spec, chart, cu, cv, radius, samples, max_bisect):
         theta = thetas[i]
         # Bisect until the hop from the previous lifted angle is small.
         stack = [(t_target, theta)]
-        budget = max_bisect
+        budget = MAX_BISECT
         while stack:
             t_next, th_next = stack[-1]
             rep = _nearest_rep(th_next, lifted[-1])
@@ -167,7 +167,7 @@ def umbilic_index(spec, rec, records=None, cfg: IndexConfig = None) -> WindingRe
     chart = rec.chart
     cu, cv = rec.uv
     cap = _radius_clip(spec, rec, records)
-    base = cfg.radius if cfg.radius is not None else 1e3 * math.sqrt(um.FindConfig().tol_find)
+    base = cfg.radius if cfg.radius is not None else 1e3 * math.sqrt(um.FindConfig.tol_find)
     radius = min(base, cap)
 
     tried = 0
@@ -182,9 +182,7 @@ def umbilic_index(spec, rec, records=None, cfg: IndexConfig = None) -> WindingRe
                 f"no valid sampling circle around ({cu}, {cv}) on {chart.label}"
             )
         try:
-            total, evals, max_jump = _lift_ring(
-                spec, chart, cu, cv, radius, cfg.samples, cfg.max_bisect
-            )
+            total, evals, max_jump = _lift_ring(spec, chart, cu, cv, radius, cfg.samples)
             break
         except NonConvergentLift:
             tried += 1

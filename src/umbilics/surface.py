@@ -294,6 +294,13 @@ def chart_valid(spec, chart, u, v, margin=DELTA_VALID):
     return radicand(spec, chart, u, v) >= margin
 
 
+def check_valid(spec, cp: ChartPoint):
+    """Raise InvalidChartPoint unless the chart point is usable."""
+    r = float(radicand(spec, cp.chart, cp.u, cp.v))
+    if not r >= DELTA_VALID:
+        raise InvalidChartPoint(f"chart {cp.chart.label} at ({cp.u}, {cp.v}): radicand {r:.3e}")
+
+
 def height_jet(spec: SurfaceSpec, chart: ChartId, u, v):
     """Height h and its derivatives (h, hu, hv, huu, huv, hvv), vectorized.
 
@@ -344,11 +351,7 @@ def chart_points(spec: SurfaceSpec, chart: ChartId, u, v):
 
 def chart_to_ambient(spec: SurfaceSpec, cp: ChartPoint):
     """Ambient R^3 point of a chart point; raises InvalidChartPoint."""
-    r = float(radicand(spec, cp.chart, cp.u, cp.v))
-    if not r >= DELTA_VALID:
-        raise InvalidChartPoint(
-            f"chart {cp.chart.label} at (u, v) = ({cp.u}, {cp.v}): radicand {r:.3e}"
-        )
+    check_valid(spec, cp)
     return chart_points(spec, cp.chart, cp.u, cp.v)
 
 

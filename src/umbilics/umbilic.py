@@ -1,12 +1,15 @@
 """Umbilic point detection, closed-form locations, and epsilon thresholds.
 
-Umbilics are the zeros of the off-diagonal/anisotropy part of the Weingarten
-matrix.  The finder grid-scans every chart of the atlas, refines residual
-minima with a damped Newton iteration on the two-equation system
-(G f - F g, G e - E g), and deduplicates across charts.  Flat umbilics (the
-axis points of the power family are planar points) make that system vanish
-to high order, so the refiner accelerates the resulting geometric step decay
-by extrapolation and finishes with exact symmetry-line snapping.
+Umbilics are the points where the curvature-line quadratic
+A du^2 + B du dv + C dv^2 (:func:`umbilics.forms.line_quadratic`) vanishes
+identically.  The finder grid-scans every chart of the atlas, refines
+residual minima with a damped Newton iteration on the two-equation system
+(C, B), and deduplicates across charts.  Flat umbilics (the axis points of
+the power family are planar points) make that system vanish to high order,
+so the refiner accelerates the resulting geometric step decay by
+extrapolation and finishes with exact symmetry-line snapping.  Finally one
+macroscopic ring around each kept point tells an isolated umbilic from an
+umbilic continuum.
 """
 
 from __future__ import annotations
@@ -69,17 +72,22 @@ class ThresholdReport:
 class FindConfig:
     grid_n: int = 64
     tol_find: float = 1e-10
-    r_dedup: float = None       # default: 1e-6 * surface diameter
-    max_newton: int = 100
-    seed_margin: float = 1e-6   # radicand margin for grid seeds
+
+
+DEDUP_REL = 1e-6                     # dedup radius over the surface diameter
+MAX_NEWTON = 100
+SEED_MARGIN = 1e-6                   # radicand margin for grid seeds
+NEWTON_MARGIN = 10.0 * sf.DELTA_VALID
 
 
 def scaled_residual(E, F, G, e, f, g):
     """Scale-invariant umbilic residual of a coefficient set (scalars or arrays).
 
-    Norm of (Gf - Fg, Ef - eF, Ge - Eg) over (EG - F^2)(1 + |e| + |f| + |g|).
+    Norm of the line-quadratic coefficients (A, B, C) over
+    (EG - F^2)(1 + |e| + |f| + |g|).
     """
-    s = np.sqrt((G * f - F * g) ** 2 + (E * f - e * F) ** 2 + (G * e - E * g) ** 2)
+    A, B, C = fm.line_quadratic(E, F, G, e, f, g)
+    s = np.sqrt(C**2 + A**2 + B**2)
     return s / ((E * G - F * F) * (1.0 + np.abs(e) + np.abs(f) + np.abs(g)))
 
 
@@ -90,7 +98,7 @@ def umbilic_residual_arrays(spec, chart, u, v):
 
 def umbilic_residual(spec, cp) -> float:
     """Scale-invariant umbilic residual; zero exactly at umbilic points."""
-    fm._check_valid(spec, cp)
+    sf.check_valid(spec, cp)
     return float(umbilic_residual_arrays(spec, cp.chart, cp.u, cp.v))
 
 
@@ -98,17 +106,15 @@ def umbilic_residual(spec, cp) -> float:
 # Newton refinement
 
 
-def _system(spec, chart, u, v):
-    """Two-equation umbilic system (Gf - Fg, Ge - Eg), unscaled."""
-    E, F, G, e, f, g = fm.closed_forms_arrays(spec, chart, u, v)
-    return np.array([float(G * f - F * g), float(G * e - E * g)])
+def _system(spec, chart, x):
+    """Unscaled umbilic system (C, B) at x = (u, v); None inside the Newton margin."""
+    if not sf.chart_valid(spec, chart, x[0], x[1], margin=NEWTON_MARGIN):
+        return None
+    _, B, C = fm.line_quadratic(*fm.closed_forms_arrays(spec, chart, x[0], x[1]))
+    return np.array([float(C), float(B)])
 
 
-def _valid_margin(spec, chart, u, v, margin):
-    return bool(sf.radicand(spec, chart, u, v) >= margin)
-
-
-def _newton_refine(spec, chart, u0, v0, cfg: FindConfig):
+def _newton_refine(spec, chart, u0, v0):
     """Damped Newton with geometric-step extrapolation.
 
     Flat umbilics make Newton converge only linearly (ratio (m-1)/m for a
@@ -117,44 +123,35 @@ def _newton_refine(spec, chart, u0, v0, cfg: FindConfig):
     best point reached; acceptance is the caller's residual check.
     """
     x = np.array([u0, v0], float)
-    margin = sf.DELTA_VALID * 10.0
-    fx = _system(spec, chart, x[0], x[1])
+    fx = _system(spec, chart, x)
     steps = []
-    for _ in range(cfg.max_newton):
+    for _ in range(MAX_NEWTON):
         nf = np.linalg.norm(fx)
         h = 1e-7 * (1.0 + abs(x[0]) + abs(x[1]))
         jac = np.empty((2, 2))
-        ok_j = True
         for j in range(2):
-            xp = x.copy()
+            xp, xm = x.copy(), x.copy()
             xp[j] += h
-            xm = x.copy()
             xm[j] -= h
-            if not (
-                _valid_margin(spec, chart, xp[0], xp[1], margin)
-                and _valid_margin(spec, chart, xm[0], xm[1], margin)
-            ):
-                ok_j = False
+            fp, fn = _system(spec, chart, xp), _system(spec, chart, xm)
+            if fp is None or fn is None:
                 break
-            jac[:, j] = (_system(spec, chart, xp[0], xp[1]) - _system(spec, chart, xm[0], xm[1])) / (2.0 * h)
-        if not ok_j:
+            jac[:, j] = (fp - fn) / (2.0 * h)
+        if fp is None or fn is None:
             break
         try:
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError:
             break
         lam = 1.0
-        accepted = False
         for _ in range(7):
             xt = x + lam * step
-            if _valid_margin(spec, chart, xt[0], xt[1], margin):
-                ft = _system(spec, chart, xt[0], xt[1])
-                if np.linalg.norm(ft) < nf or np.linalg.norm(lam * step) < 1e-15:
-                    x, fx = xt, ft
-                    accepted = True
-                    break
+            ft = _system(spec, chart, xt)
+            if ft is not None and (np.linalg.norm(ft) < nf or np.linalg.norm(lam * step) < 1e-15):
+                x, fx = xt, ft
+                break
             lam *= 0.5
-        if not accepted:
+        else:
             break
         if lam == 1.0:
             steps.append(step)
@@ -166,11 +163,10 @@ def _newton_refine(spec, chart, u0, v0, cfg: FindConfig):
                     cos = float(d2 @ d3) / max(n2 * n3, 1e-300)
                     if 0.2 < r2 < 0.98 and abs(r1 - r2) < 0.1 and cos > 0.99:
                         xe = x + d3 * (r2 / (1.0 - r2))
-                        if _valid_margin(spec, chart, xe[0], xe[1], margin):
-                            fe = _system(spec, chart, xe[0], xe[1])
-                            if np.linalg.norm(fe) <= np.linalg.norm(fx):
-                                x, fx = xe, fe
-                                steps.clear()
+                        fe = _system(spec, chart, xe)
+                        if fe is not None and np.linalg.norm(fe) <= np.linalg.norm(fx):
+                            x, fx = xe, fe
+                            steps.clear()
         else:
             steps.clear()
         if np.linalg.norm(lam * step) < 1e-14 * (1.0 + np.linalg.norm(x)):
@@ -201,7 +197,7 @@ def _snap_symmetry(spec, chart, u, v, res):
         candidates.append((m, -m))
     best = (u, v, res)
     for cu, cv in candidates:
-        if not _valid_margin(spec, chart, cu, cv, sf.DELTA_VALID):
+        if not sf.chart_valid(spec, chart, cu, cv):
             continue
         r = float(umbilic_residual_arrays(spec, chart, cu, cv))
         if r <= best[2]:
@@ -209,31 +205,20 @@ def _snap_symmetry(spec, chart, u, v, res):
     return best
 
 
-def _ring_below(spec, chart, u, v, rad, tol):
-    angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    below = 0
-    for t in angles:
-        pu, pv = u + rad * math.cos(t), v + rad * math.sin(t)
-        if not _valid_margin(spec, chart, pu, pv, sf.DELTA_VALID):
-            continue
-        if float(umbilic_residual_arrays(spec, chart, pu, pv)) < tol:
-            below += 1
-    return below >= 6
-
-
 def _probe_non_isolated(spec, chart, u, v, cfg: FindConfig):
-    """Non-isolated when probe rings stay below tolerance at two scales.
+    """Non-isolated when at least 4 of 8 samples on a macroscopic ring lie
+    in the chart and at least 3/4 of those have residual below tol_find.
 
-    The small ring alone misfires on planar umbilics (high-power axis
-    points), whose residual vanishes to order 2k - 2 and is below any
-    realistic tolerance within a tiny radius; an umbilic continuum is flat
-    at every radius, so a macroscopic ring separates the two cases.
+    The ring is macroscopic (0.05 of the smaller chart half-width) because
+    planar umbilics, whose residual vanishes to order 2k - 2, pass any tiny
+    ring; an umbilic continuum is flat at every radius.
     """
-    small = 100.0 * math.sqrt(cfg.tol_find)
-    macro = 0.05 * min(sf.chart_bounds(spec, chart))
-    return _ring_below(spec, chart, u, v, small, cfg.tol_find) and _ring_below(
-        spec, chart, u, v, max(macro, 2.0 * small), cfg.tol_find
-    )
+    rad = 0.05 * min(sf.chart_bounds(spec, chart))
+    t = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    pu, pv = u + rad * np.cos(t), v + rad * np.sin(t)
+    inside = sf.chart_valid(spec, chart, pu, pv)
+    res = umbilic_residual_arrays(spec, chart, pu[inside], pv[inside])
+    return res.size >= 4 and 4 * np.count_nonzero(res < cfg.tol_find) >= 3 * res.size
 
 
 def _grid_seeds(spec, chart, cfg: FindConfig):
@@ -243,7 +228,7 @@ def _grid_seeds(spec, chart, cfg: FindConfig):
     us = (np.arange(n) + 0.5) / n * 2.0 * umax - umax
     vs = (np.arange(n) + 0.5) / n * 2.0 * vmax - vmax
     uu, vv = np.meshgrid(us, vs, indexing="ij")
-    valid = sf.chart_valid(spec, chart, uu, vv, margin=cfg.seed_margin)
+    valid = sf.chart_valid(spec, chart, uu, vv, margin=SEED_MARGIN)
     res = np.full((n, n), np.inf)
     if np.any(valid):
         res[valid] = umbilic_residual_arrays(spec, chart, uu[valid], vv[valid])
@@ -273,14 +258,12 @@ def find_umbilics(spec, cfg: FindConfig = None):
     single representative record flagged ``non_isolated``.
     """
     cfg = cfg or FindConfig()
-    r_dedup = cfg.r_dedup
-    if r_dedup is None:
-        r_dedup = 1e-6 * sf.surface_diameter(spec)
+    r_dedup = DEDUP_REL * sf.surface_diameter(spec)
 
     found = []
     for chart in sf.chart_atlas(spec):
         for u0, v0 in _grid_seeds(spec, chart, cfg):
-            u, v = _newton_refine(spec, chart, u0, v0, cfg)
+            u, v = _newton_refine(spec, chart, u0, v0)
             res = float(umbilic_residual_arrays(spec, chart, u, v))
             u, v, res = _snap_symmetry(spec, chart, u, v, res)
             if not res < cfg.tol_find:
@@ -289,8 +272,8 @@ def find_umbilics(spec, cfg: FindConfig = None):
                     u0, v0, chart.label, res,
                 )
                 continue
-            point = sf.chart_points(spec, chart, u, v)
-            found.append(UmbilicRecord(tuple(point), chart, (u, v), res))
+            point = tuple(float(c) for c in sf.chart_points(spec, chart, u, v))
+            found.append(UmbilicRecord(point, chart, (u, v), res))
 
     found.sort(key=lambda r: r.residual)
     kept = []
@@ -298,20 +281,12 @@ def find_umbilics(spec, cfg: FindConfig = None):
         p = np.array(rec.ambient)
         if all(np.linalg.norm(p - np.array(k.ambient)) >= r_dedup for k in kept):
             kept.append(rec)
-    diam = sf.surface_diameter(spec)
     for rec in kept:
         if _probe_non_isolated(spec, rec.chart, *rec.uv, cfg):
             # Everywhere-umbilic surface: report one representative.
-            return [_snap_ambient(replace(rec, kind=NON_ISOLATED), diam)]
-    kept = [_snap_ambient(r, diam) for r in kept]
+            return [replace(rec, kind=NON_ISOLATED)]
     kept.sort(key=lambda r: tuple(round(c, 9) for c in r.ambient))
     return kept
-
-
-def _snap_ambient(rec: UmbilicRecord, diam: float) -> UmbilicRecord:
-    """Zero out coordinates that vanished to refinement accuracy."""
-    amb = tuple(0.0 if abs(c) < 1e-9 * diam else float(c) for c in rec.ambient)
-    return replace(rec, ambient=amb)
 
 
 # ---------------------------------------------------------------------------

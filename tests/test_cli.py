@@ -243,6 +243,29 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["umbilics", "--spec", "sq_1112", "--grid-n", "-5"],
+        ["umbilics", "--spec", "sq_1112", "--grid-n", "0"],
+        ["umbilics", "--spec", "sq_1112", "--tol-find", "nan"],
+        ["umbilics", "--spec", "sq_1112", "--tol-find", "-1"],
+        ["forms", "--spec", "sq_1112", "--convexity", "-5"],
+        ["trace", "--spec", "sq_1112", "--start", "0.7,0", "--len", "nan"],
+        ["trace", "--spec", "sq_1112", "--start", "0.7,0", "--len", "-1"],
+        ["trace", "--spec", "sq_1112", "--start", "0.7,0", "--tol-res", "0"],
+        ["trace", "--spec", "ellipsoid_123", "--portrait", "0", "--portrait-starts", "-3"],
+        ["trace", "--spec", "ellipsoid_123", "--portrait", "0", "--portrait-radius", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv[3:]),
+)
+def test_out_of_range_numbers_rejected(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert argv[-2] in line
+
+
 def test_bundled_spec_names():
     names = cli.bundled_spec_names()
     assert "sq_1112" in names and "pe_lt" in names and "ellipsoid_123" in names

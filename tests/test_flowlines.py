@@ -48,6 +48,7 @@ def test_direction_pair_invariants():
             A = ff.f * ff.E - ff.e * ff.F
             B = ff.g * ff.E - ff.e * ff.G
             C = ff.g * ff.F - ff.f * ff.G
+            assert fm.line_quadratic(ff.E, ff.F, ff.G, ff.e, ff.f, ff.g) == (A, B, C)
             size = (abs(ff.E) + abs(ff.F) + abs(ff.G)) * (abs(ff.e) + abs(ff.f) + abs(ff.g))
             if max(abs(A), abs(B), abs(C)) < 1e-12 * size + 1e-300:
                 continue  # umbilic: every direction is principal

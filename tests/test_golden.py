@@ -1,0 +1,54 @@
+"""Golden records: finder and index results on every bundled spec.
+
+``data/bundled_records.json`` holds, per bundled spec, the record count,
+the kinds, the sorted indices and the sorted xyz locations.  A change that
+is meant to keep results must match counts, kinds and indices exactly and
+locations within 1e-12.  Regenerate the file (only when results are meant
+to change) with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import BUNDLED
+
+GOLDEN = Path(__file__).parent / "data" / "bundled_records.json"
+XYZ_TOL = 1e-12
+
+
+def snapshot(records):
+    """Order-independent summary of one spec's indexed records."""
+    return {
+        "count": len(records),
+        "kinds": sorted(r.kind for r in records),
+        "indices": sorted(r.index for r in records),
+        "xyz": sorted(
+            ([float(c) for c in r.ambient] for r in records),
+            key=lambda p: [round(c, 9) for c in p],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_bundled_records_match_golden(name, results):
+    want = json.loads(GOLDEN.read_text())[name]
+    got = snapshot(results.indexed(BUNDLED[name]))
+    assert got["count"] == want["count"]
+    assert got["kinds"] == want["kinds"]
+    assert got["indices"] == want["indices"]
+    for p, q in zip(got["xyz"], want["xyz"]):
+        assert max(abs(a - b) for a, b in zip(p, q)) < XYZ_TOL
+
+
+if __name__ == "__main__":
+    from umbilics import index as ix
+    from umbilics import umbilic as um
+
+    data = {
+        name: snapshot(ix.attach_indices(spec, um.find_umbilics(spec)))
+        for name, spec in sorted(BUNDLED.items())
+    }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

@@ -145,6 +145,12 @@ def test_find_sphere_non_isolated():
     assert recs[0].kind == um.NON_ISOLATED
 
 
+def test_probe_judges_samples_inside_chart():
+    """A continuum point near the X+ edge: 5 of the 8 probe samples lie in
+    the chart and all of them are umbilic."""
+    assert um._probe_non_isolated(SPHERE, ChartId("x", 1), -0.984, -0.078, um.FindConfig())
+
+
 def test_find_ellipsoid(results):
     recs = results.records(BUNDLED["ellipsoid_123"])
     assert len(recs) == 4
