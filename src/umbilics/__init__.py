@@ -32,12 +32,10 @@ from .umbilic import (
 )
 from .flowlines import (
     CurveTrace,
-    TraceConfig,
     residual_log,
     trace_line,
 )
 from .index import (
-    IndexConfig,
     WindingResult,
     attach_indices,
     conjecture_sweep,

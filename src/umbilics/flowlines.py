@@ -2,9 +2,10 @@
 
 Field directions come from :func:`umbilics.forms.principal_frame`.  Tracing
 integrates the unit-speed direction field with an embedded Fehlberg 4(5)
-pair, keeping line-field orientation by maximizing the dot product with the
-previous direction.  A curvature line satisfies the homogeneous quadratic
-of :func:`umbilics.forms.line_quadratic`
+pair, continuing with the principal axis at the smallest surface angle to
+the previous direction (largest first-form |I(w, prev)|, signed to agree).
+A curvature line satisfies the homogeneous quadratic of
+:func:`umbilics.forms.line_quadratic`
 
     (fE - eF) u'^2 + (gE - eG) u'v' + (gF - fG) v'^2 = 0
 
@@ -35,24 +36,14 @@ STEP_UNDERFLOW = "step_underflow"
 MIN_STEP = 1e-12
 MAX_STEP = 1e-2
 UMB_STOP = 1e-6                # umbilic-residual stop radius
-EXCURSION_FRAC = 0.02          # share of steps allowed above res_bound
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    res_bound: float = 1e-5    # advertised per-step residual bound
-    initial_sign: int = 1      # +-1: sense of the initial direction
-
-    @property
-    def res_target(self) -> float:
-        """Step-rejection threshold for the per-step residual.
-
-        Tied to rel_tol so tightening the integrator tolerance tightens the
-        realized residuals too; 250 x 1e-8 sits at a quarter of res_bound.
-        """
-        return 250.0 * self.rel_tol
+EXCURSION_FRAC = 0.02          # share of steps allowed above the residual bound
+ABS_TOL = 1e-10                # step error tolerance: absolute part
+REL_TOL = 1e-8                 # and relative part
+RES_BOUND = 1e-5               # advertised per-step residual bound
+# Step-rejection threshold for the per-step residual.  Tied to REL_TOL so
+# tightening the integrator tolerance tightens the realized residuals too;
+# 250 x 1e-8 sits at a quarter of RES_BOUND.
+RES_TARGET = 250.0 * REL_TOL
 
 
 @dataclass(frozen=True)
@@ -63,24 +54,29 @@ class CurveTrace:
     residuals: tuple           # per accepted step (len(points) - 1 entries)
     stop_reason: str
 
-    def within_residual_bound(self, cfg: TraceConfig = None) -> bool:
-        cfg = cfg or TraceConfig()
-        bad = sum(1 for r in self.residuals if r >= cfg.res_bound)
+    def within_residual_bound(self, res_bound=RES_BOUND) -> bool:
+        bad = sum(1 for r in self.residuals if r >= res_bound)
         return bad <= EXCURSION_FRAC * len(self.residuals)
 
 
 def _principal_axes(spec, chart, u, v):
-    """Both principal directions at (u, v), unit in the first form and
-    ordered by chart angle mod pi."""
+    """First form (E, F, G) at (u, v) and both principal directions there,
+    unit in that form and ordered by chart angle mod pi."""
     E, F, G, e, f, g = (float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
     angles = sorted(fm.principal_frame(E, F, G, e, f, g)[2:])
-    return [np.array(fm.first_form_unit(E, F, G, math.cos(t), math.sin(t))) for t in angles]
+    axes = [np.array(fm.first_form_unit(E, F, G, math.cos(t), math.sin(t))) for t in angles]
+    return (E, F, G), axes
 
 
 def _field_direction(spec, chart, u, v, prev):
-    """Principal direction at (u, v) continuing prev (unit in first form)."""
-    axes = _principal_axes(spec, chart, u, v)
-    return max((sign * w for w in axes for sign in (1.0, -1.0)), key=lambda w: float(w @ prev))
+    """Principal direction at (u, v) continuing prev (unit in first form).
+    A chart dot product would pick the other family's axis where the first
+    form is anisotropic."""
+    (E, F, G), axes = _principal_axes(spec, chart, u, v)
+    dots = [E * w[0] * prev[0] + F * (w[0] * prev[1] + w[1] * prev[0]) + G * w[1] * prev[1]
+            for w in axes]
+    i = 0 if abs(dots[0]) >= abs(dots[1]) else 1
+    return axes[i] if dots[i] > 0.0 else -axes[i]
 
 
 # Fehlberg 4(5) embedded pair.
@@ -97,27 +93,37 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
-def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceConfig = None):
+def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     """Integrate one line of curvature from a non-umbilic start point.
 
     ``branch`` selects between the two principal directions at the start
-    (ordered by angle); ``cfg.initial_sign`` flips the traversal sense.
+    (ordered by angle); ``sign`` (+-1) flips the traversal sense.
     Stops at the requested arclength, near an umbilic, at the chart
     validity margin, or on step underflow.
     """
-    cfg = cfg or TraceConfig()
     chart = start.chart
     # Starting on (or within refinement accuracy of) an umbilic is ill-posed;
     # umbilic_residual raises InvalidChartPoint outside the chart.
-    if um.umbilic_residual(spec, start) <= 10.0 * um.FindConfig.tol_find:
+    umb = um.umbilic_residual(spec, start)
+    if umb <= 10.0 * um.FindConfig.tol_find:
         raise StartsAtUmbilic(
             f"({start.u}, {start.v}) on {chart.label} is an umbilic point"
         )
 
     if branch not in (0, 1):
         raise ValueError("branch must be 0 or 1")
-    prev = _principal_axes(spec, chart, start.u, start.v)[branch] * float(cfg.initial_sign)
 
+    def field(y, ref):
+        if not sf.chart_valid(spec, chart, y[0], y[1], margin=sf.DELTA_COVER):
+            return None
+        return _field_direction(spec, chart, y[0], y[1], ref)
+
+    # Direction (None: start outside the covered zone) and umbilic residual
+    # of the current node, each evaluated once; a rejected step reuses both.
+    f0 = None
+    if sf.chart_valid(spec, chart, start.u, start.v, margin=sf.DELTA_COVER):
+        _, axes = _principal_axes(spec, chart, start.u, start.v)
+        f0 = axes[branch] * float(sign)
     x = np.array([start.u, start.v])
     s = 0.0
     h = min(MAX_STEP, max(arclen_max / 16.0, 4.0 * MIN_STEP))
@@ -126,20 +132,14 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
     residuals = []
     stop = LENGTH_REACHED
 
-    def field(y, ref):
-        if not sf.chart_valid(spec, chart, y[0], y[1], margin=sf.DELTA_COVER):
-            return None
-        return _field_direction(spec, chart, y[0], y[1], ref)
-
     while s < arclen_max - MIN_STEP:
-        if um.umbilic_residual_arrays(spec, chart, x[0], x[1]) < UMB_STOP:
+        if umb < UMB_STOP:
             stop = NEAR_UMBILIC
             break
         h = min(h, arclen_max - s)
         if h < MIN_STEP:
             stop = STEP_UNDERFLOW
             break
-        f0 = field(x, prev)
         if f0 is None:
             stop = CHART_BOUNDARY
             break
@@ -161,7 +161,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
         x5 = x + h * sum(b * k for b, k in zip(_RKF_B5, ks))
         x4 = x + h * sum(b * k for b, k in zip(_RKF_B4, ks))
         err = float(np.linalg.norm(x5 - x4))
-        tol = cfg.abs_tol + cfg.rel_tol * float(np.linalg.norm(x5))
+        tol = ABS_TOL + REL_TOL * float(np.linalg.norm(x5))
         if err > tol:
             h = max(MIN_STEP, 0.9 * h * (tol / err) ** 0.2)
             continue
@@ -171,7 +171,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
             stop = CHART_BOUNDARY
             break
         res = _step_residual(spec, chart, x, x5, f0, f1, h)
-        if res > cfg.res_target:
+        if res > RES_TARGET:
             if h > 4.0 * MIN_STEP:
                 # The (u, v) error estimate missed fast direction-field
                 # variation; retry the step at half size.
@@ -182,8 +182,8 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, cfg: TraceCo
             stop = STEP_UNDERFLOW
             break
         residuals.append(res)
-        x = x5
-        prev = f1
+        x, f0 = x5, f1
+        umb = um.umbilic_residual_arrays(spec, chart, x[0], x[1])
         s += h
         pts.append((float(x[0]), float(x[1])))
         arcs.append(s)

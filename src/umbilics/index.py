@@ -10,8 +10,8 @@ Two robustness measures beyond plain uniform sampling:
 * segments whose lifted jump reaches pi/4 are bisected recursively -- near
   planar (flat) umbilics the major-curvature direction swings by ~pi/2
   inside angular windows far narrower than any fixed sample count resolves;
-* samples where the two curvatures are indistinguishable at floating-point
-  noise level are discarded and the ring is re-sampled slightly rotated.
+* a sample where the two curvatures are indistinguishable at floating-point
+  noise level fails the lift, and the ring is redrawn at twice the radius.
 
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
@@ -31,6 +31,8 @@ from .errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 
 MAX_JUMP = math.pi / 4.0
 MAX_BISECT = 48               # recursion budget per over-jump segment
+RING_RADIUS = 1e3 * math.sqrt(um.FindConfig.tol_find)   # 0.01, before clipping
+RING_SAMPLES = 720
 
 
 @dataclass(frozen=True)
@@ -41,31 +43,20 @@ class WindingResult:
     radius: float             # chart-coordinate circle radius
 
 
-@dataclass(frozen=True)
-class IndexConfig:
-    radius: float = None      # None: auto = 1e3 * sqrt(tol_find), clipped
-    samples: int = 720
+def _ring_angle(spec, chart, cu, cv, radius, t):
+    """Major-principal-direction angle mod pi at ring angle t.
 
-
-def _direction_angle(spec, chart, u, v):
-    """Major-principal-direction angle mod pi, or None when unresolvable.
-
-    A sample is discarded only when the curvature separation is within a
+    Raises NonConvergentLift only when the curvature separation is within a
     couple of decades of floating-point noise on the curvatures -- near
     planar umbilics the separation is tiny yet still carries many accurate
     digits, and those samples are exactly the informative ones.
     """
+    u, v = cu + radius * math.cos(t), cv + radius * math.sin(t)
     forms = (float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
     k1, k2, theta1, _ = fm.principal_frame(*forms)
     if k1 - k2 <= 1e3 * np.finfo(float).eps * (abs(k1) + abs(k2)):
-        return None
+        raise NonConvergentLift(f"degenerate sample at ring angle {t:.6f}")
     return theta1
-
-
-def _ring_angle(spec, chart, cu, cv, radius, t):
-    return _direction_angle(
-        spec, chart, cu + radius * math.cos(t), cv + radius * math.sin(t)
-    )
 
 
 def _nearest_rep(theta, prev):
@@ -73,30 +64,20 @@ def _nearest_rep(theta, prev):
     return theta + math.pi * round((prev - theta) / math.pi)
 
 
-def _lift_ring(spec, chart, cu, cv, radius, samples):
+def _lift_ring(spec, chart, cu, cv, radius):
     """Continuously lift the direction angle around the circle.
 
     Returns (total change, evaluations, max jump).  Raises NonConvergentLift
-    when a segment cannot be subdivided below the jump bound.
+    on a degenerate sample or when a segment cannot be subdivided below the
+    jump bound.
     """
-    ts = list(np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False))
+    ts = list(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False))
     ts.append(2.0 * math.pi)
-    thetas = []
-    jitter = 0.0
-    for attempt in range(8):
-        thetas = [_ring_angle(spec, chart, cu, cv, radius, t + jitter) for t in ts]
-        if all(th is not None for th in thetas):
-            break
-        jitter += (math.pi / samples) * 0.37  # rotate the ring off bad samples
-    else:
-        raise NonConvergentLift("degenerate directions persist on the circle")
-
+    thetas = [_ring_angle(spec, chart, cu, cv, radius, t) for t in ts]
     evals = len(thetas)
     lifted = [thetas[0]]
-    t_done = [ts[0] + jitter]
-    for i in range(1, len(ts)):
-        t_target = ts[i] + jitter
-        theta = thetas[i]
+    t_done = [ts[0]]
+    for t_target, theta in zip(ts[1:], thetas[1:]):
         # Bisect until the hop from the previous lifted angle is small.
         stack = [(t_target, theta)]
         budget = MAX_BISECT
@@ -113,17 +94,9 @@ def _lift_ring(spec, chart, cu, cv, radius, samples):
                     f"jump {abs(rep - lifted[-1]):.3f} rad at ring angle {t_next:.6f}"
                 )
             t_mid = 0.5 * (t_done[-1] + t_next)
-            th_mid = _ring_angle(spec, chart, cu, cv, radius, t_mid)
+            stack.append((t_mid, _ring_angle(spec, chart, cu, cv, radius, t_mid)))
             evals += 1
             budget -= 1
-            if th_mid is None:
-                # Nudge the midpoint off the degenerate direction.
-                t_mid += (t_next - t_done[-1]) * 1e-3
-                th_mid = _ring_angle(spec, chart, cu, cv, radius, t_mid)
-                evals += 1
-                if th_mid is None:
-                    raise NonConvergentLift("degenerate sample while bisecting")
-            stack.append((t_mid, th_mid))
     total = lifted[-1] - lifted[0]
     jumps = [abs(b - a) for a, b in zip(lifted, lifted[1:])]
     return total, evals, max(jumps) if jumps else 0.0
@@ -153,7 +126,7 @@ def _circle_ok(spec, chart, cu, cv, radius):
     return bool(np.all(sf.chart_valid(spec, chart, uu, vv, margin=sf.DELTA_VALID * 100)))
 
 
-def umbilic_index(spec, rec, records=None, cfg: IndexConfig = None) -> WindingResult:
+def umbilic_index(spec, rec, records=None) -> WindingResult:
     """Winding index of one isolated umbilic record.
 
     The circle radius adapts: it shrinks to stay clear of other umbilics and
@@ -161,14 +134,12 @@ def umbilic_index(spec, rec, records=None, cfg: IndexConfig = None) -> WindingRe
     the principal directions on the ring are too degenerate to resolve --
     the situation at nearly planar umbilics of high-power surfaces.
     """
-    cfg = cfg or IndexConfig()
     if rec.kind != um.ISOLATED:
         raise NotIsolated("index is defined for isolated umbilics only")
     chart = rec.chart
     cu, cv = rec.uv
     cap = _radius_clip(spec, rec, records)
-    base = cfg.radius if cfg.radius is not None else 1e3 * math.sqrt(um.FindConfig.tol_find)
-    radius = min(base, cap)
+    radius = min(RING_RADIUS, cap)
 
     tried = 0
     while True:
@@ -182,7 +153,7 @@ def umbilic_index(spec, rec, records=None, cfg: IndexConfig = None) -> WindingRe
                 f"no valid sampling circle around ({cu}, {cv}) on {chart.label}"
             )
         try:
-            total, evals, max_jump = _lift_ring(spec, chart, cu, cv, radius, cfg.samples)
+            total, evals, max_jump = _lift_ring(spec, chart, cu, cv, radius)
             break
         except NonConvergentLift:
             tried += 1
@@ -200,11 +171,11 @@ def umbilic_index(spec, rec, records=None, cfg: IndexConfig = None) -> WindingRe
     return WindingResult(doubled / 2.0, evals, max_jump, radius)
 
 
-def attach_indices(spec, records, cfg: IndexConfig = None):
+def attach_indices(spec, records):
     """Copy of the record list with winding indices filled in."""
     out = []
     for rec in records:
-        res = umbilic_index(spec, rec, records, cfg)
+        res = umbilic_index(spec, rec, records)
         out.append(replace(rec, index=res.index))
     return out
 
@@ -249,7 +220,7 @@ class SweepRow:
     error: str = None
 
 
-def conjecture_sweep(specs, find_cfg=None, index_cfg=None):
+def conjecture_sweep(specs, find_cfg=None):
     """Umbilic index multisets across a parameter grid.
 
     Per-spec failures are recorded in the row, not raised, so one bad run
@@ -260,7 +231,7 @@ def conjecture_sweep(specs, find_cfg=None, index_cfg=None):
     for spec in specs:
         try:
             recs = um.find_umbilics(spec, find_cfg)
-            recs = attach_indices(spec, recs, index_cfg)
+            recs = attach_indices(spec, recs)
             ph = poincare_hopf_check(spec, recs)
             rows.append(
                 SweepRow(spec, len(recs), tuple(index_multiset(recs)), ph.total)

@@ -1,6 +1,7 @@
 """Shared fixtures: reference specs, samplers, and cached pipeline results."""
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -38,7 +39,7 @@ class _ResultCache:
 
     def __init__(self):
         self._found = {}
-        self._indexed = {}
+        self._windings = {}
 
     def records(self, spec):
         key = repr(spec)
@@ -46,11 +47,17 @@ class _ResultCache:
             self._found[key] = um.find_umbilics(spec)
         return self._found[key]
 
-    def indexed(self, spec):
+    def windings(self, spec):
+        """The WindingResult of every record, in record order."""
         key = repr(spec)
-        if key not in self._indexed:
-            self._indexed[key] = ix.attach_indices(spec, self.records(spec))
-        return self._indexed[key]
+        if key not in self._windings:
+            recs = self.records(spec)
+            self._windings[key] = [ix.umbilic_index(spec, rec, recs) for rec in recs]
+        return self._windings[key]
+
+    def indexed(self, spec):
+        """The records with their indices filled in, as attach_indices gives them."""
+        return [replace(r, index=w.index) for r, w in zip(self.records(spec), self.windings(spec))]
 
 
 _CACHE = _ResultCache()

@@ -171,10 +171,7 @@ def test_c8_trace_residual_bound():
     for start in ((0.7, 0.0), (0.8, 0.8), (0.8, 0.4)):
         for branch in (0, 1):
             for sign in (1, -1):
-                tr = fl.trace_line(
-                    spec, ChartPoint(Z_PLUS, *start), branch, 2.0,
-                    fl.TraceConfig(initial_sign=sign),
-                )
+                tr = fl.trace_line(spec, ChartPoint(Z_PLUS, *start), branch, 2.0, sign=sign)
                 res = np.array(tr.residuals)
                 if res.size == 0:
                     continue

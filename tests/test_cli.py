@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from umbilics import cli
+from umbilics import umbilic as um
+from umbilics.surface import ChartId, ChartPoint, SurfaceSpec, chart_to_ambient
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -251,6 +253,8 @@ def test_usage_error_exit_code(capsys):
         ["umbilics", "--spec", "sq_1112", "--tol-find", "nan"],
         ["umbilics", "--spec", "sq_1112", "--tol-find", "-1"],
         ["forms", "--spec", "sq_1112", "--convexity", "-5"],
+        ["forms", "--spec", "sq_1112", "--convexity", "10", "--seed", "-1"],
+        ["verify", "--spec", "sq_1112", "--seed", "-1"],
         ["trace", "--spec", "sq_1112", "--start", "0.7,0", "--len", "nan"],
         ["trace", "--spec", "sq_1112", "--start", "0.7,0", "--len", "-1"],
         ["trace", "--spec", "sq_1112", "--start", "0.7,0", "--tol-res", "0"],
@@ -269,3 +273,25 @@ def test_out_of_range_numbers_rejected(capsys, tmp_path, argv):
 def test_bundled_spec_names():
     names = cli.bundled_spec_names()
     assert "sq_1112" in names and "pe_lt" in names and "ellipsoid_123" in names
+
+
+def test_verify_fails_on_index_zero_umbilic(capsys, tmp_path, monkeypatch):
+    """A non-umbilic point reported as an isolated umbilic has index 0; the
+    sum stays 2, so only the index-0 rule catches it."""
+    spec = SurfaceSpec.ellipsoid(1.0, 1.0, 2.0)
+    path = tmp_path / "spheroid.json"
+    path.write_text(json.dumps(spec.to_json()))
+    chart = ChartId.from_label("X+")
+    find = um.find_umbilics
+
+    def find_with_extra(spec, cfg=None):
+        xyz = tuple(float(c) for c in chart_to_ambient(spec, ChartPoint(chart, 0.0, 0.0)))
+        return find(spec, cfg) + [um.UmbilicRecord(xyz, chart, (0.0, 0.0), 0.0)]
+
+    monkeypatch.setattr(um, "find_umbilics", find_with_extra)
+    code, out, err = run(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert "FAIL: index_sum" in err
+    doc = json.loads(out)
+    [check] = [c for c in doc["checks"] if c["name"] == "index_sum"]
+    assert check["sum"] == 2.0 and [0.0, 1] in check["multiset"]

@@ -78,8 +78,7 @@ def test_trace_through_diagonal_region():
     for branch in (0, 1):
         for sign in (1, -1):
             tr = fl.trace_line(
-                SQ_1112, ChartPoint(Z_PLUS, 0.8, 0.8), branch, 2.0,
-                fl.TraceConfig(initial_sign=sign),
+                SQ_1112, ChartPoint(Z_PLUS, 0.8, 0.8), branch, 2.0, sign=sign
             )
             reasons.add(tr.stop_reason)
             # residuals stay bounded as the trace approaches the umbilic
@@ -155,17 +154,14 @@ def test_reflection_symmetry():
         assert abs(ub + ua) < 1e-6
         assert abs(vb - va) < 1e-6
     # the opposite sense realizes the (u, v) -> (-u, -v) rotation image
-    tc = fl.trace_line(
-        SQ_1112, ChartPoint(Z_PLUS, -0.7, 0.0), 1, 1.2,
-        fl.TraceConfig(initial_sign=-1),
-    )
+    tc = fl.trace_line(SQ_1112, ChartPoint(Z_PLUS, -0.7, 0.0), 1, 1.2, sign=-1)
     assert len(ta.points) == len(tc.points)
     for (ua, va), (uc, vc) in zip(ta.points, tc.points):
         assert abs(uc + ua) < 1e-9
         assert abs(vc + va) < 1e-9
 
 
-def test_tolerance_scaling_no_worse():
+def test_tolerance_scaling_no_worse(monkeypatch):
     starts = [
         (SQ_1112, ChartPoint(Z_PLUS, 0.7, 0.0), 1),
         (SQ_1112, ChartPoint(Z_PLUS, 0.5, 0.2), 0),
@@ -178,11 +174,12 @@ def test_tolerance_scaling_no_worse():
         (PE_LT, ChartPoint(Z_PLUS, 0.2, 0.5), 1),
         (PE_LT, ChartPoint(Z_PLUS, 0.1, 0.1), 0),
     ]
-    base = fl.TraceConfig()
-    tight = fl.TraceConfig(abs_tol=base.abs_tol / 2.0, rel_tol=base.rel_tol / 2.0)
     for spec, start, branch in starts:
-        r0 = fl.trace_line(spec, start, branch, 1.0, base).residuals
-        r1 = fl.trace_line(spec, start, branch, 1.0, tight).residuals
+        r0 = fl.trace_line(spec, start, branch, 1.0).residuals
+        with monkeypatch.context() as m:
+            for name in ("ABS_TOL", "REL_TOL", "RES_TARGET"):
+                m.setattr(fl, name, getattr(fl, name) / 2.0)
+            r1 = fl.trace_line(spec, start, branch, 1.0).residuals
         m0 = max(r0, default=0.0)
         m1 = max(r1, default=0.0)
         assert m1 <= m0 + 1e-12
@@ -206,3 +203,30 @@ def test_single_step_trace():
     log = fl.residual_log(tr)
     assert len(log) == len(tr.points) - 1
     assert tr.stop_reason == fl.LENGTH_REACHED
+
+
+def _first_form_inner(ff, p, q):
+    return ff.E * p[0] * q[0] + ff.F * (p[0] * q[1] + p[1] * q[0]) + ff.G * p[1] * q[1]
+
+
+@pytest.mark.parametrize(
+    "spec, start, branch, length, sign",
+    [
+        (SQ_1112, ChartPoint(Z_PLUS, 0.5, 0.2), 0, 2.0, 1),
+        (PE_LT, ChartPoint(ChartId.from_label("Y-"), -1.21208, -0.251971), 0, 1.5, -1),
+    ],
+    ids=["sq_1112", "pe_lt"],
+)
+def test_trace_stays_on_one_family(spec, start, branch, length, sign):
+    """No step turns by more than 45 degrees in surface angle: a larger turn
+    is a jump to the other family of curvature lines (or a reversal)."""
+    tr = fl.trace_line(spec, start, branch, length, sign=sign)
+    pts = np.array(tr.points)
+    assert len(pts) > 10
+    chords = np.diff(pts, axis=0)
+    for node, a, b in zip(pts[1:-1], chords, chords[1:]):
+        ff = fm.forms_closed(spec, ChartPoint(start.chart, float(node[0]), float(node[1])))
+        cos = _first_form_inner(ff, a, b) / math.sqrt(
+            _first_form_inner(ff, a, a) * _first_form_inner(ff, b, b)
+        )
+        assert cos > math.cos(math.pi / 4.0)

@@ -1,9 +1,10 @@
 """Golden records: finder and index results on every bundled spec.
 
 ``data/bundled_records.json`` holds, per bundled spec, the record count,
-the kinds, the sorted indices and the sorted xyz locations.  A change that
-is meant to keep results must match counts, kinds and indices exactly and
-locations within 1e-12.  Regenerate the file (only when results are meant
+the kinds, the sorted indices, the sorted (index, radius, samples) of every
+record's winding-index ring and the sorted xyz locations.  A change that is
+meant to keep results must match counts, kinds, indices and rings exactly
+and locations within 1e-12.  Regenerate the file (only when results are meant
 to change) with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -18,12 +19,14 @@ GOLDEN = Path(__file__).parent / "data" / "bundled_records.json"
 XYZ_TOL = 1e-12
 
 
-def snapshot(records):
-    """Order-independent summary of one spec's indexed records."""
+def snapshot(records, windings):
+    """Order-independent summary of one spec's indexed records and their
+    WindingResults."""
     return {
         "count": len(records),
         "kinds": sorted(r.kind for r in records),
         "indices": sorted(r.index for r in records),
+        "windings": sorted([w.index, w.radius, w.samples] for w in windings),
         "xyz": sorted(
             ([float(c) for c in r.ambient] for r in records),
             key=lambda p: [round(c, 9) for c in p],
@@ -34,10 +37,12 @@ def snapshot(records):
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_bundled_records_match_golden(name, results):
     want = json.loads(GOLDEN.read_text())[name]
-    got = snapshot(results.indexed(BUNDLED[name]))
+    spec = BUNDLED[name]
+    got = snapshot(results.indexed(spec), results.windings(spec))
     assert got["count"] == want["count"]
     assert got["kinds"] == want["kinds"]
     assert got["indices"] == want["indices"]
+    assert got["windings"] == want["windings"]
     for p, q in zip(got["xyz"], want["xyz"]):
         assert max(abs(a - b) for a, b in zip(p, q)) < XYZ_TOL
 
@@ -46,9 +51,12 @@ if __name__ == "__main__":
     from umbilics import index as ix
     from umbilics import umbilic as um
 
-    data = {
-        name: snapshot(ix.attach_indices(spec, um.find_umbilics(spec)))
-        for name, spec in sorted(BUNDLED.items())
-    }
+    data = {}
+    for name, spec in sorted(BUNDLED.items()):
+        records = um.find_umbilics(spec)
+        windings = [ix.umbilic_index(spec, rec, records) for rec in records]
+        indexed = ix.attach_indices(spec, records)
+        assert [r.index for r in indexed] == [w.index for w in windings]
+        data[name] = snapshot(indexed, windings)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

@@ -40,25 +40,32 @@ def test_superquadric_indices(results):
     assert ix.poincare_hopf_check(SQ_1112, recs).passed
 
 
-def test_index_sampling_oracle(results):
+def _index_with(monkeypatch, name, value, rec, recs):
+    """umbilic_index of rec with one ring constant set to value."""
+    with monkeypatch.context() as m:
+        m.setattr(ix, name, value)
+        return ix.umbilic_index(SQ_1112, rec, recs)
+
+
+def test_index_sampling_oracle(results, monkeypatch):
     """Default sampling agrees with a dense 4096-sample lift exactly."""
     recs = results.records(SQ_1112)
     axis = next(r for r in recs if _classify(r) == "axis")
     diag = next(r for r in recs if _classify(r) == "diag")
     for rec in (axis, diag):
-        dense = ix.umbilic_index(SQ_1112, rec, recs, ix.IndexConfig(samples=4096))
-        co360 = ix.umbilic_index(SQ_1112, rec, recs, ix.IndexConfig(samples=360))
+        dense = _index_with(monkeypatch, "RING_SAMPLES", 4096, rec, recs)
+        co360 = _index_with(monkeypatch, "RING_SAMPLES", 360, rec, recs)
         default = ix.umbilic_index(SQ_1112, rec, recs)
         assert dense.index == co360.index == default.index
         assert dense.max_jump < math.pi / 4.0
         assert co360.max_jump < math.pi / 4.0
 
 
-def test_index_radius_stability(results):
+def test_index_radius_stability(results, monkeypatch):
     recs = results.records(SQ_1112)
     diag = next(r for r in recs if _classify(r) == "diag")
-    r1 = ix.umbilic_index(SQ_1112, diag, recs, ix.IndexConfig(radius=0.02))
-    r2 = ix.umbilic_index(SQ_1112, diag, recs, ix.IndexConfig(radius=0.01))
+    r1 = _index_with(monkeypatch, "RING_RADIUS", 0.02, diag, recs)
+    r2 = _index_with(monkeypatch, "RING_RADIUS", 0.01, diag, recs)
     assert r1.index == r2.index
     assert 2.0 * r1.index == round(2.0 * r1.index)
 
