@@ -13,6 +13,10 @@ Two robustness measures beyond plain uniform sampling:
 * a sample where the two curvatures are indistinguishable at floating-point
   noise level fails the lift, and the ring is redrawn at twice the radius.
 
+The ring's own samples decide whether it fits in the chart (it is redrawn
+at half the radius when one does not), and they take their forms in one
+kernel call; only the bisection samples are evaluated one at a time.
+
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
 """
@@ -43,20 +47,28 @@ class WindingResult:
     radius: float             # chart-coordinate circle radius
 
 
-def _ring_angle(spec, chart, cu, cv, radius, t):
-    """Major-principal-direction angle mod pi at ring angle t.
+def _major_angle(forms, t):
+    """Major-principal-direction angle mod pi from a ring sample's six forms.
 
     Raises NonConvergentLift only when the curvature separation is within a
     couple of decades of floating-point noise on the curvatures -- near
     planar umbilics the separation is tiny yet still carries many accurate
     digits, and those samples are exactly the informative ones.
     """
-    u, v = cu + radius * math.cos(t), cv + radius * math.sin(t)
-    forms = (float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
     k1, k2, theta1, _ = fm.principal_frame(*forms)
     if k1 - k2 <= 1e3 * np.finfo(float).eps * (abs(k1) + abs(k2)):
         raise NonConvergentLift(f"degenerate sample at ring angle {t:.6f}")
     return theta1
+
+
+def _ring_point(cu, cv, radius, t):
+    return cu + radius * math.cos(t), cv + radius * math.sin(t)
+
+
+def _ring_angle(spec, chart, cu, cv, radius, t):
+    """Major-principal-direction angle mod pi at ring angle t."""
+    forms = fm.closed_forms_arrays(spec, chart, *_ring_point(cu, cv, radius, t))
+    return _major_angle([float(x) for x in forms], t)
 
 
 def _nearest_rep(theta, prev):
@@ -67,13 +79,19 @@ def _nearest_rep(theta, prev):
 def _lift_ring(spec, chart, cu, cv, radius):
     """Continuously lift the direction angle around the circle.
 
-    Returns (total change, evaluations, max jump).  Raises NonConvergentLift
-    on a degenerate sample or when a segment cannot be subdivided below the
-    jump bound.
+    Returns (total change, evaluations, max jump).  Raises CircleInvalid
+    when a ring sample's radicand is below 100 DELTA_VALID, and
+    NonConvergentLift on a degenerate sample or when a segment cannot be
+    subdivided below the jump bound.  The ring samples take their forms in
+    one kernel call; bisection samples are evaluated one at a time.
     """
-    ts = list(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False))
+    ts = np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False).tolist()
     ts.append(2.0 * math.pi)
-    thetas = [_ring_angle(spec, chart, cu, cv, radius, t) for t in ts]
+    uu, vv = np.array([_ring_point(cu, cv, radius, t) for t in ts]).T
+    if not np.all(sf.chart_valid(spec, chart, uu, vv, margin=100.0 * sf.DELTA_VALID)):
+        raise CircleInvalid(f"ring of radius {radius:.3e} leaves chart {chart.label}")
+    forms = zip(*(a.tolist() for a in fm.closed_forms_arrays(spec, chart, uu, vv)))
+    thetas = [_major_angle(f, t) for f, t in zip(forms, ts)]
     evals = len(thetas)
     lifted = [thetas[0]]
     t_done = [ts[0]]
@@ -119,13 +137,6 @@ def _radius_clip(spec, rec, records):
     return clip
 
 
-def _circle_ok(spec, chart, cu, cv, radius):
-    ts = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    uu = cu + radius * np.cos(ts)
-    vv = cv + radius * np.sin(ts)
-    return bool(np.all(sf.chart_valid(spec, chart, uu, vv, margin=sf.DELTA_VALID * 100)))
-
-
 def umbilic_index(spec, rec, records=None) -> WindingResult:
     """Winding index of one isolated umbilic record.
 
@@ -143,18 +154,19 @@ def umbilic_index(spec, rec, records=None) -> WindingResult:
 
     tried = 0
     while True:
-        if radius <= 0.0 or not _circle_ok(spec, chart, cu, cv, radius):
-            if radius > 1e-9:
-                radius *= 0.5
-                tried += 1
-                if tried < 40:
-                    continue
-            raise CircleInvalid(
-                f"no valid sampling circle around ({cu}, {cv}) on {chart.label}"
-            )
         try:
+            if radius <= 0.0:
+                raise CircleInvalid("zero ring radius")
             total, evals, max_jump = _lift_ring(spec, chart, cu, cv, radius)
             break
+        except CircleInvalid:
+            tried += 1
+            if radius > 1e-9 and tried < 40:
+                radius *= 0.5
+                continue
+            raise CircleInvalid(
+                f"no valid sampling circle around ({cu}, {cv}) on {chart.label}"
+            ) from None
         except NonConvergentLift:
             tried += 1
             if 2.0 * radius <= cap and tried < 40:

@@ -4,7 +4,10 @@ Umbilics are the points where the curvature-line quadratic
 A du^2 + B du dv + C dv^2 (:func:`umbilics.forms.line_quadratic`) vanishes
 identically.  The finder grid-scans every chart of the atlas, refines
 residual minima with a damped Newton iteration on the two-equation system
-(C, B), and deduplicates across charts.  Flat umbilics (the axis points of
+(C, B), and deduplicates across charts.  All seeds of a chart are refined
+in lockstep as rows of one array, so each iteration costs a few batched
+kernel calls; the per-seed rules are those of a scalar refiner, and no seed
+affects another.  Flat umbilics (the axis points of
 the power family are planar points) make that system vanish to high order,
 so the refiner accelerates the resulting geometric step decay by
 extrapolation and finishes with exact symmetry-line snapping.  Finally one
@@ -106,72 +109,89 @@ def umbilic_residual(spec, cp) -> float:
 # Newton refinement
 
 
-def _system(spec, chart, x):
-    """Unscaled umbilic system (C, B) at x = (u, v); None inside the Newton margin."""
-    if not sf.chart_valid(spec, chart, x[0], x[1], margin=NEWTON_MARGIN):
-        return None
-    _, B, C = fm.line_quadratic(*fm.closed_forms_arrays(spec, chart, x[0], x[1]))
-    return np.array([float(C), float(B)])
+_SIDES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])   # u+h, u-h, v+h, v-h
 
 
-def _newton_refine(spec, chart, u0, v0):
-    """Damped Newton with geometric-step extrapolation.
+def _norm(a):
+    return np.linalg.norm(a, axis=-1)
 
-    Flat umbilics make Newton converge only linearly (ratio (m-1)/m for a
-    root of multiplicity m); when three consecutive undamped steps decay
-    geometrically the remaining tail is summed in one jump.  Returns the
-    best point reached; acceptance is the caller's residual check.
+
+def _system(spec, chart, X):
+    """Unscaled umbilic system (C, B) at the rows (u, v) of X, and the mask of
+    rows that keep the Newton margin (the other rows are NaN)."""
+    ok = sf.chart_valid(spec, chart, X[:, 0], X[:, 1], margin=NEWTON_MARGIN)
+    out = np.full(X.shape, np.nan)
+    _, B, C = fm.line_quadratic(*fm.closed_forms_arrays(spec, chart, X[ok, 0], X[ok, 1]))
+    out[ok, 0], out[ok, 1] = C, B
+    return out, ok
+
+
+def _newton_refine(spec, chart, seeds):
+    """Damped Newton with geometric-step extrapolation from (n, 2) seeds.
+
+    The seeds run in lockstep as independent lanes, the active lanes'
+    evaluations batched per call.  A lane stops when a Jacobian side point
+    leaves the Newton margin, its Jacobian is singular, seven halvings fail
+    to lower |(C, B)|, or its step falls below 1e-14 relative.  Flat umbilics
+    make Newton converge only linearly (ratio (m-1)/m for a root of
+    multiplicity m); when three consecutive undamped steps decay
+    geometrically the remaining tail is summed in one jump.  Returns the best
+    point each lane reached; acceptance is the caller's residual check.
     """
-    x = np.array([u0, v0], float)
-    fx = _system(spec, chart, x)
-    steps = []
+    x = np.array(seeds, float).reshape(-1, 2)
+    fx, active = _system(spec, chart, x)
+    steps = np.zeros((len(x), 3, 2))      # a lane's last undamped steps, newest last
+    nsteps = np.zeros(len(x), int)
     for _ in range(MAX_NEWTON):
-        nf = np.linalg.norm(fx)
-        h = 1e-7 * (1.0 + abs(x[0]) + abs(x[1]))
-        jac = np.empty((2, 2))
-        for j in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fp, fn = _system(spec, chart, xp), _system(spec, chart, xm)
-            if fp is None or fn is None:
-                break
-            jac[:, j] = (fp - fn) / (2.0 * h)
-        if fp is None or fn is None:
+        lanes = np.flatnonzero(active)
+        if lanes.size == 0:
             break
-        try:
-            step = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
+        xa = x[lanes]
+        h = 1e-7 * (1.0 + np.abs(xa[:, 0]) + np.abs(xa[:, 1]))
+        side = xa[:, None, :] + h[:, None, None] * _SIDES
+        fs, ok = _system(spec, chart, side.reshape(-1, 2))
+        jac = np.stack([fs[0::4] - fs[1::4], fs[2::4] - fs[3::4]], axis=-1) / (2.0 * h)[:, None, None]
+        ok = ok.reshape(-1, 4).all(axis=1)
+        # np.linalg.solve raises for the whole stack if one matrix is
+        # singular; det comes from the same LU and is zero where a pivot is.
+        ok[ok] = np.linalg.det(jac[ok]) != 0.0
+        active[lanes[~ok]] = False
+        lanes, jac = lanes[ok], jac[ok]
+        step = np.linalg.solve(jac, -fx[lanes][:, :, None])[:, :, 0]
+        nf = _norm(fx[lanes])
+        lam = np.ones(lanes.size)
+        searching = np.ones(lanes.size, bool)
         for _ in range(7):
-            xt = x + lam * step
-            ft = _system(spec, chart, xt)
-            if ft is not None and (np.linalg.norm(ft) < nf or np.linalg.norm(lam * step) < 1e-15):
-                x, fx = xt, ft
+            s = np.flatnonzero(searching)
+            if s.size == 0:
                 break
-            lam *= 0.5
-        else:
-            break
-        if lam == 1.0:
-            steps.append(step)
-            if len(steps) >= 3:
-                d1, d2, d3 = steps[-3], steps[-2], steps[-1]
-                n1, n2, n3 = (np.linalg.norm(d) for d in (d1, d2, d3))
-                if n1 > 0 and n2 > 0:
-                    r1, r2 = n2 / n1, n3 / n2
-                    cos = float(d2 @ d3) / max(n2 * n3, 1e-300)
-                    if 0.2 < r2 < 0.98 and abs(r1 - r2) < 0.1 and cos > 0.99:
-                        xe = x + d3 * (r2 / (1.0 - r2))
-                        fe = _system(spec, chart, xe)
-                        if fe is not None and np.linalg.norm(fe) <= np.linalg.norm(fx):
-                            x, fx = xe, fe
-                            steps.clear()
-        else:
-            steps.clear()
-        if np.linalg.norm(lam * step) < 1e-14 * (1.0 + np.linalg.norm(x)):
-            break
-    return float(x[0]), float(x[1])
+            xt = x[lanes[s]] + lam[s, None] * step[s]
+            ft, ok = _system(spec, chart, xt)
+            ok &= (_norm(ft) < nf[s]) | (_norm(lam[s, None] * step[s]) < 1e-15)
+            x[lanes[s[ok]]], fx[lanes[s[ok]]] = xt[ok], ft[ok]
+            searching[s[ok]] = False
+            lam[s[~ok]] *= 0.5
+        active[lanes[searching]] = False
+        lanes, lam, step = lanes[~searching], lam[~searching], step[~searching]
+        full = lam == 1.0
+        steps[lanes[full]] = np.concatenate([steps[lanes[full], 1:], step[full, None]], axis=1)
+        nsteps[lanes] = np.where(full, np.minimum(nsteps[lanes] + 1, 3), 0)
+        c = lanes[full & (nsteps[lanes] == 3)]
+        n1, n2, n3 = _norm(steps[c]).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r1, r2 = n2 / n1, n3 / n2
+        cos = np.sum(steps[c, 1] * steps[c, 2], axis=1) / np.maximum(n2 * n3, 1e-300)
+        go = (n1 > 0) & (n2 > 0) & (0.2 < r2) & (r2 < 0.98) & (abs(r1 - r2) < 0.1) & (cos > 0.99)
+        if go.any():
+            c, r2 = c[go], r2[go]
+            xe = x[c] + steps[c, 2] * (r2 / (1.0 - r2))[:, None]
+            fe, ok = _system(spec, chart, xe)
+            ok &= _norm(fe) <= _norm(fx[c])
+            x[c[ok]], fx[c[ok]] = xe[ok], fe[ok]
+            nsteps[c[ok]] = 0
+        done = _norm(lam[:, None] * step) < 1e-14 * (1.0 + _norm(x[lanes]))
+        active[lanes[done]] = False
+    return x
 
 
 def _snap_symmetry(spec, chart, u, v, res):
@@ -222,7 +242,7 @@ def _probe_non_isolated(spec, chart, u, v, cfg: FindConfig):
 
 
 def _grid_seeds(spec, chart, cfg: FindConfig):
-    """Residual local minima on the chart grid (cell centers)."""
+    """Residual local minima on the chart grid (cell centers), as (n, 2)."""
     n = cfg.grid_n
     umax, vmax = sf.chart_bounds(spec, chart)
     us = (np.arange(n) + 0.5) / n * 2.0 * umax - umax
@@ -247,7 +267,7 @@ def _grid_seeds(spec, chart, cfg: FindConfig):
     # a deterministic stride keeps the seed count bounded.
     if len(idx) > n:
         idx = idx[:: max(1, len(idx) // n)]
-    return [(float(uu[i, j]), float(vv[i, j])) for i, j in idx]
+    return np.stack([uu[tuple(idx.T)], vv[tuple(idx.T)]], axis=1)
 
 
 def find_umbilics(spec, cfg: FindConfig = None):
@@ -262,9 +282,10 @@ def find_umbilics(spec, cfg: FindConfig = None):
 
     found = []
     for chart in sf.chart_atlas(spec):
-        for u0, v0 in _grid_seeds(spec, chart, cfg):
-            u, v = _newton_refine(spec, chart, u0, v0)
-            res = float(umbilic_residual_arrays(spec, chart, u, v))
+        seeds = _grid_seeds(spec, chart, cfg)
+        refined = _newton_refine(spec, chart, seeds)
+        residuals = umbilic_residual_arrays(spec, chart, refined[:, 0], refined[:, 1])
+        for (u0, v0), (u, v), res in zip(seeds, refined.tolist(), residuals.tolist()):
             u, v, res = _snap_symmetry(spec, chart, u, v, res)
             if not res < cfg.tol_find:
                 log.debug(
@@ -296,8 +317,8 @@ def find_umbilics(spec, cfg: FindConfig = None):
 def closed_form_umbilics(spec):
     """Umbilic locations known in closed form, as ambient points.
 
-    * superquadric: all 14 (six axis points and eight balanced diagonal
-      points).
+    * superquadric: all 14 (six axis points, and eight diagonal points
+      where a_i x_i^(2k-2) is the same for every axis i).
     * perturbed ellipsoid, a != b: the two poles, plus for epsilon above the
       critical value the eight mid-latitude (a > b) or eight diagonal
       (a < b) points.  The a < b equator octet has no closed form and is
@@ -308,21 +329,17 @@ def closed_form_umbilics(spec):
     surfaces with epsilon > 0, ellipsoids with repeated coefficients).
     """
     if spec.family == sf.SUPERQUADRIC:
-        a, b, c, m = spec.a, spec.b, spec.c, 2 * spec.k
+        coefs, k = (spec.a, spec.b, spec.c), spec.k
         pts = []
-        for i, coef in enumerate((a, b, c)):
+        for i, coef in enumerate(coefs):
             for s in (1.0, -1.0):
                 p = [0.0, 0.0, 0.0]
-                p[i] = s * coef ** (-1.0 / m)
+                p[i] = s * coef ** (-1.0 / (2 * k))
                 pts.append(np.array(p))
-        ssum = b * c + c * a + a * b
-        base = np.array(
-            [
-                (b * c / a) ** (1.0 / m),
-                (a * c / b) ** (1.0 / m),
-                (a * b / c) ** (1.0 / m),
-            ]
-        ) * ssum ** (-1.0 / m)
+        # Off the coordinate planes the Hessian diag(a_i x_i^(2k-2)) must be
+        # isotropic: x_i = a_i^(-1/(2k-2)) (sum_j a_j^(-1/(k-1)))^(-1/(2k)).
+        ssum = sum(coef ** (-1.0 / (k - 1)) for coef in coefs)
+        base = np.array([coef ** (-1.0 / (2 * k - 2)) for coef in coefs]) * ssum ** (-1.0 / (2 * k))
         for sx in (1.0, -1.0):
             for sy in (1.0, -1.0):
                 for sz in (1.0, -1.0):

@@ -149,6 +149,19 @@ def test_trace_from_umbilic_rejected(capsys, tmp_path):
     assert "umbilic" in err
 
 
+def test_verify_superquadric_distinct_k3(capsys, tmp_path):
+    """Distinct coefficients at k = 3, where the diagonal closed form is
+    tested against the found points (it differs from k = 2's there)."""
+    path = tmp_path / "sq_123_k3.json"
+    path.write_text(json.dumps({"family": "superquadric", "a": 1, "b": 2, "c": 3, "k": 3}))
+    code, out, _ = run(capsys, "verify", "--spec", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert all(c["pass"] for c in doc["checks"])
+    agree = next(c for c in doc["checks"] if c["name"] == "closed_form_agreement")
+    assert agree["directed_hausdorff"] < 1e-12
+
+
 def test_verify_superquadric(capsys, tmp_path):
     code, out, _ = run(
         capsys, "verify", "--spec", "sq_1112", "--out", str(tmp_path)

@@ -9,8 +9,8 @@ import pytest
 from umbilics import index as ix
 from umbilics import surface as sf
 from umbilics import umbilic as um
-from umbilics.errors import MissingIndex, NotIsolated
-from umbilics.surface import SurfaceSpec
+from umbilics.errors import CircleInvalid, MissingIndex, NotIsolated
+from umbilics.surface import ChartId, SurfaceSpec
 
 from conftest import BUNDLED, PE_GT, PE_LT, SPHERE, SQ_1112
 
@@ -111,6 +111,19 @@ def test_perturbed_multisets(results):
 def test_pole_index_below_threshold(results):
     recs = results.indexed(BUNDLED["pe_gt_eps_lo"])
     assert dict(ix.index_multiset(recs)) == {1.0: 2}
+
+
+def test_ring_leaving_chart_is_circle_invalid():
+    """A ring with samples past the chart edge raises CircleInvalid, which
+    makes umbilic_index halve the radius; the sq_c100 diagonal point seen
+    from Z- needs radius 0.00125."""
+    spec, chart = BUNDLED["sq_c100"], ChartId("z", -1)
+    p = next(p for p in um.closed_form_umbilics(spec) if p[0] < 0 < p[1] and p[2] < 0)
+    u, v, _ = sf.ambient_to_chart(spec, chart, p)
+    with pytest.raises(CircleInvalid):
+        ix._lift_ring(spec, chart, u, v, 0.01)
+    total, _, _ = ix._lift_ring(spec, chart, u, v, 0.00125)
+    assert total == pytest.approx(-math.pi)
 
 
 def test_not_isolated_rejected():

@@ -49,6 +49,21 @@ def test_closed_form_superquadric_2352():
         assert um.umbilic_residual(SQ_2352, cp) < 1e-7
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("coefs", [(1.0, 2.0, 3.0), (40.81, 6.646, 8.144), (1.0, 1.0, 100.0)])
+def test_closed_form_superquadric_hessian(coefs, k):
+    """Each diagonal point lies on the surface and makes the Hessian
+    diag(a_i x_i^(2k-2)) isotropic, which is what an umbilic off the
+    coordinate planes needs; checked without the finder."""
+    spec = SurfaceSpec.superquadric(*coefs, k)
+    diag = [p for p in um.closed_form_umbilics(spec) if np.all(p != 0.0)]
+    assert len(diag) == 8
+    for p in diag:
+        assert abs(sf.implicit_value(spec, p)) < 1e-14
+        hess = [a * x ** (2 * k - 2) for a, x in zip(coefs, p)]
+        assert max(hess) - min(hess) < 1e-14 * max(hess)
+
+
 def test_closed_form_perturbed_lt():
     pts = um.closed_form_umbilics(PE_LT)
     # poles + eight diagonal points; the equator octet has no closed form
@@ -149,6 +164,27 @@ def test_probe_judges_samples_inside_chart():
     """A continuum point near the X+ edge: 5 of the 8 probe samples lie in
     the chart and all of them are umbilic."""
     assert um._probe_non_isolated(SPHERE, ChartId("x", 1), -0.984, -0.078, um.FindConfig())
+
+
+@pytest.mark.parametrize("name", ["pe_gt", "pe_lt", "sq_c100"])
+def test_newton_lanes_independent(name):
+    """The lockstep refiner's lanes do not interact: each grid seed refined
+    alone ends on the same bits as in the whole batch, and a seed inside
+    the Newton margin stops where it starts without changing the others."""
+    spec = BUNDLED[name]
+    for chart in sf.chart_atlas(spec)[:3]:
+        seeds = um._grid_seeds(spec, chart, um.FindConfig())
+        umax, _ = sf.chart_bounds(spec, chart)
+        edge = brentq(
+            lambda u: float(sf.radicand(spec, chart, u, 0.0)) - 0.5 * um.NEWTON_MARGIN,
+            0.0, umax, xtol=1e-300,
+        )
+        assert 0.0 < sf.radicand(spec, chart, edge, 0.0) < um.NEWTON_MARGIN
+        batch = um._newton_refine(spec, chart, np.vstack([seeds, [[edge, 0.0]]]))
+        assert batch[-1].tolist() == [edge, 0.0]
+        assert np.array_equal(batch[:-1], um._newton_refine(spec, chart, seeds))
+        for seed, got in zip(seeds, batch):
+            assert um._newton_refine(spec, chart, seed[None]).tolist() == [got.tolist()]
 
 
 def test_find_ellipsoid(results):
