@@ -22,7 +22,6 @@ from .forms import (
     principal_frame,
 )
 from .umbilic import (
-    FindConfig,
     ThresholdReport,
     UmbilicRecord,
     closed_form_umbilics,

@@ -143,13 +143,9 @@ def cmd_forms(args) -> int:
     return 2 if failed else 0
 
 
-def _find(spec, args):
-    return um.find_umbilics(spec, um.FindConfig(args.grid_n, args.tol_find))
-
-
 def cmd_umbilics(args) -> int:
     spec = resolve_spec(args.spec)
-    records = _find(spec, args)
+    records = um.find_umbilics(spec)
     non_isolated = any(r.kind == um.NON_ISOLATED for r in records)
     out = {
         "spec": spec.to_json(),
@@ -247,7 +243,7 @@ def cmd_trace(args) -> int:
     plot = SvgPlot()
     markers = []
     if args.portrait:
-        records = _find(spec, args)
+        records = um.find_umbilics(spec)
         target = _select_umbilic(spec, records, args.portrait)
         chart = target.chart
         cu, cv = target.uv
@@ -324,7 +320,7 @@ def cmd_verify(args) -> int:
         }
     )
 
-    records = _find(spec, args)
+    records = um.find_umbilics(spec)
     non_isolated = any(r.kind == um.NON_ISOLATED for r in records)
     expected = um.expected_count(spec)
     # For an umbilic continuum (sphere limit) the count carries no claim.
@@ -455,13 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--spec", required=True, help="spec JSON path or bundled name")
     common.add_argument("--out", default=None, help="directory for output artifacts")
     common.add_argument("--seed", type=_positive(int, zero=True), default=0, help="sampling seed")
-    common.add_argument(
-        "--grid-n", type=_positive(int), default=um.FindConfig.grid_n, help="scan grid per chart"
-    )
-    common.add_argument(
-        "--tol-find", type=_positive(float), default=um.FindConfig.tol_find,
-        help="umbilic residual tolerance",
-    )
 
     parser = argparse.ArgumentParser(
         prog="umbilics",

@@ -60,23 +60,25 @@ class CurveTrace:
 
 
 def _principal_axes(spec, chart, u, v):
-    """First form (E, F, G) at (u, v) and both principal directions there,
-    unit in that form and ordered by chart angle mod pi."""
-    E, F, G, e, f, g = (float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
-    angles = sorted(fm.principal_frame(E, F, G, e, f, g)[2:])
+    """Forms (E, F, G, e, f, g) at (u, v) and both principal directions there,
+    unit in the first form and ordered by chart angle mod pi."""
+    forms = tuple(float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
+    E, F, G = forms[:3]
+    angles = sorted(fm.principal_frame(*forms)[2:])
     axes = [np.array(fm.first_form_unit(E, F, G, math.cos(t), math.sin(t))) for t in angles]
-    return (E, F, G), axes
+    return forms, axes
 
 
 def _field_direction(spec, chart, u, v, prev):
-    """Principal direction at (u, v) continuing prev (unit in first form).
-    A chart dot product would pick the other family's axis where the first
-    form is anisotropic."""
-    (E, F, G), axes = _principal_axes(spec, chart, u, v)
+    """Principal direction at (u, v) continuing prev (unit in first form),
+    and the forms there.  A chart dot product would pick the other family's
+    axis where the first form is anisotropic."""
+    forms, axes = _principal_axes(spec, chart, u, v)
+    E, F, G = forms[:3]
     dots = [E * w[0] * prev[0] + F * (w[0] * prev[1] + w[1] * prev[0]) + G * w[1] * prev[1]
             for w in axes]
     i = 0 if abs(dots[0]) >= abs(dots[1]) else 1
-    return axes[i] if dots[i] > 0.0 else -axes[i]
+    return (axes[i] if dots[i] > 0.0 else -axes[i]), forms
 
 
 # Fehlberg 4(5) embedded pair.
@@ -105,7 +107,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     # Starting on (or within refinement accuracy of) an umbilic is ill-posed;
     # umbilic_residual raises InvalidChartPoint outside the chart.
     umb = um.umbilic_residual(spec, start)
-    if umb <= 10.0 * um.FindConfig.tol_find:
+    if umb <= 10.0 * um.TOL_FIND:
         raise StartsAtUmbilic(
             f"({start.u}, {start.v}) on {chart.label} is an umbilic point"
         )
@@ -114,8 +116,9 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
         raise ValueError("branch must be 0 or 1")
 
     def field(y, ref):
+        """Direction and forms at y, or (None, None) outside the covered zone."""
         if not sf.chart_valid(spec, chart, y[0], y[1], margin=sf.DELTA_COVER):
-            return None
+            return None, None
         return _field_direction(spec, chart, y[0], y[1], ref)
 
     # Direction (None: start outside the covered zone) and umbilic residual
@@ -147,7 +150,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
         ks = [f0]
         for i in range(1, 6):
             y = x + h * sum(a * k for a, k in zip(_RKF_A[i], ks))
-            fi = field(y, f0)
+            fi, _ = field(y, f0)
             if fi is None:
                 break
             ks.append(fi)
@@ -166,7 +169,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
             h = max(MIN_STEP, 0.9 * h * (tol / err) ** 0.2)
             continue
 
-        f1 = field(x5, f0)
+        f1, forms1 = field(x5, f0)
         if f1 is None:
             stop = CHART_BOUNDARY
             break
@@ -183,7 +186,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
             break
         residuals.append(res)
         x, f0 = x5, f1
-        umb = um.umbilic_residual_arrays(spec, chart, x[0], x[1])
+        umb = um.scaled_residual(*forms1)
         s += h
         pts.append((float(x[0]), float(x[1])))
         arcs.append(s)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import surface as sf
 from .errors import MarginTooSmall
@@ -30,6 +29,11 @@ from .errors import MarginTooSmall
 H_FD = float(np.finfo(float).eps) ** 0.2
 
 CONVEXITY_TOL = 1e-10
+
+# R2 low-discrepancy sequence: n (1/g, 1/g^2) mod 1, g the plastic number
+# (the real root of x^3 = x + 1).
+_PLASTIC = 1.324717957244746
+_R2_STEP = np.array([1.0 / _PLASTIC, 1.0 / _PLASTIC**2])
 
 
 @dataclass(frozen=True)
@@ -265,8 +269,10 @@ class ConvexityReport:
 def convexity_scan(spec, n_samples, seed=0) -> ConvexityReport:
     """Scan quasi-random valid chart points for the minimum Gaussian curvature.
 
-    Passes when min K >= -CONVEXITY_TOL, i.e. the sampled surface is convex
-    up to floating-point noise.
+    The points come from the R2 sequence, shifted by a seeded random offset;
+    its index runs on from one chart to the next.  Passes when
+    min K >= -CONVEXITY_TOL, i.e. the sampled surface is convex up to
+    floating-point noise.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -276,10 +282,11 @@ def convexity_scan(spec, n_samples, seed=0) -> ConvexityReport:
     arg_chart = charts[0].label
     arg_uv = (0.0, 0.0)
     total = 0
-    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
-    for chart in charts:
+    shift = np.random.default_rng(seed).random(2)
+    for i, chart in enumerate(charts):
         umax, vmax = sf.chart_bounds(spec, chart)
-        pts = sampler.random(per_chart)
+        n = np.arange(i * per_chart, (i + 1) * per_chart)
+        pts = (shift + n[:, None] * _R2_STEP) % 1.0
         uu = (2.0 * pts[:, 0] - 1.0) * umax
         vv = (2.0 * pts[:, 1] - 1.0) * vmax
         mask = sf.chart_valid(spec, chart, uu, vv, margin=sf.DELTA_COVER)

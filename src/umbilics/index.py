@@ -7,15 +7,19 @@ loop then yields an integer multiple of pi, i.e. a half-integer index.
 
 Two robustness measures beyond plain uniform sampling:
 
-* segments whose lifted jump reaches pi/4 are bisected recursively -- near
-  planar (flat) umbilics the major-curvature direction swings by ~pi/2
-  inside angular windows far narrower than any fixed sample count resolves;
+* segments whose hop (the mod-pi distance between their endpoint angles)
+  reaches pi/4 are bisected until none does -- near planar (flat) umbilics
+  the major-curvature direction swings by ~pi/2 inside angular windows far
+  narrower than any fixed sample count resolves;
 * a sample where the two curvatures are indistinguishable at floating-point
   noise level fails the lift, and the ring is redrawn at twice the radius.
 
 The ring's own samples decide whether it fits in the chart (it is redrawn
 at half the radius when one does not), and they take their forms in one
-kernel call; only the bisection samples are evaluated one at a time.
+kernel call.  Bisection runs level by level: every over-hop segment of a
+level gets its midpoint, and all midpoints of the level take their forms in
+one call.  The split test reads only a segment's two endpoint angles, so
+the sample set is the one any splitting order would reach.
 
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
@@ -34,8 +38,7 @@ from . import umbilic as um
 from .errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 
 MAX_JUMP = math.pi / 4.0
-MAX_BISECT = 48               # recursion budget per over-jump segment
-RING_RADIUS = 1e3 * math.sqrt(um.FindConfig.tol_find)   # 0.01, before clipping
+RING_RADIUS = 1e3 * math.sqrt(um.TOL_FIND)   # 0.01, before clipping
 RING_SAMPLES = 720
 
 
@@ -61,19 +64,15 @@ def _major_angle(forms, t):
     return theta1
 
 
-def _ring_point(cu, cv, radius, t):
-    return cu + radius * math.cos(t), cv + radius * math.sin(t)
+def _ring_points(cu, cv, radius, ts):
+    """Chart points (uu, vv) at ring angles ts."""
+    return np.array([(cu + radius * math.cos(t), cv + radius * math.sin(t)) for t in ts]).T
 
 
-def _ring_angle(spec, chart, cu, cv, radius, t):
-    """Major-principal-direction angle mod pi at ring angle t."""
-    forms = fm.closed_forms_arrays(spec, chart, *_ring_point(cu, cv, radius, t))
-    return _major_angle([float(x) for x in forms], t)
-
-
-def _nearest_rep(theta, prev):
-    """Representative of theta (mod pi) closest to prev."""
-    return theta + math.pi * round((prev - theta) / math.pi)
+def _ring_angles(spec, chart, uu, vv, ts):
+    """Major angles mod pi at ring points (uu, vv), from one kernel call."""
+    forms = zip(*(a.tolist() for a in fm.closed_forms_arrays(spec, chart, uu, vv)))
+    return np.array([_major_angle(f, t) for f, t in zip(forms, ts.tolist())])
 
 
 def _lift_ring(spec, chart, cu, cv, radius):
@@ -81,43 +80,31 @@ def _lift_ring(spec, chart, cu, cv, radius):
 
     Returns (total change, evaluations, max jump).  Raises CircleInvalid
     when a ring sample's radicand is below 100 DELTA_VALID, and
-    NonConvergentLift on a degenerate sample or when a segment cannot be
-    subdivided below the jump bound.  The ring samples take their forms in
-    one kernel call; bisection samples are evaluated one at a time.
+    NonConvergentLift on a degenerate sample or when a segment narrower
+    than 1e-13 rad still hops by MAX_JUMP.  Segments are bisected level by
+    level, each level's midpoints taking their forms in one kernel call.
     """
-    ts = np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False).tolist()
-    ts.append(2.0 * math.pi)
-    uu, vv = np.array([_ring_point(cu, cv, radius, t) for t in ts]).T
+    ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 2.0 * math.pi)
+    uu, vv = _ring_points(cu, cv, radius, ts)
     if not np.all(sf.chart_valid(spec, chart, uu, vv, margin=100.0 * sf.DELTA_VALID)):
         raise CircleInvalid(f"ring of radius {radius:.3e} leaves chart {chart.label}")
-    forms = zip(*(a.tolist() for a in fm.closed_forms_arrays(spec, chart, uu, vv)))
-    thetas = [_major_angle(f, t) for f, t in zip(forms, ts)]
-    evals = len(thetas)
-    lifted = [thetas[0]]
-    t_done = [ts[0]]
-    for t_target, theta in zip(ts[1:], thetas[1:]):
-        # Bisect until the hop from the previous lifted angle is small.
-        stack = [(t_target, theta)]
-        budget = MAX_BISECT
-        while stack:
-            t_next, th_next = stack[-1]
-            rep = _nearest_rep(th_next, lifted[-1])
-            if abs(rep - lifted[-1]) < MAX_JUMP:
-                lifted.append(rep)
-                t_done.append(t_next)
-                stack.pop()
-                continue
-            if budget <= 0 or (t_next - t_done[-1]) < 1e-13:
-                raise NonConvergentLift(
-                    f"jump {abs(rep - lifted[-1]):.3f} rad at ring angle {t_next:.6f}"
-                )
-            t_mid = 0.5 * (t_done[-1] + t_next)
-            stack.append((t_mid, _ring_angle(spec, chart, cu, cv, radius, t_mid)))
-            evals += 1
-            budget -= 1
-    total = lifted[-1] - lifted[0]
-    jumps = [abs(b - a) for a, b in zip(lifted, lifted[1:])]
-    return total, evals, max(jumps) if jumps else 0.0
+    thetas = _ring_angles(spec, chart, uu, vv, ts)
+    while True:
+        # Hop from each sample to the nearest representative (mod pi) of the next.
+        hops = np.diff(thetas)
+        hops -= math.pi * np.round(hops / math.pi)
+        split = np.flatnonzero(np.abs(hops) >= MAX_JUMP)
+        if split.size == 0:
+            break
+        narrow = split[ts[split + 1] - ts[split] < 1e-13]
+        if narrow.size:
+            i = narrow[0]
+            raise NonConvergentLift(f"jump {abs(hops[i]):.3f} rad at ring angle {ts[i + 1]:.6f}")
+        mids = 0.5 * (ts[split] + ts[split + 1])
+        mid_thetas = _ring_angles(spec, chart, *_ring_points(cu, cv, radius, mids), mids)
+        thetas = np.insert(thetas, split + 1, mid_thetas)
+        ts = np.insert(ts, split + 1, mids)
+    return float(hops.sum()), ts.size, float(np.abs(hops).max())
 
 
 def _radius_clip(spec, rec, records):
@@ -232,7 +219,7 @@ class SweepRow:
     error: str = None
 
 
-def conjecture_sweep(specs, find_cfg=None):
+def conjecture_sweep(specs):
     """Umbilic index multisets across a parameter grid.
 
     Per-spec failures are recorded in the row, not raised, so one bad run
@@ -242,7 +229,7 @@ def conjecture_sweep(specs, find_cfg=None):
     rows = []
     for spec in specs:
         try:
-            recs = um.find_umbilics(spec, find_cfg)
+            recs = um.find_umbilics(spec)
             recs = attach_indices(spec, recs)
             ph = poincare_hopf_check(spec, recs)
             rows.append(

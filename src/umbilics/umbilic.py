@@ -71,12 +71,8 @@ class ThresholdReport:
         }
 
 
-@dataclass(frozen=True)
-class FindConfig:
-    grid_n: int = 64
-    tol_find: float = 1e-10
-
-
+GRID_N = 64                          # seed grid cells per chart axis
+TOL_FIND = 1e-10                     # residual below which a point is umbilic
 DEDUP_REL = 1e-6                     # dedup radius over the surface diameter
 MAX_NEWTON = 100
 SEED_MARGIN = 1e-6                   # radicand margin for grid seeds
@@ -225,9 +221,9 @@ def _snap_symmetry(spec, chart, u, v, res):
     return best
 
 
-def _probe_non_isolated(spec, chart, u, v, cfg: FindConfig):
+def _probe_non_isolated(spec, chart, u, v):
     """Non-isolated when at least 4 of 8 samples on a macroscopic ring lie
-    in the chart and at least 3/4 of those have residual below tol_find.
+    in the chart and at least 3/4 of those have residual below TOL_FIND.
 
     The ring is macroscopic (0.05 of the smaller chart half-width) because
     planar umbilics, whose residual vanishes to order 2k - 2, pass any tiny
@@ -238,12 +234,12 @@ def _probe_non_isolated(spec, chart, u, v, cfg: FindConfig):
     pu, pv = u + rad * np.cos(t), v + rad * np.sin(t)
     inside = sf.chart_valid(spec, chart, pu, pv)
     res = umbilic_residual_arrays(spec, chart, pu[inside], pv[inside])
-    return res.size >= 4 and 4 * np.count_nonzero(res < cfg.tol_find) >= 3 * res.size
+    return res.size >= 4 and 4 * np.count_nonzero(res < TOL_FIND) >= 3 * res.size
 
 
-def _grid_seeds(spec, chart, cfg: FindConfig):
+def _grid_seeds(spec, chart):
     """Residual local minima on the chart grid (cell centers), as (n, 2)."""
-    n = cfg.grid_n
+    n = GRID_N
     umax, vmax = sf.chart_bounds(spec, chart)
     us = (np.arange(n) + 0.5) / n * 2.0 * umax - umax
     vs = (np.arange(n) + 0.5) / n * 2.0 * vmax - vmax
@@ -270,24 +266,23 @@ def _grid_seeds(spec, chart, cfg: FindConfig):
     return np.stack([uu[tuple(idx.T)], vv[tuple(idx.T)]], axis=1)
 
 
-def find_umbilics(spec, cfg: FindConfig = None):
+def find_umbilics(spec):
     """Locate umbilic points across the whole atlas.
 
     Returns deduplicated :class:`UmbilicRecord` entries sorted by rounded
     ambient coordinates.  Non-isolated continua (spheres) are collapsed to a
     single representative record flagged ``non_isolated``.
     """
-    cfg = cfg or FindConfig()
     r_dedup = DEDUP_REL * sf.surface_diameter(spec)
 
     found = []
     for chart in sf.chart_atlas(spec):
-        seeds = _grid_seeds(spec, chart, cfg)
+        seeds = _grid_seeds(spec, chart)
         refined = _newton_refine(spec, chart, seeds)
         residuals = umbilic_residual_arrays(spec, chart, refined[:, 0], refined[:, 1])
         for (u0, v0), (u, v), res in zip(seeds, refined.tolist(), residuals.tolist()):
             u, v, res = _snap_symmetry(spec, chart, u, v, res)
-            if not res < cfg.tol_find:
+            if not res < TOL_FIND:
                 log.debug(
                     "seed (%.3f, %.3f) on %s did not converge (residual %.2e)",
                     u0, v0, chart.label, res,
@@ -303,7 +298,7 @@ def find_umbilics(spec, cfg: FindConfig = None):
         if all(np.linalg.norm(p - np.array(k.ambient)) >= r_dedup for k in kept):
             kept.append(rec)
     for rec in kept:
-        if _probe_non_isolated(spec, rec.chart, *rec.uv, cfg):
+        if _probe_non_isolated(spec, rec.chart, *rec.uv):
             # Everywhere-umbilic surface: report one representative.
             return [replace(rec, kind=NON_ISOLATED)]
     kept.sort(key=lambda r: tuple(round(c, 9) for c in r.ambient))

@@ -261,10 +261,6 @@ def test_usage_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["umbilics", "--spec", "sq_1112", "--grid-n", "-5"],
-        ["umbilics", "--spec", "sq_1112", "--grid-n", "0"],
-        ["umbilics", "--spec", "sq_1112", "--tol-find", "nan"],
-        ["umbilics", "--spec", "sq_1112", "--tol-find", "-1"],
         ["forms", "--spec", "sq_1112", "--convexity", "-5"],
         ["forms", "--spec", "sq_1112", "--convexity", "10", "--seed", "-1"],
         ["verify", "--spec", "sq_1112", "--seed", "-1"],
@@ -283,6 +279,24 @@ def test_out_of_range_numbers_rejected(capsys, tmp_path, argv):
     assert argv[-2] in line
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["umbilics", "--spec", "sq_1112", "--grid-n", "-5"],
+        ["umbilics", "--spec", "sq_1112", "--grid-n", "0"],
+        ["umbilics", "--spec", "sq_1112", "--tol-find", "nan"],
+        ["umbilics", "--spec", "sq_1112", "--tol-find", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[3:]),
+)
+def test_finder_flags_unrecognized(capsys, tmp_path, argv):
+    """The seed grid and the residual tolerance are fixed; neither is a flag."""
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert "unrecognized arguments" in line and argv[-2] in line
+
+
 def test_bundled_spec_names():
     names = cli.bundled_spec_names()
     assert "sq_1112" in names and "pe_lt" in names and "ellipsoid_123" in names
@@ -297,9 +311,9 @@ def test_verify_fails_on_index_zero_umbilic(capsys, tmp_path, monkeypatch):
     chart = ChartId.from_label("X+")
     find = um.find_umbilics
 
-    def find_with_extra(spec, cfg=None):
+    def find_with_extra(spec):
         xyz = tuple(float(c) for c in chart_to_ambient(spec, ChartPoint(chart, 0.0, 0.0)))
-        return find(spec, cfg) + [um.UmbilicRecord(xyz, chart, (0.0, 0.0), 0.0)]
+        return find(spec) + [um.UmbilicRecord(xyz, chart, (0.0, 0.0), 0.0)]
 
     monkeypatch.setattr(um, "find_umbilics", find_with_extra)
     code, out, err = run(capsys, "verify", "--spec", str(path))

@@ -115,7 +115,7 @@ def test_field_direction_matches_eigenvector():
     step = max(1, len(tr.points) // 25)
     prev = np.array([0.0, 1.0])
     for u, v in tr.points[1:-1:step]:
-        d = fl._field_direction(SQ_1112, Z_PLUS, u, v, prev)
+        d, _ = fl._field_direction(SQ_1112, Z_PLUS, u, v, prev)
         prev = d
         cs = fm.curvature_summary(SQ_1112, ChartPoint(Z_PLUS, u, v))
         if cs.degenerate:

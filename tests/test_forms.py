@@ -1,11 +1,16 @@
 """Fundamental forms: dual-path agreement, curvatures, convexity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from zlib import crc32
 import pytest
 
+import umbilics
 from umbilics import forms as fm
 from umbilics import surface as sf
 from umbilics.errors import MarginTooSmall
@@ -185,6 +190,15 @@ def test_convexity_scan_examples():
     assert rep.passed and rep.min_K > 0.0
     rep = fm.convexity_scan(BUNDLED["ellipsoid_123"], 10_000, seed=1)
     assert rep.passed and rep.min_K > 0.0
+
+
+def test_package_imports_without_scipy():
+    """The runtime needs numpy only: importing the package loads no scipy."""
+    code = "import sys, umbilics; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(umbilics.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_forms_numeric_margin_too_small():

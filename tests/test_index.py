@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from umbilics import forms as fm
 from umbilics import index as ix
 from umbilics import surface as sf
 from umbilics import umbilic as um
@@ -124,6 +125,25 @@ def test_ring_leaving_chart_is_circle_invalid():
         ix._lift_ring(spec, chart, u, v, 0.01)
     total, _, _ = ix._lift_ring(spec, chart, u, v, 0.00125)
     assert total == pytest.approx(-math.pi)
+
+
+def test_bisection_one_kernel_call_per_level(results, monkeypatch):
+    """All midpoints of one bisection level take their forms in one kernel
+    call: sq_k4's X- axis ring (radius 0.04) holds 114 bisection samples."""
+    spec = BUNDLED["sq_k4"]
+    [rec] = [r for r in results.records(spec)
+             if r.ambient[0] < 0.0 and abs(r.ambient[1]) < 1e-9 and abs(r.ambient[2]) < 1e-9]
+    kernel, calls = fm.closed_forms_arrays, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(fm, "closed_forms_arrays", counted)
+    total, samples, _ = ix._lift_ring(spec, rec.chart, *rec.uv, 0.04)
+    assert total == pytest.approx(2.0 * math.pi)
+    assert samples == 835
+    assert len(calls) < samples - (ix.RING_SAMPLES + 1)
 
 
 def test_not_isolated_rejected():

@@ -163,7 +163,7 @@ def test_find_sphere_non_isolated():
 def test_probe_judges_samples_inside_chart():
     """A continuum point near the X+ edge: 5 of the 8 probe samples lie in
     the chart and all of them are umbilic."""
-    assert um._probe_non_isolated(SPHERE, ChartId("x", 1), -0.984, -0.078, um.FindConfig())
+    assert um._probe_non_isolated(SPHERE, ChartId("x", 1), -0.984, -0.078)
 
 
 @pytest.mark.parametrize("name", ["pe_gt", "pe_lt", "sq_c100"])
@@ -173,7 +173,7 @@ def test_newton_lanes_independent(name):
     the Newton margin stops where it starts without changing the others."""
     spec = BUNDLED[name]
     for chart in sf.chart_atlas(spec)[:3]:
-        seeds = um._grid_seeds(spec, chart, um.FindConfig())
+        seeds = um._grid_seeds(spec, chart)
         umax, _ = sf.chart_bounds(spec, chart)
         edge = brentq(
             lambda u: float(sf.radicand(spec, chart, u, 0.0)) - 0.5 * um.NEWTON_MARGIN,
