@@ -21,6 +21,11 @@ level gets its midpoint, and all midpoints of the level take their forms in
 one call.  The split test reads only a segment's two endpoint angles, so
 the sample set is the one any splitting order would reach.
 
+:func:`attach_indices` draws each distinct ring once.  The two charts of
+an axis give bit-identical forms, so the records of a root in both charts
+share one ring when their radius caps agree; :func:`umbilic_index` itself
+still draws a ring per call.
+
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
 """
@@ -40,6 +45,7 @@ from .errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 MAX_JUMP = math.pi / 4.0
 RING_RADIUS = 1e3 * math.sqrt(um.TOL_FIND)   # 0.01, before clipping
 RING_SAMPLES = 720
+_DEGENERATE = 1e3 * np.finfo(float).eps       # curvature separation at noise level
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,7 @@ def _major_angle(forms, t):
     digits, and those samples are exactly the informative ones.
     """
     k1, k2, theta1, _ = fm.principal_frame(*forms)
-    if k1 - k2 <= 1e3 * np.finfo(float).eps * (abs(k1) + abs(k2)):
+    if k1 - k2 <= _DEGENERATE * (abs(k1) + abs(k2)):
         raise NonConvergentLift(f"degenerate sample at ring angle {t:.6f}")
     return theta1
 
@@ -114,7 +120,10 @@ def _radius_clip(spec, rec, records):
     umax, vmax = sf.chart_bounds(spec, chart)
     clip = 0.5 * min(umax, vmax)
     for other in records or []:
-        if other is rec or np.allclose(other.ambient, rec.ambient):
+        # np.allclose's test, without its array round trip per pair.
+        if other is rec or all(
+            abs(p - q) <= 1e-8 + 1e-5 * abs(q) for p, q in zip(other.ambient, rec.ambient)
+        ):
             continue
         pre = sf.ambient_to_chart(spec, chart, np.array(other.ambient))
         if pre is None:
@@ -171,11 +180,20 @@ def umbilic_index(spec, rec, records=None) -> WindingResult:
 
 
 def attach_indices(spec, records):
-    """Copy of the record list with winding indices filled in."""
+    """Copy of the record list with winding indices filled in.
+
+    A ring's result depends only on the chart's forms, which the two charts
+    of an axis share, the centre and the radius cap, so mirrored records
+    share one :func:`umbilic_index` call (keyed with the record kind too,
+    which that call checks).
+    """
+    rings = {}
     out = []
     for rec in records:
-        res = umbilic_index(spec, rec, records)
-        out.append(replace(rec, index=res.index))
+        key = (rec.chart.axis, rec.uv, _radius_clip(spec, rec, records), rec.kind)
+        if key not in rings:
+            rings[key] = umbilic_index(spec, rec, records)
+        out.append(replace(rec, index=rings[key].index))
     return out
 
 

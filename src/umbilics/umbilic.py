@@ -2,17 +2,21 @@
 
 Umbilics are the points where the curvature-line quadratic
 A du^2 + B du dv + C dv^2 (:func:`umbilics.forms.line_quadratic`) vanishes
-identically.  The finder grid-scans every chart of the atlas, refines
+identically.  The finder grid-scans the charts of the atlas, refines
 residual minima with a damped Newton iteration on the two-equation system
-(C, B), and deduplicates across charts.  All seeds of a chart are refined
-in lockstep as rows of one array, so each iteration costs a few batched
-kernel calls; the per-seed rules are those of a scalar refiner, and no seed
-affects another.  Flat umbilics (the axis points of
-the power family are planar points) make that system vanish to high order,
-so the refiner accelerates the resulting geometric step decay by
-extrapolation and finishes with exact symmetry-line snapping.  Finally one
-macroscopic ring around each kept point tells an isolated umbilic from an
-umbilic continuum.
+(C, B), and deduplicates across charts.  Every family is even in every
+coordinate, so the two charts of an axis (X+ and X-, ...) are mirror images
+through the height and give bit-identical forms at the same (u, v): each
+axis is scanned and refined once, in its + chart, and every root is
+recorded in both charts, X+ records before X- ones as a scan of all six
+charts would list them.  All seeds of a chart are refined in lockstep as
+rows of one array, so each iteration costs a few batched kernel calls; the
+per-seed rules are those of a scalar refiner, and no seed affects another.
+Flat umbilics (the axis points of the power family are planar points) make
+that system vanish to high order, so the refiner accelerates the resulting
+geometric step decay by extrapolation and finishes with exact
+symmetry-line snapping.  Finally one macroscopic ring around each kept
+point tells an isolated umbilic from an umbilic continuum.
 """
 
 from __future__ import annotations
@@ -276,20 +280,27 @@ def find_umbilics(spec):
     r_dedup = DEDUP_REL * sf.surface_diameter(spec)
 
     found = []
-    for chart in sf.chart_atlas(spec):
-        seeds = _grid_seeds(spec, chart)
-        refined = _newton_refine(spec, chart, seeds)
-        residuals = umbilic_residual_arrays(spec, chart, refined[:, 0], refined[:, 1])
+    for plus in (chart for chart in sf.chart_atlas(spec) if chart.sign > 0):
+        # The families are even in every coordinate, so the forms of the two
+        # charts of an axis agree bit for bit: refine in one, record in both.
+        minus = sf.ChartId(plus.axis, -1)
+        seeds = _grid_seeds(spec, plus)
+        refined = _newton_refine(spec, plus, seeds)
+        residuals = umbilic_residual_arrays(spec, plus, refined[:, 0], refined[:, 1])
+        roots = []
         for (u0, v0), (u, v), res in zip(seeds, refined.tolist(), residuals.tolist()):
-            u, v, res = _snap_symmetry(spec, chart, u, v, res)
+            u, v, res = _snap_symmetry(spec, plus, u, v, res)
             if not res < TOL_FIND:
                 log.debug(
-                    "seed (%.3f, %.3f) on %s did not converge (residual %.2e)",
-                    u0, v0, chart.label, res,
+                    "seed (%.3f, %.3f) on %s/%s did not converge (residual %.2e)",
+                    u0, v0, plus.label, minus.label, res,
                 )
                 continue
-            point = tuple(float(c) for c in sf.chart_points(spec, chart, u, v))
-            found.append(UmbilicRecord(point, chart, (u, v), res))
+            roots.append((u, v, res))
+        for chart in (plus, minus):
+            for u, v, res in roots:
+                point = tuple(float(c) for c in sf.chart_points(spec, chart, u, v))
+                found.append(UmbilicRecord(point, chart, (u, v), res))
 
     found.sort(key=lambda r: r.residual)
     kept = []

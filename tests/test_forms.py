@@ -73,6 +73,38 @@ def test_closed_vs_numeric_agreement(name, spec, chart):
     check_forms_agreement(spec, chart, 40, seed=crc32(f"{name}/{chart.label}".encode()))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BUNDLED["sq_2352"],
+        BUNDLED["sq_123_k3"],
+        BUNDLED["pe_lt"],
+        BUNDLED["pe_gt"],
+        SurfaceSpec.perturbed_ellipsoid(0.3, 0.516, 0.0),
+        BUNDLED["ellipsoid_123"],
+    ],
+    ids=["sq_k2", "sq_k3", "pe_a_lt_b", "pe_a_gt_b", "pe_eps0", "ellipsoid"],
+)
+def test_mirror_charts_bit_identical(spec):
+    """The two charts of an axis are mirror images through the height: at
+    the same (u, v) they give the same forms and radicand bit for bit, and
+    negated heights.  The finder and the index rely on it to refine and
+    draw rings once per axis."""
+    rng = np.random.default_rng(23)
+    for axis in "xyz":
+        plus, minus = ChartId(axis, 1), ChartId(axis, -1)
+        us, vs = random_valid_chart_points(spec, plus, 200, rng, margin=sf.DELTA_VALID)
+        for uu, vv in ((us, vs), (us[0], vs[0])):   # array and 0-d kernel paths
+            for a, b in zip(fm.closed_forms_arrays(spec, plus, uu, vv),
+                            fm.closed_forms_arrays(spec, minus, uu, vv)):
+                assert np.array_equal(a, b), axis
+            assert np.array_equal(sf.radicand(spec, plus, uu, vv), sf.radicand(spec, minus, uu, vv))
+        iu, iv, ih = sf.placement(plus)
+        p, m = sf.chart_points(spec, plus, us, vs), sf.chart_points(spec, minus, us, vs)
+        assert np.array_equal(m[:, ih], -p[:, ih])
+        assert np.array_equal(m[:, [iu, iv]], p[:, [iu, iv]])
+
+
 def test_symmetry_locus_exact_zeros():
     rng = np.random.default_rng(3)
     for spec in (SQ_1112, BUNDLED["sq_2352"], PE_LT):

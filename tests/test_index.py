@@ -146,6 +146,22 @@ def test_bisection_one_kernel_call_per_level(results, monkeypatch):
     assert len(calls) < samples - (ix.RING_SAMPLES + 1)
 
 
+def test_attach_indices_draws_each_ring_once(results, monkeypatch):
+    """pe_lt's 18 records need 10 distinct rings (mirrored records share
+    theirs), and the shared results equal the per-record ones."""
+    records, windings = results.records(PE_LT), results.windings(PE_LT)
+    index, calls = ix.umbilic_index, []
+
+    def counted(*args):
+        calls.append(args)
+        return index(*args)
+
+    monkeypatch.setattr(ix, "umbilic_index", counted)
+    indexed = ix.attach_indices(PE_LT, records)
+    assert (len(records), len(calls)) == (18, 10)
+    assert [r.index for r in indexed] == [w.index for w in windings]
+
+
 def test_not_isolated_rejected():
     recs = um.find_umbilics(SPHERE)
     with pytest.raises(NotIsolated):
