@@ -1,6 +1,8 @@
 """Principal directions and curvature-line tracing."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from umbilics import surface as sf
 from umbilics.errors import InvalidChartPoint, StartsAtUmbilic
 from umbilics.surface import ChartId, ChartPoint
 
-from conftest import PE_LT, SPHERE, SQ_1112, random_valid_chart_points
+from conftest import BUNDLED, PE_LT, SPHERE, SQ_1112, random_valid_chart_points
 
 Z_PLUS = ChartId("z", 1)
 
@@ -230,3 +232,60 @@ def test_trace_stays_on_one_family(spec, start, branch, length, sign):
             _first_form_inner(ff, a, a) * _first_form_inner(ff, b, b)
         )
         assert cos > math.cos(math.pi / 4.0)
+
+
+# Pinned traces: Z+ starts spread around the half-radius ring of each chart,
+# traced at the trace-fan workload's lengths, both branches and both senses.
+# A change that is meant to keep traces must keep every line's stop reason
+# and node count exactly and its nodes within NODE_TOL; scalar and array
+# kernel calls may round differently in the last bit, which moves nodes by
+# far less.  Regenerate data/trace_lines.json (only when traces are meant
+# to change) with ``PYTHONPATH=src python tests/test_flowlines.py``.
+TRACE_GOLDEN = Path(__file__).parent / "data" / "trace_lines.json"
+NODE_TOL = 1e-7
+PINNED_STARTS = {  # bundled spec: (line length, Z+ starts)
+    "sq_1112": (0.2, [(0.3765, 0.3279), (-0.3123, 0.3923), (-0.3133, -0.3873), (0.3165, -0.3794)]),
+    "sq_2352": (0.2, [(0.3242, 0.2335), (-0.3173, 0.2476), (-0.2567, -0.2941), (0.3112, -0.2451)]),
+    "pe_lt": (0.5, [(0.5132, 0.4729), (-0.2107, 0.677), (-0.6563, 0.2279),
+                    (-0.4474, -0.5453), (0.2377, -0.6561), (0.6826, -0.172)]),
+    "ellipsoid_123": (0.5, [(0.358, 0.2442), (-0.172, 0.3267), (-0.467, 0.1104),
+                            (-0.3546, -0.2453), (0.1595, -0.3308), (0.4845, -0.0582)]),
+}
+
+
+def _pinned_lines(name, u, v):
+    """The four traces from one start: (branch, sign) -> CurveTrace."""
+    length = PINNED_STARTS[name][0]
+    start = ChartPoint(Z_PLUS, u, v)
+    return {
+        f"b{branch}{'+' if sign > 0 else '-'}": fl.trace_line(BUNDLED[name], start, branch, length, sign=sign)
+        for branch in (0, 1)
+        for sign in (1, -1)
+    }
+
+
+@pytest.mark.parametrize(
+    "name, u, v",
+    [(name, u, v) for name, (_, starts) in PINNED_STARTS.items() for u, v in starts],
+)
+def test_traces_match_pinned(name, u, v):
+    want = json.loads(TRACE_GOLDEN.read_text())[f"{name} {u!r},{v!r}"]
+    for key, tr in _pinned_lines(name, u, v).items():
+        assert tr.stop_reason == want[key]["stop"], key
+        nodes = want[key]["nodes"]
+        assert len(tr.points) == len(nodes), key
+        dev = np.max(np.abs(np.array(tr.points) - np.array(nodes)))
+        assert dev < NODE_TOL, key
+
+
+if __name__ == "__main__":
+    data = {
+        f"{name} {u!r},{v!r}": {
+            key: {"stop": tr.stop_reason, "nodes": [[round(a, 12), round(b, 12)] for a, b in tr.points]}
+            for key, tr in _pinned_lines(name, u, v).items()
+        }
+        for name, (_, starts) in PINNED_STARTS.items()
+        for u, v in starts
+    }
+    rows = (f"{json.dumps(k)}: {json.dumps(data[k], sort_keys=True)}" for k in sorted(data))
+    TRACE_GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n")
