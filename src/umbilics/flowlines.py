@@ -61,11 +61,12 @@ class CurveTrace:
 
 def _principal_axes(spec, chart, u, v):
     """Forms (E, F, G, e, f, g) at (u, v) and both principal directions there,
-    unit in the first form and ordered by chart angle mod pi."""
+    as (du, dv) float pairs unit in the first form and ordered by chart
+    angle mod pi."""
     forms = tuple(float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
     E, F, G = forms[:3]
     angles = sorted(fm.principal_frame(*forms)[2:])
-    axes = [np.array(fm.first_form_unit(E, F, G, math.cos(t), math.sin(t))) for t in angles]
+    axes = [fm.first_form_unit(E, F, G, math.cos(t), math.sin(t)) for t in angles]
     return forms, axes
 
 
@@ -78,7 +79,8 @@ def _field_direction(spec, chart, u, v, prev):
     dots = [E * w[0] * prev[0] + F * (w[0] * prev[1] + w[1] * prev[0]) + G * w[1] * prev[1]
             for w in axes]
     i = 0 if abs(dots[0]) >= abs(dots[1]) else 1
-    return (axes[i] if dots[i] > 0.0 else -axes[i]), forms
+    du, dv = axes[i]
+    return ((du, dv) if dots[i] > 0.0 else (-du, -dv)), forms
 
 
 # Fehlberg 4(5) embedded pair.
@@ -95,13 +97,23 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
+def _combine(x, h, weights, ks):
+    """The node x + h * sum(w_i k_i) of (u, v) float pairs."""
+    return (
+        x[0] + h * sum(w * k[0] for w, k in zip(weights, ks)),
+        x[1] + h * sum(w * k[1] for w, k in zip(weights, ks)),
+    )
+
+
 def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     """Integrate one line of curvature from a non-umbilic start point.
 
     ``branch`` selects between the two principal directions at the start
     (ordered by angle); ``sign`` (+-1) flips the traversal sense.
     Stops at the requested arclength, near an umbilic, at the chart
-    validity margin, or on step underflow.
+    validity margin, or on step underflow.  The node, the stage slopes and
+    the field directions are (u, v) pairs of Python floats, so the scalar
+    kernel calls each step makes run without numpy dispatch.
     """
     chart = start.chart
     # Starting on (or within refinement accuracy of) an umbilic is ill-posed;
@@ -126,11 +138,11 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     f0 = None
     if sf.chart_valid(spec, chart, start.u, start.v, margin=sf.DELTA_COVER):
         _, axes = _principal_axes(spec, chart, start.u, start.v)
-        f0 = axes[branch] * float(sign)
-    x = np.array([start.u, start.v])
+        f0 = tuple(float(sign) * c for c in axes[branch])
+    x = (float(start.u), float(start.v))
     s = 0.0
     h = min(MAX_STEP, max(arclen_max / 16.0, 4.0 * MIN_STEP))
-    pts = [(float(x[0]), float(x[1]))]
+    pts = [x]
     arcs = [0.0]
     residuals = []
     stop = LENGTH_REACHED
@@ -149,7 +161,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
 
         ks = [f0]
         for i in range(1, 6):
-            y = x + h * sum(a * k for a, k in zip(_RKF_A[i], ks))
+            y = _combine(x, h, _RKF_A[i], ks)
             fi, _ = field(y, f0)
             if fi is None:
                 break
@@ -161,10 +173,10 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
                 break
             continue
 
-        x5 = x + h * sum(b * k for b, k in zip(_RKF_B5, ks))
-        x4 = x + h * sum(b * k for b, k in zip(_RKF_B4, ks))
-        err = float(np.linalg.norm(x5 - x4))
-        tol = ABS_TOL + REL_TOL * float(np.linalg.norm(x5))
+        x5 = _combine(x, h, _RKF_B5, ks)
+        x4 = _combine(x, h, _RKF_B4, ks)
+        err = math.hypot(x5[0] - x4[0], x5[1] - x4[1])
+        tol = ABS_TOL + REL_TOL * math.hypot(*x5)
         if err > tol:
             h = max(MIN_STEP, 0.9 * h * (tol / err) ** 0.2)
             continue
@@ -188,7 +200,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
         x, f0 = x5, f1
         umb = um.scaled_residual(*forms1)
         s += h
-        pts.append((float(x[0]), float(x[1])))
+        pts.append(x)
         arcs.append(s)
         if err > 0.0:
             h = min(MAX_STEP, 0.9 * h * (tol / err) ** 0.2)
@@ -204,13 +216,13 @@ def _step_residual(spec, chart, x0, x1, f0, f1, h):
     Scale-free: normalized by the coefficient magnitudes and the squared
     derivative, so a perfectly integrated step scores ~ solver error.
     """
-    mid = 0.5 * (x0 + x1) + (h / 8.0) * (f0 - f1)
-    dmid = 1.5 * (x1 - x0) / h - 0.25 * (f0 + f1)
+    chord = [0.5 * (a + b) for a, b in zip(x0, x1)]
+    mid = [c + (h / 8.0) * (a - b) for c, a, b in zip(chord, f0, f1)]
+    du, dv = (1.5 * (b - a) / h - 0.25 * (p + q) for a, b, p, q in zip(x0, x1, f0, f1))
     if not sf.chart_valid(spec, chart, mid[0], mid[1], margin=sf.DELTA_VALID):
-        mid = 0.5 * (x0 + x1)
+        mid = chord
     forms = fm.closed_forms_arrays(spec, chart, mid[0], mid[1])
     A, B, C = (float(c) for c in fm.line_quadratic(*forms))
-    du, dv = float(dmid[0]), float(dmid[1])
     q = A * du * du + B * du * dv + C * dv * dv
     scale = (abs(A) + abs(B) + abs(C)) * (du * du + dv * dv) + 1e-300
     return abs(q) / scale
@@ -228,11 +240,12 @@ def residual_log(trace: CurveTrace):
 
 def trace_to_csv(spec, trace: CurveTrace, path):
     """Write a trace as CSV: arclength, u, v, x, y, z, residual."""
+    uv = np.array(trace.points)
+    xyz = sf.chart_points(spec, trace.chart, uv[:, 0], uv[:, 1])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["arclength", "u", "v", "x", "y", "z", "residual"])
-        for i, ((u, v), s) in enumerate(zip(trace.points, trace.arclengths)):
-            p = sf.chart_points(spec, trace.chart, u, v)
+        for i, ((u, v), s, p) in enumerate(zip(trace.points, trace.arclengths, xyz)):
             res = trace.residuals[i - 1] if i > 0 else 0.0
             writer.writerow(
                 [f"{val:.17g}" for val in (s, u, v, p[0], p[1], p[2], res)]

@@ -12,7 +12,8 @@ the perturbed x and y axes, no quartic part anywhere else), and every chart
 formula below is derived from those three terms.  The atlas has six Monge
 patches, X+, X-, Y+, Y-, Z+ and Z-: one coordinate solved as a height
 function of the other two, in a cyclic placement.  All chart maps are pure
-functions and accept numpy arrays for (u, v).
+functions and accept numpy arrays for (u, v); the radicand and the height
+jet evaluate a scalar (u, v) on Python floats and return scalars.
 """
 
 from __future__ import annotations
@@ -42,32 +43,48 @@ class AxisTerm:
     """One axis term c s^m + d s^2m of the implicit function.
 
     ``d`` is None for a single-power term; the perturbed x and y terms carry
-    d = epsilon, which may be 0.
+    d = epsilon, which may be 0.  ``scales`` holds, for derivative orders
+    n = 0, 1, 2, the falling-factorial factors m!/(m-n)! c and
+    (2m)!/(2m-n)! d, computed once here rather than on every call.
     """
 
     c: float
     m: int
     d: float = None
+    scales: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scales", tuple(
+            (math.perm(self.m, n) * self.c,
+             None if self.d is None else math.perm(2 * self.m, n) * self.d)
+            for n in range(3)
+        ))
 
     def __call__(self, s, n=0):
-        """n-th derivative (n <= m) of the term at s; n = 0 gives the value."""
-        out = math.perm(self.m, n) * self.c * s ** (self.m - n)
-        if self.d is not None:
-            out = out + math.perm(2 * self.m, n) * self.d * s ** (2 * self.m - n)
+        """n-th derivative (n <= 2) of the term at s; n = 0 gives the value.
+
+        A scalar s stays a Python scalar: Python's ``**`` may round the
+        last bit differently from numpy's power loop on arrays.
+        """
+        sc, sd = self.scales[n]
+        out = sc * s ** (self.m - n)
+        if sd is not None:
+            out = out + sd * s ** (2 * self.m - n)
         return out
 
     def power(self, t):
         """The root s^m of term(s) = t (negative for t < 0).
 
         Conjugate form of the quadratic root in s^m: stable as d -> 0 and
-        exact at d = 0; -inf where that quadratic has no real root.
+        exact at d = 0; -inf where that quadratic has no real root.  A
+        scalar t gives a scalar.
         """
         if self.d is None:
             return t / self.c
         disc = self.c * self.c + 4.0 * self.d * t
         return np.where(
             disc >= 0.0, 2.0 * t / (np.sqrt(np.maximum(disc, 0.0)) + self.c), -np.inf
-        )
+        )[()]
 
     def root(self, t):
         """The s >= 0 where the term equals t."""
@@ -261,6 +278,16 @@ def chart_atlas(spec: SurfaceSpec):
     return [ChartId(ax, s) for ax in _AXES for s in (1, -1)]
 
 
+def _as_float(x):
+    """A Python float or int, or an np.float64 (a float subclass), as a
+    Python float; anything else as a float array.
+
+    Scalar kernel calls then run on Python floats, which cost a fraction of
+    the numpy dispatch that each operation on a 0-d array pays.
+    """
+    return float(x) if isinstance(x, (float, int)) else np.asarray(x, dtype=float)
+
+
 def _chart_terms(spec: SurfaceSpec, chart: ChartId, u, v):
     """The (u, v, height) terms of a chart and t = 1 - term_u(u) - term_v(v),
     the value the height term takes."""
@@ -283,9 +310,7 @@ def radicand(spec: SurfaceSpec, chart: ChartId, u, v):
     included) it is the squared height resolved from that quartic, and -inf
     where no real height exists.
     """
-    _, _, th, t = _chart_terms(
-        spec, chart, np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    )
+    _, _, th, t = _chart_terms(spec, chart, _as_float(u), _as_float(v))
     return t if th.d is None else th.power(t)
 
 
@@ -296,7 +321,10 @@ def chart_valid(spec, chart, u, v, margin=DELTA_VALID):
 
 def check_valid(spec, cp: ChartPoint):
     """Raise InvalidChartPoint unless the chart point is usable."""
-    r = float(radicand(spec, cp.chart, cp.u, cp.v))
+    try:
+        r = float(radicand(spec, cp.chart, cp.u, cp.v))
+    except OverflowError:   # Python's ** raises where numpy's gives inf
+        r = -math.inf
     if not r >= DELTA_VALID:
         raise InvalidChartPoint(f"chart {cp.chart.label} at ({cp.u}, {cp.v}): radicand {r:.3e}")
 
@@ -309,8 +337,7 @@ def height_jet(spec: SurfaceSpec, chart: ChartId, u, v):
     d2h/dt2 = -T''(h) / T'(h)^3.  Inputs must already be valid
     (radicand > 0); no checking here.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = _as_float(u), _as_float(v)
     tu, tv, th, t = _chart_terms(spec, chart, u, v)
     h = th.root(t)
     h_t = 1.0 / th(h, 1)

@@ -100,6 +100,34 @@ def test_trace_sphere_rejected():
 def test_trace_invalid_start():
     with pytest.raises(InvalidChartPoint):
         fl.trace_line(SQ_1112, ChartPoint(Z_PLUS, 3.0, 0.0), 0, 1.0)
+    with pytest.raises(InvalidChartPoint):
+        fl.trace_line(SQ_1112, ChartPoint(Z_PLUS, 0.0, 1e200), 0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec, start, branch, length, sign, calls",
+    [
+        (SQ_1112, ChartPoint(Z_PLUS, 0.7, 0.0), 1, 0.5, 1, 352),
+        (PE_LT, ChartPoint(Z_PLUS, 0.5132, 0.4729), 0, 0.5, -1, 442),
+    ],
+    ids=["sq_1112", "pe_lt"],
+)
+def test_trace_kernel_call_count(monkeypatch, spec, start, branch, length, sign, calls):
+    """A trace makes a fixed number of form-kernel and radicand calls; the
+    counts pin those of the array-state tracer, so cheaper scalar calls
+    show as time, not as skipped evaluations."""
+    count = {"forms": 0, "radicand": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            count[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fm, "closed_forms_arrays", counted("forms", fm.closed_forms_arrays))
+    monkeypatch.setattr(sf, "radicand", counted("radicand", sf.radicand))
+    fl.trace_line(spec, start, branch, length, sign=sign)
+    assert count == {"forms": calls, "radicand": calls}
 
 
 def test_residual_log_monotone():

@@ -94,7 +94,8 @@ def test_mirror_charts_bit_identical(spec):
     for axis in "xyz":
         plus, minus = ChartId(axis, 1), ChartId(axis, -1)
         us, vs = random_valid_chart_points(spec, plus, 200, rng, margin=sf.DELTA_VALID)
-        for uu, vv in ((us, vs), (us[0], vs[0])):   # array and 0-d kernel paths
+        # array, np.float64 and Python-float kernel paths
+        for uu, vv in ((us, vs), (us[0], vs[0]), (float(us[0]), float(vs[0]))):
             for a, b in zip(fm.closed_forms_arrays(spec, plus, uu, vv),
                             fm.closed_forms_arrays(spec, minus, uu, vv)):
                 assert np.array_equal(a, b), axis
@@ -103,6 +104,23 @@ def test_mirror_charts_bit_identical(spec):
         p, m = sf.chart_points(spec, plus, us, vs), sf.chart_points(spec, minus, us, vs)
         assert np.array_equal(m[:, ih], -p[:, ih])
         assert np.array_equal(m[:, [iu, iv]], p[:, [iu, iv]])
+
+
+@pytest.mark.parametrize("name", ["sq_1112", "sq_123_k3", "pe_lt", "ellipsoid_123"])
+def test_closed_forms_scalar_path(name):
+    """A Python float or np.float64 (u, v) gives six scalars, not arrays,
+    within 1e-14 relative of the one-element array path."""
+    spec = BUNDLED[name]
+    rng = np.random.default_rng(37)
+    for chart in sf.chart_atlas(spec)[::2]:
+        us, vs = random_valid_chart_points(spec, chart, 40, rng, margin=sf.DELTA_VALID)
+        for u, v in zip(us, vs):
+            want = fm.closed_forms_arrays(spec, chart, [u], [v])
+            for cu, cv in ((float(u), float(v)), (np.float64(u), np.float64(v))):
+                got = fm.closed_forms_arrays(spec, chart, cu, cv)
+                for a, b in zip(got, want):
+                    assert not isinstance(a, np.ndarray) and np.ndim(a) == 0
+                    assert abs(a - b[0]) <= 1e-14 * abs(b[0])
 
 
 def test_symmetry_locus_exact_zeros():
