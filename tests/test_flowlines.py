@@ -113,9 +113,9 @@ def test_trace_invalid_start():
     ids=["sq_1112", "pe_lt"],
 )
 def test_trace_kernel_call_count(monkeypatch, spec, start, branch, length, sign, calls):
-    """A trace makes a fixed number of form-kernel and radicand calls; the
-    counts pin those of the array-state tracer, so cheaper scalar calls
-    show as time, not as skipped evaluations."""
+    """A fixed trace makes a pinned number of form-kernel and radicand
+    calls, so a faster tracer must owe its speed to cheaper calls, not to
+    skipped evaluations."""
     count = {"forms": 0, "radicand": 0}
 
     def counted(key, fn):
@@ -267,8 +267,9 @@ def test_trace_stays_on_one_family(spec, start, branch, length, sign):
 # A change that is meant to keep traces must keep every line's stop reason
 # and node count exactly and its nodes within NODE_TOL; scalar and array
 # kernel calls may round differently in the last bit, which moves nodes by
-# far less.  Regenerate data/trace_lines.json (only when traces are meant
-# to change) with ``PYTHONPATH=src python tests/test_flowlines.py``.
+# far less.  The file stores nodes rounded to 12 decimals.  Regenerate
+# data/trace_lines.json (only when traces are meant to change) with
+# ``PYTHONPATH=src python tests/test_flowlines.py``.
 TRACE_GOLDEN = Path(__file__).parent / "data" / "trace_lines.json"
 NODE_TOL = 1e-7
 PINNED_STARTS = {  # bundled spec: (line length, Z+ starts)
@@ -282,7 +283,7 @@ PINNED_STARTS = {  # bundled spec: (line length, Z+ starts)
 
 
 def _pinned_lines(name, u, v):
-    """The four traces from one start: (branch, sign) -> CurveTrace."""
+    """The four traces from one start, keyed b<branch><sense>, e.g. "b0-"."""
     length = PINNED_STARTS[name][0]
     start = ChartPoint(Z_PLUS, u, v)
     return {

@@ -106,19 +106,29 @@ def test_mirror_charts_bit_identical(spec):
         assert np.array_equal(m[:, [iu, iv]], p[:, [iu, iv]])
 
 
-@pytest.mark.parametrize("name", ["sq_1112", "sq_123_k3", "pe_lt", "ellipsoid_123"])
-def test_closed_forms_scalar_path(name):
-    """A Python float or np.float64 (u, v) gives six scalars, not arrays,
-    within 1e-14 relative of the one-element array path."""
-    spec = BUNDLED[name]
-    rng = np.random.default_rng(37)
+@pytest.mark.parametrize(
+    "spec",
+    [SQ_1112, BUNDLED["sq_123_k3"], PE_LT, SurfaceSpec.perturbed_ellipsoid(0.5, 0.2, 0.0),
+     BUNDLED["ellipsoid_123"]],
+    ids=["sq_1112", "sq_123_k3", "pe_lt", "pe_eps0", "ellipsoid"],
+)
+def test_scalar_kernel_path(spec):
+    """A Python float or np.float64 (u, v) gives scalars, not arrays, from
+    the form kernel, the radicand and the height jet, within 1e-14 relative
+    of the one-element array path: they may round the last bit differently,
+    as Python's ** and numpy's power loop do."""
+    rng = np.random.default_rng(31)
+
+    def kernel(chart, u, v):
+        return [*fm.closed_forms_arrays(spec, chart, u, v), sf.radicand(spec, chart, u, v),
+                *sf.height_jet(spec, chart, u, v)]
+
     for chart in sf.chart_atlas(spec)[::2]:
         us, vs = random_valid_chart_points(spec, chart, 40, rng, margin=sf.DELTA_VALID)
         for u, v in zip(us, vs):
-            want = fm.closed_forms_arrays(spec, chart, [u], [v])
+            want = kernel(chart, [u], [v])
             for cu, cv in ((float(u), float(v)), (np.float64(u), np.float64(v))):
-                got = fm.closed_forms_arrays(spec, chart, cu, cv)
-                for a, b in zip(got, want):
+                for a, b in zip(kernel(chart, cu, cv), want):
                     assert not isinstance(a, np.ndarray) and np.ndim(a) == 0
                     assert abs(a - b[0]) <= 1e-14 * abs(b[0])
 

@@ -267,23 +267,3 @@ def test_chart_labels():
     for bad in ("Q*", "E+"):
         with pytest.raises(SpecError):
             ChartId.from_label(bad)
-
-
-@pytest.mark.parametrize(
-    "spec", [SQ_1112, BUNDLED["sq_123_k3"], PE_LT, SurfaceSpec.perturbed_ellipsoid(0.5, 0.2, 0.0)],
-    ids=["sq_1112", "sq_123_k3", "pe_lt", "pe_eps0"],
-)
-def test_scalar_kernel_path(spec):
-    """A Python float or np.float64 (u, v) gives scalars, not arrays, that
-    agree with the one-element array path to 1e-14 relative: they may round
-    the last bit differently, as Python's ** and numpy's power loop do."""
-    rng = np.random.default_rng(31)
-    for chart in sf.chart_atlas(spec)[::2]:
-        us, vs = random_valid_chart_points(spec, chart, 40, rng, margin=sf.DELTA_VALID)
-        for u, v in zip(us, vs):
-            want = [sf.radicand(spec, chart, [u], [v]), *sf.height_jet(spec, chart, [u], [v])]
-            for cu, cv in ((float(u), float(v)), (np.float64(u), np.float64(v))):
-                got = [sf.radicand(spec, chart, cu, cv), *sf.height_jet(spec, chart, cu, cv)]
-                for a, b in zip(got, want):
-                    assert not isinstance(a, np.ndarray) and np.ndim(a) == 0
-                    assert abs(a - b[0]) <= 1e-14 * abs(b[0])
