@@ -1,18 +1,21 @@
 """Winding index of isolated umbilics and the index-sum check.
 
 The index is the winding number of the principal line field around a small
-chart-coordinate circuit.  Directions are angles modulo pi (a line field has
-no orientation), lifted continuously by nearest representative; closing the
+chart-coordinate circuit.  A sample's angle psi = atan2(B, A - C) / 2, from
+the curvature-line quadratic (A, B, C), bisects the principal directions and
+winds as they do.  Angles are taken modulo pi (a line field has no
+orientation), lifted continuously by nearest representative; closing the
 loop then yields an integer multiple of pi, i.e. a half-integer index.
 
 Two robustness measures beyond plain uniform sampling:
 
 * segments whose hop (the mod-pi distance between their endpoint angles)
   reaches pi/4 are bisected until none does -- near planar (flat) umbilics
-  the major-curvature direction swings by ~pi/2 inside angular windows far
+  the principal directions swing by ~pi/2 inside angular windows far
   narrower than any fixed sample count resolves;
-* a sample where the two curvatures are indistinguishable at floating-point
-  noise level fails the lift, and the ring is redrawn at twice the radius.
+* a sample where hypot(A - C, B) (k1 - k2 in a principal orthonormal frame)
+  is within a couple of decades of the rounding scale of A, B and C fails
+  the lift, and the ring is redrawn at twice the radius.
 
 The ring's own samples decide whether it fits in the chart (it is redrawn
 at half the radius when one does not), and they take their forms in one
@@ -45,7 +48,7 @@ from .errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 MAX_JUMP = math.pi / 4.0
 RING_RADIUS = 1e3 * math.sqrt(um.TOL_FIND)   # 0.01, before clipping
 RING_SAMPLES = 720
-_DEGENERATE = 1e3 * np.finfo(float).eps       # curvature separation at noise level
+_DEGENERATE = 1e3 * np.finfo(float).eps       # line-quadratic separation at noise level
 
 
 @dataclass(frozen=True)
@@ -56,29 +59,23 @@ class WindingResult:
     radius: float             # chart-coordinate circle radius
 
 
-def _major_angle(forms, t):
-    """Major-principal-direction angle mod pi from a ring sample's six forms.
-
-    Raises NonConvergentLift only when the curvature separation is within a
-    couple of decades of floating-point noise on the curvatures -- near
-    planar umbilics the separation is tiny yet still carries many accurate
-    digits, and those samples are exactly the informative ones.
-    """
-    k1, k2, theta1, _ = fm.principal_frame(*forms)
-    if k1 - k2 <= _DEGENERATE * (abs(k1) + abs(k2)):
-        raise NonConvergentLift(f"degenerate sample at ring angle {t:.6f}")
-    return theta1
-
-
 def _ring_points(cu, cv, radius, ts):
     """Chart points (uu, vv) at ring angles ts."""
     return np.array([(cu + radius * math.cos(t), cv + radius * math.sin(t)) for t in ts]).T
 
 
 def _ring_angles(spec, chart, uu, vv, ts):
-    """Major angles mod pi at ring points (uu, vv), from one kernel call."""
-    forms = zip(*(a.tolist() for a in fm.closed_forms_arrays(spec, chart, uu, vv)))
-    return np.array([_major_angle(f, t) for f, t in zip(forms, ts.tolist())])
+    """Line angles psi at ring points (uu, vv), from one kernel call.  On the
+    unit circle the quadratic is (A + C)/2 + |beta| cos(2 phi - arg beta),
+    beta = ((A - C) + iB)/2: its roots lie symmetric about psi = arg(beta)/2."""
+    E, F, G, e, f, g = fm.closed_forms_arrays(spec, chart, uu, vv)
+    A, B, C = fm.line_quadratic(E, F, G, e, f, g)
+    # The rounding scale of A, B and C: the sum of their products' magnitudes.
+    scale = sum(np.abs(x * y) for x, y in ((f, E), (e, F), (g, E), (e, G), (g, F), (f, G)))
+    degenerate = np.flatnonzero(np.hypot(A - C, B) <= _DEGENERATE * scale)
+    if degenerate.size:
+        raise NonConvergentLift(f"degenerate sample at ring angle {ts[degenerate[0]]:.6f}")
+    return 0.5 * np.arctan2(B, A - C)
 
 
 def _lift_ring(spec, chart, cu, cv, radius):
@@ -115,21 +112,22 @@ def _lift_ring(spec, chart, cu, cv, radius):
 
 def _radius_clip(spec, rec, records):
     """Largest admissible circle: half the gap to other umbilic preimages
-    in this chart, and well inside the chart rectangle."""
+    in this chart, and well inside the chart rectangle.  The preimages are
+    :func:`umbilics.surface.ambient_to_chart`'s, taken in one array pass."""
     chart = rec.chart
     umax, vmax = sf.chart_bounds(spec, chart)
     clip = 0.5 * min(umax, vmax)
-    for other in records or []:
-        # np.allclose's test, without its array round trip per pair.
-        if other is rec or all(
-            abs(p - q) <= 1e-8 + 1e-5 * abs(q) for p, q in zip(other.ambient, rec.ambient)
-        ):
-            continue
-        pre = sf.ambient_to_chart(spec, chart, np.array(other.ambient))
-        if pre is None:
-            continue
-        d = math.hypot(pre[0] - rec.uv[0], pre[1] - rec.uv[1])
-        clip = min(clip, 0.5 * d)
+    pts = np.array([other.ambient for other in records or []], dtype=float).reshape(-1, 3)
+    q = np.array(rec.ambient, dtype=float)
+    # np.allclose's test drops the record itself and points coincident with it.
+    pts = pts[~np.all(np.abs(pts - q) <= 1e-8 + 1e-5 * np.abs(q), axis=1)]
+    iu, iv, ih = sf.placement(chart)
+    pts = pts[pts[:, ih] * chart.sign >= 0.0]
+    pts = pts[sf.chart_valid(spec, chart, pts[:, iu], pts[:, iv])]
+    h = sf._height(spec, chart, pts[:, iu], pts[:, iv])
+    pts = pts[np.abs(h - pts[:, ih]) <= 1e-6 * (1.0 + np.abs(pts[:, ih]))]
+    if pts.size:
+        clip = min(clip, 0.5 * float(np.hypot(pts[:, iu] - rec.uv[0], pts[:, iv] - rec.uv[1]).min()))
     return clip
 
 
