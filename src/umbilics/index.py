@@ -2,12 +2,15 @@
 
 The index is the winding number of the principal line field around a small
 chart-coordinate circuit.  A sample's angle psi = atan2(B, A - C) / 2, from
-the curvature-line quadratic (A, B, C), bisects the principal directions and
-winds as they do.  Angles are taken modulo pi (a line field has no
-orientation), lifted continuously by nearest representative; closing the
-loop then yields an integer multiple of pi, i.e. a half-integer index.
+the curvature-line quadratic (A, B, C) (:func:`umbilics.forms.line_angle`),
+bisects the principal directions and winds as they do.  Angles are taken
+modulo pi (a line field has no orientation), lifted continuously by nearest
+representative; closing the loop then yields an integer multiple of pi,
+i.e. a half-integer index.
 
-Two robustness measures beyond plain uniform sampling:
+The ring is lifted by :func:`umbilics.forms.lift_lines`, the level-wise
+bisection the finder's cell scan also uses.  Two robustness measures beyond
+plain uniform sampling:
 
 * segments whose hop (the mod-pi distance between their endpoint angles)
   reaches pi/4 are bisected until none does -- near planar (flat) umbilics
@@ -19,10 +22,7 @@ Two robustness measures beyond plain uniform sampling:
 
 The ring's own samples decide whether it fits in the chart (it is redrawn
 at half the radius when one does not), and they take their forms in one
-kernel call.  Bisection runs level by level: every over-hop segment of a
-level gets its midpoint, and all midpoints of the level take their forms in
-one call.  The split test reads only a segment's two endpoint angles, so
-the sample set is the one any splitting order would reach.
+kernel call, as do all midpoints of one bisection level.
 
 :func:`attach_indices` draws each distinct ring once.  The two charts of
 an axis give bit-identical forms, so the records of a root in both charts
@@ -45,10 +45,9 @@ from . import surface as sf
 from . import umbilic as um
 from .errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 
-MAX_JUMP = math.pi / 4.0
 RING_RADIUS = 1e3 * math.sqrt(um.TOL_FIND)   # 0.01, before clipping
 RING_SAMPLES = 720
-_DEGENERATE = 1e3 * np.finfo(float).eps       # line-quadratic separation at noise level
+RING_DEPTH = 47          # bisection levels: 2 pi / 720 / 2^47 = 6e-14 rad segments
 
 
 @dataclass(frozen=True)
@@ -59,55 +58,30 @@ class WindingResult:
     radius: float             # chart-coordinate circle radius
 
 
-def _ring_points(cu, cv, radius, ts):
-    """Chart points (uu, vv) at ring angles ts."""
-    return np.array([(cu + radius * math.cos(t), cv + radius * math.sin(t)) for t in ts]).T
-
-
-def _ring_angles(spec, chart, uu, vv, ts):
-    """Line angles psi at ring points (uu, vv), from one kernel call.  On the
-    unit circle the quadratic is (A + C)/2 + |beta| cos(2 phi - arg beta),
-    beta = ((A - C) + iB)/2: its roots lie symmetric about psi = arg(beta)/2."""
-    E, F, G, e, f, g = fm.closed_forms_arrays(spec, chart, uu, vv)
-    A, B, C = fm.line_quadratic(E, F, G, e, f, g)
-    # The rounding scale of A, B and C: the sum of their products' magnitudes.
-    scale = sum(np.abs(x * y) for x, y in ((f, E), (e, F), (g, E), (e, G), (g, F), (f, G)))
-    degenerate = np.flatnonzero(np.hypot(A - C, B) <= _DEGENERATE * scale)
-    if degenerate.size:
-        raise NonConvergentLift(f"degenerate sample at ring angle {ts[degenerate[0]]:.6f}")
-    return 0.5 * np.arctan2(B, A - C)
-
-
 def _lift_ring(spec, chart, cu, cv, radius):
-    """Continuously lift the direction angle around the circle.
+    """Continuously lift the line angle around the circle.
 
     Returns (total change, evaluations, max jump).  Raises CircleInvalid
     when a ring sample's radicand is below 100 DELTA_VALID, and
-    NonConvergentLift on a degenerate sample or when a segment narrower
-    than 1e-13 rad still hops by MAX_JUMP.  Segments are bisected level by
-    level, each level's midpoints taking their forms in one kernel call.
+    NonConvergentLift when :func:`umbilics.forms.lift_lines` leaves the ring
+    unresolved (a degenerate sample, or a hop RING_DEPTH levels deep).
     """
+
+    def points(_, ts):
+        return cu + radius * np.cos(ts), cv + radius * np.sin(ts)
+
     ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 2.0 * math.pi)
-    uu, vv = _ring_points(cu, cv, radius, ts)
+    uu, vv = points(None, ts)
     if not np.all(sf.chart_valid(spec, chart, uu, vv, margin=100.0 * sf.DELTA_VALID)):
         raise CircleInvalid(f"ring of radius {radius:.3e} leaves chart {chart.label}")
-    thetas = _ring_angles(spec, chart, uu, vv, ts)
-    while True:
-        # Hop from each sample to the nearest representative (mod pi) of the next.
-        hops = np.diff(thetas)
-        hops -= math.pi * np.round(hops / math.pi)
-        split = np.flatnonzero(np.abs(hops) >= MAX_JUMP)
-        if split.size == 0:
-            break
-        narrow = split[ts[split + 1] - ts[split] < 1e-13]
-        if narrow.size:
-            i = narrow[0]
-            raise NonConvergentLift(f"jump {abs(hops[i]):.3f} rad at ring angle {ts[i + 1]:.6f}")
-        mids = 0.5 * (ts[split] + ts[split + 1])
-        mid_thetas = _ring_angles(spec, chart, *_ring_points(cu, cv, radius, mids), mids)
-        thetas = np.insert(thetas, split + 1, mid_thetas)
-        ts = np.insert(ts, split + 1, mids)
-    return float(hops.sum()), ts.size, float(np.abs(hops).max())
+    psi = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu, vv))
+    total, mids, jump, resolved = fm.lift_lines(
+        spec, chart, np.zeros(RING_SAMPLES, int), np.stack([ts[:-1], ts[1:]], axis=1),
+        np.stack([psi[:-1], psi[1:]], axis=1), points, RING_DEPTH,
+    )
+    if not resolved[0]:
+        raise NonConvergentLift(f"line field unresolved on the ring of radius {radius:.3e}")
+    return float(total[0]), ts.size + int(mids[0]), float(jump[0])
 
 
 def _radius_clip(spec, rec, records):

@@ -2,28 +2,39 @@
 
 Umbilics are the points where the curvature-line quadratic
 A du^2 + B du dv + C dv^2 (:func:`umbilics.forms.line_quadratic`) vanishes
-identically.  The finder grid-scans the charts of the atlas, refines
-residual minima with a damped Newton iteration on the two-equation system
-(C, B), and deduplicates across charts.  Every family is even in every
-coordinate, so the two charts of an axis (X+ and X-, ...) are mirror images
-through the height and give bit-identical forms at the same (u, v): each
-axis is scanned and refined once, in its + chart, and every root is
-recorded in both charts, X+ records before X- ones as a scan of all six
-charts would list them.  All seeds of a chart are refined in lockstep as
-rows of one array, so each iteration costs a few batched kernel calls; the
-per-seed rules are those of a scalar refiner, and no seed affects another.
-Flat umbilics (the axis points of the power family are planar points) make
-that system vanish to high order, so the refiner accelerates the resulting
-geometric step decay by extrapolation and finishes with exact
-symmetry-line snapping.  Finally one macroscopic ring around each kept
-point tells an isolated umbilic from an umbilic continuum.
+identically.  The finder seeds from the line field itself: it cuts each
+chart into 63 x 63 cells, lifts the line angle psi along every cell edge
+(:func:`umbilics.forms.lift_lines`, the bisection the index ring uses) and
+reads psi's change around each cell, 2 pi times the index sum inside it
+(Poincare-Hopf).  One Newton lane starts at the centre of every cell with a
+nonzero winding and of every cell with an unresolved edge: one that meets a
+degenerate sample or still hops after EDGE_DEPTH bisection levels, as near
+flat umbilics.  No residual threshold picks the seeds.  A pair of index
++1/2 and -1/2 inside one cell sums to zero, so the cell size is the finder's
+resolution.
+
+The lanes are refined by a damped Newton iteration on the two-equation
+system (C, B), accepted below TOL_FIND and deduplicated across charts.
+Every family is even in every coordinate, so the two charts of an axis (X+
+and X-, ...) are mirror images through the height and give bit-identical
+forms at the same (u, v): each axis is scanned and refined once, in its +
+chart, and every root is recorded in both charts, X+ records before X- ones
+as a scan of all six charts would list them.  All seeds of a chart are
+refined in lockstep as rows of one array, so each iteration costs a few
+batched kernel calls; the per-seed rules are those of a scalar refiner, and
+no seed affects another.  Flat umbilics (the axis points of the power
+family are planar points) make that system vanish to high order, so the
+refiner accelerates the resulting geometric step decay by extrapolation and
+finishes with exact symmetry-line snapping.  A chart whose every grid
+vertex is degenerate is an umbilic continuum (a sphere), reported as one
+record.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,11 +86,11 @@ class ThresholdReport:
         }
 
 
-GRID_N = 64                          # seed grid cells per chart axis
+CELLS = 63                           # scan cells per chart axis (odd)
+EDGE_DEPTH = 30                      # bisection levels of a scan-cell edge
 TOL_FIND = 1e-10                     # residual below which a point is umbilic
 DEDUP_REL = 1e-6                     # dedup radius over the surface diameter
 MAX_NEWTON = 100
-SEED_MARGIN = 1e-6                   # radicand margin for grid seeds
 NEWTON_MARGIN = 10.0 * sf.DELTA_VALID
 
 
@@ -214,7 +225,7 @@ def _snap_symmetry(spec, chart, u, v, res):
         candidates.append((m, m))
     if abs(u + v) < 1e-5 * scale:
         m = 0.5 * (u - v)
-        candidates.append((m, -m))
+        candidates.append((m, 0.0 - m))   # not -m: (0, -0.0) would print as -0.0
     best = (u, v, res)
     for cu, cv in candidates:
         if not sf.chart_valid(spec, chart, cu, cv):
@@ -225,57 +236,58 @@ def _snap_symmetry(spec, chart, u, v, res):
     return best
 
 
-def _probe_non_isolated(spec, chart, u, v):
-    """Non-isolated when at least 4 of 8 samples on a macroscopic ring lie
-    in the chart and at least 3/4 of those have residual below TOL_FIND.
+def _cell_seeds(spec, chart):
+    """Centres of the scan cells that may hold an umbilic, as (n, 2); None
+    when every valid grid vertex is degenerate (an umbilic continuum).
 
-    The ring is macroscopic (0.05 of the smaller chart half-width) because
-    planar umbilics, whose residual vanishes to order 2k - 2, pass any tiny
-    ring; an umbilic continuum is flat at every radius.
+    The chart rectangle is cut into CELLS x CELLS cells.  The line angle is
+    taken once at every vertex that keeps the Newton margin and lifted along
+    every edge between two such vertices (:func:`umbilics.forms.lift_lines`,
+    one kernel call per bisection level over all edges).  The lifted change
+    around a cell is 2 pi times the index sum inside it.  A cell is a seed
+    when that sum is nonzero, or when an edge of it is unresolved.
     """
-    rad = 0.05 * min(sf.chart_bounds(spec, chart))
-    t = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    pu, pv = u + rad * np.cos(t), v + rad * np.sin(t)
-    inside = sf.chart_valid(spec, chart, pu, pv)
-    res = umbilic_residual_arrays(spec, chart, pu[inside], pv[inside])
-    return res.size >= 4 and 4 * np.count_nonzero(res < TOL_FIND) >= 3 * res.size
-
-
-def _grid_seeds(spec, chart):
-    """Residual local minima on the chart grid (cell centers), as (n, 2)."""
-    n = GRID_N
+    n = CELLS
     umax, vmax = sf.chart_bounds(spec, chart)
-    us = (np.arange(n) + 0.5) / n * 2.0 * umax - umax
-    vs = (np.arange(n) + 0.5) / n * 2.0 * vmax - vmax
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    valid = sf.chart_valid(spec, chart, uu, vv, margin=SEED_MARGIN)
-    res = np.full((n, n), np.inf)
-    if np.any(valid):
-        res[valid] = umbilic_residual_arrays(spec, chart, uu[valid], vv[valid])
-    padded = np.pad(res, 1, constant_values=np.inf)
-    neigh = np.stack(
-        [
-            padded[1 + di : 1 + di + n, 1 + dj : 1 + dj + n]
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-            if not (di == 0 and dj == 0)
-        ]
+    # Exactly symmetric vertices; with n odd the chart centre is a cell centre.
+    offsets = np.arange(n + 1) - 0.5 * n
+    uu, vv = np.meshgrid(offsets * (2.0 * umax / n), offsets * (2.0 * vmax / n), indexing="ij")
+    valid = sf.chart_valid(spec, chart, uu, vv, margin=NEWTON_MARGIN)
+    psi = np.full(uu.shape, np.nan)
+    psi[valid] = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu[valid], vv[valid]))
+    if np.all(np.isnan(psi[valid])):
+        return None
+    # Edges along u, from vertex (i, j) to (i + 1, j), then along v, from
+    # (i, j) to (i, j + 1), as flat vertex indices.
+    k = np.arange(uu.size).reshape(uu.shape)
+    starts = np.concatenate([k[:-1, :].ravel(), k[:, :-1].ravel()])
+    ends = np.concatenate([k[1:, :].ravel(), k[:, 1:].ravel()])
+    valid, psi, uu, vv = valid.ravel(), psi.ravel(), uu.ravel(), vv.ravel()
+    live = np.flatnonzero(valid[starts] & valid[ends])
+    a, b = starts[live], ends[live]
+    u0, v0, du, dv = uu[a], vv[a], uu[b] - uu[a], vv[b] - vv[a]
+    change, _, _, resolved = fm.lift_lines(
+        spec, chart, np.arange(live.size), np.tile([0.0, 1.0], (live.size, 1)),
+        np.stack([psi[a], psi[b]], axis=1), lambda i, t: (u0[i] + t * du[i], v0[i] + t * dv[i]),
+        EDGE_DEPTH,
     )
-    is_min = valid & (res <= neigh.min(axis=0))
-    idx = np.argwhere(is_min)
-    # A continuum (sphere-like spec) turns nearly every cell into a minimum;
-    # a deterministic stride keeps the seed count bounded.
-    if len(idx) > n:
-        idx = idx[:: max(1, len(idx) // n)]
-    return np.stack([uu[tuple(idx.T)], vv[tuple(idx.T)]], axis=1)
+    total = np.full(starts.size, np.nan)            # NaN: unresolved, or an end invalid
+    total[live] = np.where(resolved, change, np.nan)
+    tu, tv = total[: n * (n + 1)].reshape(n, n + 1), total[n * (n + 1):].reshape(n + 1, n)
+    # Counter-clockwise around cell (i, j): bottom, right, top, left.
+    winding = tu[:, :-1] + tv[1:, :] - tu[:, 1:] - tv[:-1, :]
+    corners = valid.reshape(n + 1, n + 1)
+    inside = corners[:-1, :-1] & corners[1:, :-1] & corners[:-1, 1:] & corners[1:, 1:]
+    cells = np.argwhere(inside & ~(np.abs(winding) < 0.5 * math.pi))   # nonzero or NaN
+    return (cells - 0.5 * (n - 1)) * (2.0 * umax / n, 2.0 * vmax / n)
 
 
 def find_umbilics(spec):
     """Locate umbilic points across the whole atlas.
 
     Returns deduplicated :class:`UmbilicRecord` entries sorted by rounded
-    ambient coordinates.  Non-isolated continua (spheres) are collapsed to a
-    single representative record flagged ``non_isolated``.
+    ambient coordinates.  An umbilic continuum (a sphere) gives a single
+    record flagged ``non_isolated``, at the centre of the first chart.
     """
     r_dedup = DEDUP_REL * sf.surface_diameter(spec)
 
@@ -284,7 +296,11 @@ def find_umbilics(spec):
         # The families are even in every coordinate, so the forms of the two
         # charts of an axis agree bit for bit: refine in one, record in both.
         minus = sf.ChartId(plus.axis, -1)
-        seeds = _grid_seeds(spec, plus)
+        seeds = _cell_seeds(spec, plus)
+        if seeds is None:
+            res = float(umbilic_residual_arrays(spec, plus, 0.0, 0.0))
+            point = tuple(float(c) for c in sf.chart_points(spec, plus, 0.0, 0.0))
+            return [UmbilicRecord(point, plus, (0.0, 0.0), res, NON_ISOLATED)]
         refined = _newton_refine(spec, plus, seeds)
         residuals = umbilic_residual_arrays(spec, plus, refined[:, 0], refined[:, 1])
         roots = []
@@ -308,10 +324,6 @@ def find_umbilics(spec):
         p = np.array(rec.ambient)
         if all(np.linalg.norm(p - np.array(k.ambient)) >= r_dedup for k in kept):
             kept.append(rec)
-    for rec in kept:
-        if _probe_non_isolated(spec, rec.chart, *rec.uv):
-            # Everywhere-umbilic surface: report one representative.
-            return [replace(rec, kind=NON_ISOLATED)]
     kept.sort(key=lambda r: tuple(round(c, 9) for c in r.ambient))
     return kept
 

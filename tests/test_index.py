@@ -149,7 +149,7 @@ def test_bisection_one_kernel_call_per_level(results, monkeypatch):
 
 
 def test_attach_indices_draws_each_ring_once(results, monkeypatch):
-    """pe_lt's 18 records need 10 distinct rings (mirrored records share
+    """pe_lt's 18 records need 9 distinct rings (mirrored records share
     theirs), and the shared results equal the per-record ones."""
     records, windings = results.records(PE_LT), results.windings(PE_LT)
     index, calls = ix.umbilic_index, []
@@ -160,7 +160,7 @@ def test_attach_indices_draws_each_ring_once(results, monkeypatch):
 
     monkeypatch.setattr(ix, "umbilic_index", counted)
     indexed = ix.attach_indices(PE_LT, records)
-    assert (len(records), len(calls)) == (18, 10)
+    assert (len(records), len(calls)) == (18, 9)
     assert [r.index for r in indexed] == [w.index for w in windings]
 
 
@@ -172,7 +172,7 @@ def test_ring_angle_bisects_principal_frame():
     for spec in BUNDLED.values():
         for chart in sf.chart_atlas(spec):
             uu, vv = random_valid_chart_points(spec, chart, 200, rng)
-            psi = ix._ring_angles(spec, chart, uu, vv, np.zeros(uu.size))
+            psi = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu, vv))
             forms = zip(*(a.tolist() for a in fm.closed_forms_arrays(spec, chart, uu, vv)))
             for p, ff in zip(psi.tolist(), forms):
                 k1, k2, theta1, theta2 = fm.principal_frame(*ff)

@@ -160,20 +160,55 @@ def test_find_sphere_non_isolated():
     assert recs[0].kind == um.NON_ISOLATED
 
 
-def test_probe_judges_samples_inside_chart():
-    """A continuum point near the X+ edge: 5 of the 8 probe samples lie in
-    the chart and all of them are umbilic."""
-    assert um._probe_non_isolated(SPHERE, ChartId("x", 1), -0.984, -0.078)
+@pytest.mark.parametrize(
+    "spec",
+    [SurfaceSpec.ellipsoid(1.0, 1.0, 1.0), SurfaceSpec.perturbed_ellipsoid(0.4, 0.4, 0.0)],
+    ids=["sphere", "pe_a_eq_b_eps0"],
+)
+def test_continuum_gives_one_record(spec):
+    """Every grid vertex of a sphere is degenerate: one non_isolated record,
+    at the centre of the X+ chart."""
+    recs = um.find_umbilics(spec)
+    assert [(r.kind, r.chart.label, r.uv) for r in recs] == [(um.NON_ISOLATED, "X+", (0.0, 0.0))]
+
+
+def test_cell_scan_evaluates_each_vertex_once(monkeypatch):
+    """The scan of a chart takes the line angle at its grid vertices in one
+    kernel call, then one call per bisection level of the cell edges."""
+    kernel, sizes = fm.closed_forms_arrays, []
+
+    def counted(*args):
+        sizes.append(np.size(args[2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(fm, "closed_forms_arrays", counted)
+    um._cell_seeds(SQ_1112, Z_PLUS)
+    assert sizes[0] <= (um.CELLS + 1) ** 2
+    assert 1 < len(sizes) <= 1 + um.EDGE_DEPTH
+    assert sum(sizes[1:]) < sizes[0]
+
+
+def test_cell_seeds_hold_the_umbilics():
+    """sq_1112's Z+ chart holds five umbilics (the pole and four diagonal
+    points); each lies inside a seeded cell."""
+    seeds = um._cell_seeds(SQ_1112, Z_PLUS)
+    half = np.array(sf.chart_bounds(SQ_1112, Z_PLUS)) / um.CELLS
+    pre = [sf.ambient_to_chart(SQ_1112, Z_PLUS, p) for p in um.closed_form_umbilics(SQ_1112)]
+    inside = [(u, v) for u, v, _ in filter(None, pre)]
+    assert len(inside) == 5
+    for uv in inside:
+        assert np.any(np.all(np.abs(seeds - uv) <= half, axis=1))
 
 
 @pytest.mark.parametrize("name", ["pe_gt", "pe_lt", "sq_c100"])
 def test_newton_lanes_independent(name):
-    """The lockstep refiner's lanes do not interact: each grid seed refined
+    """The lockstep refiner's lanes do not interact: each cell seed refined
     alone ends on the same bits as in the whole batch, and a seed inside
     the Newton margin stops where it starts without changing the others."""
     spec = BUNDLED[name]
     for chart in sf.chart_atlas(spec)[:3]:
-        seeds = um._grid_seeds(spec, chart)
+        seeds = um._cell_seeds(spec, chart)
+        assert len(seeds) > 1
         umax, _ = sf.chart_bounds(spec, chart)
         edge = brentq(
             lambda u: float(sf.radicand(spec, chart, u, 0.0)) - 0.5 * um.NEWTON_MARGIN,
@@ -192,7 +227,7 @@ def six_chart_reference(spec):
     on its own, then the stable residual sort, dedup and ambient sort."""
     found = []
     for chart in sf.chart_atlas(spec):
-        refined = um._newton_refine(spec, chart, um._grid_seeds(spec, chart))
+        refined = um._newton_refine(spec, chart, um._cell_seeds(spec, chart))
         residuals = um.umbilic_residual_arrays(spec, chart, refined[:, 0], refined[:, 1])
         for (u, v), res in zip(refined.tolist(), residuals.tolist()):
             u, v, res = um._snap_symmetry(spec, chart, u, v, res)
