@@ -47,7 +47,7 @@ from .errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 
 RING_RADIUS = 1e3 * math.sqrt(um.TOL_FIND)   # 0.01, before clipping
 RING_SAMPLES = 720
-RING_DEPTH = 47          # bisection levels: 2 pi / 720 / 2^47 = 6e-14 rad segments
+RING_DEPTH = 37          # bisection levels: 2 pi / 720 / 2^37 = 6.3e-14 rad, the first width below 1e-13
 
 
 @dataclass(frozen=True)

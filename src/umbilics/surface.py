@@ -77,24 +77,18 @@ class AxisTerm:
 
         Conjugate form of the quadratic root in s^m: stable as d -> 0 and
         exact at d = 0; -inf where that quadratic has no real root.  A
-        Python float t gives a Python float, through math.sqrt: both square
-        roots are correctly rounded, so the two paths agree bit for bit.
+        scalar t gives a scalar.
         """
         if self.d is None:
             return t / self.c
         disc = self.c * self.c + 4.0 * self.d * t
-        if isinstance(t, float):
-            return 2.0 * t / (math.sqrt(disc) + self.c) if disc >= 0.0 else -math.inf
         return np.where(
             disc >= 0.0, 2.0 * t / (np.sqrt(np.maximum(disc, 0.0)) + self.c), -np.inf
         )[()]
 
     def root(self, t):
-        """The s >= 0 where the term equals t; NaN where the power is negative."""
-        p = self.power(t)
-        if isinstance(p, float) and not p >= 0.0:
-            return math.nan       # Python's ** would give a complex number, or inf for -inf
-        return p ** (1.0 / self.m)
+        """The s >= 0 where the term equals t."""
+        return self.power(t) ** (1.0 / self.m)
 
 
 @dataclass(frozen=True)

@@ -267,30 +267,3 @@ def test_chart_labels():
     for bad in ("Q*", "E+"):
         with pytest.raises(SpecError):
             ChartId.from_label(bad)
-
-
-def test_power_scalar_path_matches_array():
-    """A Python-float t takes AxisTerm.power's math.sqrt branch, an array
-    numpy's: on pe_lt's X and Y charts the radicand agrees bit for bit,
-    including the -inf where the quadratic in s^m has no real root, and a
-    negative power gives NaN from root on both paths."""
-    rng = np.random.default_rng(31)
-    for chart in sf.chart_atlas(PE_LT):
-        if chart.axis == "z":
-            continue
-        umax, vmax = sf.chart_bounds(PE_LT, chart)
-        u = rng.uniform(-3.0 * umax, 3.0 * umax, 400)
-        v = rng.uniform(-3.0 * vmax, 3.0 * vmax, 400)
-        arr = sf.radicand(PE_LT, chart, u, v)
-        one = [sf.radicand(PE_LT, chart, a, b) for a, b in zip(u.tolist(), v.tolist())]
-        assert all(type(x) is float for x in one)
-        assert [float.hex(x) for x in arr.tolist()] == [float.hex(x) for x in one]
-        assert np.isneginf(arr).any() and (arr < 0.0).any() and (arr > 0.0).any()
-    term = PE_LT.terms[0]
-    t = np.linspace(-3.0, 1.5, 91)
-    with np.errstate(invalid="ignore"):
-        roots = term.root(t)
-    one = [term.root(x) for x in t.tolist()]
-    assert all(type(x) is float for x in one)
-    assert np.array_equal(np.isnan(roots), np.isnan(one))
-    assert np.isnan(roots).any()
