@@ -8,6 +8,10 @@ continuum probe read the first as umbilic continua and found spurious
 index-0 points on the second.  Each spec must give the expected count, every
 closed-form point within 1e-7, isolated records only, an index sum of 2 and
 no index-0 record.
+
+``GRID_SPECS`` are the superquadrics of the grid (a, b, c) in {(1, 1, 1),
+(1, 1, 3), (2, 1, 1), (1, 2, 3)} x k = 2..9 that the residual-minimum finder
+got wrong and the cell scan gets right, under the same judgement.
 """
 
 import json
@@ -20,9 +24,16 @@ from umbilics import umbilic as um
 from umbilics.surface import SurfaceSpec
 
 SPECS = json.loads((Path(__file__).parent / "data" / "envelope_specs.json").read_text())
+GRID_SPECS = [
+    pytest.param({"family": "superquadric", "a": a, "b": b, "c": c, "k": k}, id=f"grid-{a}{b}{c}-k{k}")
+    for a, b, c, k in (
+        (1, 1, 1, 6), (1, 1, 3, 4), (1, 1, 3, 5), (2, 1, 1, 5),
+        (2, 1, 1, 8), (1, 2, 3, 6), (1, 2, 3, 7), (1, 2, 3, 8),
+    )
+]
 
 
-@pytest.mark.parametrize("fields", SPECS, ids=lambda d: "{family}-{a:.3g}-{b:.3g}".format(**d))
+@pytest.mark.parametrize("fields", SPECS + GRID_SPECS, ids=lambda d: "{family}-{a:.3g}-{b:.3g}".format(**d))
 def test_envelope_spec_judged_correct(fields):
     spec = SurfaceSpec.from_json(fields)
     records = um.find_umbilics(spec)
