@@ -24,7 +24,8 @@ from . import forms as fm
 from . import index as ix
 from . import surface as sf
 from . import umbilic as um
-from .errors import NotApplicable, SpecError, StartsAtUmbilic, UmbilicsError
+from .errors import (CircleInvalid, NonConvergentLift, NotApplicable, SpecError,
+                     StartsAtUmbilic, UmbilicsError)
 from .svg import SvgPlot
 
 CLOSED_FORM_TOL = 1e-7
@@ -217,8 +218,7 @@ def _select_umbilic(spec, records, name):
         if i >= len(records):
             raise SpecError(f"umbilic index {i} out of range ({len(records)} found)")
         return records[i]
-    diam = sf.surface_diameter(spec)
-    tol = 1e-6 * diam
+    tol = um.DEDUP_REL * sf.surface_diameter(spec)
     for rec in records:
         x, y, z = rec.ambient
         nz = sum(1 for c in rec.ambient if abs(c) > tol)
@@ -373,34 +373,38 @@ def cmd_verify(args) -> int:
             }
         )
     else:
-        records = ix.attach_indices(spec, records)
-        ph = ix.poincare_hopf_check(spec, records)
-        multiset = ix.index_multiset(records)
-        # An isolated umbilic of index 0 is no singularity of the line field,
-        # so a point set holding one is wrong whatever the sum.
-        checks.append(
-            {
-                "name": "index_sum",
-                "pass": ph.passed and all(r.index != 0 for r in records),
-                "sum": ph.total,
-                "multiset": [[v, n] for v, n in multiset],
-            }
-        )
-        if spec.family == sf.SUPERQUADRIC:
-            contradicted = tuple(multiset) != _CLAIMED_SWAPPED
+        try:
+            records = ix.attach_indices(spec, records)
+        except (NonConvergentLift, CircleInvalid) as exc:
+            checks.append({"name": "index_sum", "pass": False, "error": str(exc)})
+        else:
+            ph = ix.poincare_hopf_check(spec, records)
+            multiset = ix.index_multiset(records)
+            # An isolated umbilic of index 0 is no singularity of the line field,
+            # so a point set holding one is wrong whatever the sum.
             checks.append(
                 {
-                    "name": "index_assignment_note",
-                    "pass": True,
-                    "claimed_axis_minus_half_diag_one": not contradicted,
-                    "note": (
-                        "computed multiset contradicts the axis:-1/2 / diagonal:+1 "
-                        "assignment (which cannot satisfy an index sum of 2)"
-                        if contradicted
-                        else "computed multiset matches the claimed assignment"
-                    ),
+                    "name": "index_sum",
+                    "pass": ph.passed and all(r.index != 0 for r in records),
+                    "sum": ph.total,
+                    "multiset": [[v, n] for v, n in multiset],
                 }
             )
+            if spec.family == sf.SUPERQUADRIC:
+                contradicted = tuple(multiset) != _CLAIMED_SWAPPED
+                checks.append(
+                    {
+                        "name": "index_assignment_note",
+                        "pass": True,
+                        "claimed_axis_minus_half_diag_one": not contradicted,
+                        "note": (
+                            "computed multiset contradicts the axis:-1/2 / diagonal:+1 "
+                            "assignment (which cannot satisfy an index sum of 2)"
+                            if contradicted
+                            else "computed multiset matches the claimed assignment"
+                        ),
+                    }
+                )
 
     out = {
         "spec": spec.to_json(),

@@ -26,8 +26,7 @@ kernel call, as do all midpoints of one bisection level.
 
 :func:`attach_indices` draws each distinct ring once.  The two charts of
 an axis give bit-identical forms, so the records of a root in both charts
-share one ring when their radius caps agree; :func:`umbilic_index` itself
-still draws a ring per call.
+share one ring; :func:`umbilic_index` itself still draws a ring per call.
 
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
@@ -86,20 +85,20 @@ def _lift_ring(spec, chart, cu, cv, radius):
 
 def _radius_clip(spec, rec, records):
     """Largest admissible circle: half the gap to other umbilic preimages
-    in this chart, and well inside the chart rectangle.  The preimages are
-    :func:`umbilics.surface.ambient_to_chart`'s, taken in one array pass."""
+    in this chart, and well inside the chart rectangle.
+
+    A record within the finder's dedup radius of ``rec`` is the same point.
+    Each half of these even, convex surfaces is a graph over its chart, so
+    the preimages are the records on the chart's side over valid (u, v).
+    """
     chart = rec.chart
     umax, vmax = sf.chart_bounds(spec, chart)
     clip = 0.5 * min(umax, vmax)
     pts = np.array([other.ambient for other in records or []], dtype=float).reshape(-1, 3)
-    q = np.array(rec.ambient, dtype=float)
-    # np.allclose's test drops the record itself and points coincident with it.
-    pts = pts[~np.all(np.abs(pts - q) <= 1e-8 + 1e-5 * np.abs(q), axis=1)]
+    pts = pts[np.linalg.norm(pts - rec.ambient, axis=1) >= um.DEDUP_REL * sf.surface_diameter(spec)]
     iu, iv, ih = sf.placement(chart)
     pts = pts[pts[:, ih] * chart.sign >= 0.0]
     pts = pts[sf.chart_valid(spec, chart, pts[:, iu], pts[:, iv])]
-    h = sf._height(spec, chart, pts[:, iu], pts[:, iv])
-    pts = pts[np.abs(h - pts[:, ih]) <= 1e-6 * (1.0 + np.abs(pts[:, ih]))]
     if pts.size:
         clip = min(clip, 0.5 * float(np.hypot(pts[:, iu] - rec.uv[0], pts[:, iv] - rec.uv[1]).min()))
     return clip
@@ -123,8 +122,6 @@ def umbilic_index(spec, rec, records=None) -> WindingResult:
     tried = 0
     while True:
         try:
-            if radius <= 0.0:
-                raise CircleInvalid("zero ring radius")
             total, evals, max_jump = _lift_ring(spec, chart, cu, cv, radius)
             break
         except CircleInvalid:
@@ -154,15 +151,16 @@ def umbilic_index(spec, rec, records=None) -> WindingResult:
 def attach_indices(spec, records):
     """Copy of the record list with winding indices filled in.
 
-    A ring's result depends only on the chart's forms, which the two charts
-    of an axis share, the centre and the radius cap, so mirrored records
-    share one :func:`umbilic_index` call (keyed with the record kind too,
-    which that call checks).
+    A ring's result depends only on the chart's forms, its centre and its
+    radius cap.  The two charts of an axis share their forms and the
+    finder's records are mirror-symmetric, so mirrored records share one
+    :func:`umbilic_index` call (keyed with the record kind too, which that
+    call checks).
     """
     rings = {}
     out = []
     for rec in records:
-        key = (rec.chart.axis, rec.uv, _radius_clip(spec, rec, records), rec.kind)
+        key = (rec.chart.axis, rec.uv, rec.kind)
         if key not in rings:
             rings[key] = umbilic_index(spec, rec, records)
         out.append(replace(rec, index=rings[key].index))
@@ -173,9 +171,6 @@ def attach_indices(spec, records):
 class IndexSumReport:
     total: float
     passed: bool               # total == 2 exactly (Euler characteristic)
-
-    def to_json(self):
-        return {"sum": self.total, "pass": self.passed}
 
 
 def poincare_hopf_check(spec, records) -> IndexSumReport:

@@ -16,7 +16,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 class SvgPlot:
     def __init__(self):
         self._curves = []       # (points, stroke)
-        self._markers = []      # (x, y, fill)
+        self._markers = []      # (x, y)
 
     def add_curve(self, points, stroke=None):
         """points: iterable of (x, y) in data coordinates."""
@@ -27,14 +27,14 @@ class SvgPlot:
             stroke = _PALETTE[len(self._curves) % len(_PALETTE)]
         self._curves.append((pts, stroke))
 
-    def add_marker(self, x, y, fill="#000000"):
-        self._markers.append((float(x), float(y), fill))
+    def add_marker(self, x, y):
+        self._markers.append((float(x), float(y)))
 
     def _bounds(self):
         xs = [x for pts, _ in self._curves for x, _ in pts]
         ys = [y for pts, _ in self._curves for _, y in pts]
-        xs += [x for x, _, _ in self._markers]
-        ys += [y for _, y, _ in self._markers]
+        xs += [x for x, _ in self._markers]
+        ys += [y for _, y in self._markers]
         if not xs:
             return 0.0, 0.0, 1.0, 1.0
         x0, x1 = min(xs), max(xs)
@@ -66,9 +66,9 @@ class SvgPlot:
                 f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
                 'stroke-width="1.2"/>'
             )
-        for x, y, fill in self._markers:
+        for x, y in self._markers:
             px, py = self._project(x, y, box)
-            lines.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="4" fill="{fill}"/>')
+            lines.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="4" fill="#000000"/>')
         lines.append("</svg>")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -327,10 +327,14 @@ def test_verify_fails_on_index_zero_umbilic(capsys, tmp_path, monkeypatch):
 def test_verify_fails_on_flat_equal_superquadric(capsys, tmp_path):
     """sq(1, 1, 1, k = 12) lies past the envelope: the finder reports
     spurious roots near its very flat axis points.  verify must not pass,
-    and no continuum record may hide the failure."""
+    and no continuum record may hide the failure.  A ring the line field
+    leaves unresolved is a failed index_sum check, reported in the JSON."""
     path = tmp_path / "sq_k12.json"
     path.write_text(json.dumps(SurfaceSpec.superquadric(1, 1, 1, 12).to_json()))
     code, out, _ = run(capsys, "verify", "--spec", str(path))
-    assert code != 0
-    assert not out or not json.loads(out)["pass"]
+    assert code == 2
+    doc = json.loads(out)
+    assert not doc["pass"]
+    [check] = [c for c in doc["checks"] if c["name"] == "index_sum"]
+    assert not check["pass"] and "unresolved" in check["error"]
     assert all(r.kind == um.ISOLATED for r in um.find_umbilics(SurfaceSpec.superquadric(1, 1, 1, 12)))

@@ -148,20 +148,47 @@ def test_bisection_one_kernel_call_per_level(results, monkeypatch):
     assert len(calls) < samples - (ix.RING_SAMPLES + 1)
 
 
-def test_attach_indices_draws_each_ring_once(results, monkeypatch):
-    """pe_lt's 18 records need 9 distinct rings (mirrored records share
-    theirs), and the shared results equal the per-record ones."""
-    records, windings = results.records(PE_LT), results.windings(PE_LT)
-    index, calls = ix.umbilic_index, []
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_attach_indices_draws_each_ring_once(name, results, monkeypatch):
+    """Mirrored records share one ring per (axis, uv, kind) key, each ring
+    clips its radius once (pe_lt's 18 records need 9 rings), and the shared
+    results equal the per-record ones."""
+    spec = BUNDLED[name]
+    records, windings = results.records(spec), results.windings(spec)
+    rings = {(r.chart.axis, r.uv, r.kind) for r in records}
+    index, clip, calls, clips = ix.umbilic_index, ix._radius_clip, [], []
 
     def counted(*args):
         calls.append(args)
         return index(*args)
 
+    def counted_clip(*args):
+        clips.append(args)
+        return clip(*args)
+
     monkeypatch.setattr(ix, "umbilic_index", counted)
-    indexed = ix.attach_indices(PE_LT, records)
-    assert (len(records), len(calls)) == (18, 9)
+    monkeypatch.setattr(ix, "_radius_clip", counted_clip)
+    indexed = ix.attach_indices(spec, records)
+    assert len(calls) == len(clips) == len(rings)
+    if name == "pe_lt":
+        assert (len(records), len(rings)) == (18, 9)
     assert [r.index for r in indexed] == [w.index for w in windings]
+
+
+def test_radius_clip_keeps_records_beyond_dedup_radius(results):
+    """A record 5e-6 from a diagonal umbilic in chart coordinates (7.1e-6
+    in space, past sq_1112's 2e-6 dedup radius) is another point, so the
+    diagonal ring clips to half that gap."""
+    recs = results.records(SQ_1112)
+    diag = next(r for r in recs if _classify(r) == "diag")
+    u, v = diag.uv[0] + 5e-6, diag.uv[1]
+    near = um.UmbilicRecord(
+        tuple(float(c) for c in sf.chart_points(SQ_1112, diag.chart, u, v)), diag.chart, (u, v), 0.0
+    )
+    gap = np.linalg.norm(np.subtract(near.ambient, diag.ambient))
+    assert gap > um.DEDUP_REL * sf.surface_diameter(SQ_1112)
+    assert ix._radius_clip(SQ_1112, diag, recs + [near]) == pytest.approx(2.5e-6, rel=1e-6)
+    assert ix._radius_clip(SQ_1112, diag, recs) > ix.RING_RADIUS
 
 
 def test_ring_angle_bisects_principal_frame():
