@@ -454,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--spec", required=True, help="spec JSON path or bundled name")
     common.add_argument("--out", default=None, help="directory for output artifacts")
-    common.add_argument("--seed", type=_positive(int, zero=True), default=0, help="sampling seed")
+    # Only the commands that run the convexity scan sample anything.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_positive(int, zero=True), default=0, help="sampling seed")
 
     parser = argparse.ArgumentParser(
         prog="umbilics",
@@ -462,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("forms", parents=[common], help="fundamental forms and curvature")
+    p = subs.add_parser("forms", parents=[common, seeded], help="fundamental forms and curvature")
     p.add_argument("--at", help="chart coordinates 'u,v'")
     p.add_argument("--chart", default="Z+", help="chart label: X+, X-, Y+, Y-, Z+ or Z-")
     p.add_argument("--numeric", action="store_true", help="include numeric-path forms")
@@ -492,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_trace)
 
-    p = subs.add_parser("verify", parents=[common], help="one-shot verification report")
+    p = subs.add_parser("verify", parents=[common, seeded], help="one-shot verification report")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -83,8 +83,8 @@ def _field_direction(spec, chart, u, v, prev):
     return ((du, dv) if dots[i] > 0.0 else (-du, -dv)), forms
 
 
-# Fehlberg 4(5) embedded pair.
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+# Fehlberg 4(5) embedded pair; the line field is autonomous, so no stage
+# reads the nodes c_i.
 _RKF_A = (
     (),
     (1 / 4,),

@@ -257,11 +257,11 @@ def lift_lines(spec, chart, line, ts, psi, points, max_depth):
 
     A polyline with a degenerate sample, or one still hopping over a
     segment ``max_depth`` levels deep, is unresolved and split no further.
-    Returns per polyline (total lifted change, midpoints taken, largest
-    |hop|, resolved) as arrays.
+    Returns per polyline (total lifted change, midpoints taken, resolved)
+    as arrays; every hop of a resolved polyline is below MAX_JUMP.
     """
     n = int(line.max()) + 1
-    total, jump = np.zeros(n), np.zeros(n)
+    total = np.zeros(n)
     mids_taken = np.zeros(n, int)
     resolved = np.ones(n, bool)
     resolved[line[np.isnan(psi).any(axis=1)]] = False
@@ -271,7 +271,6 @@ def lift_lines(spec, chart, line, ts, psi, points, max_depth):
         split = np.abs(hops) >= MAX_JUMP
         done = ~split
         total += np.bincount(line[done], hops[done], n)
-        np.fmax.at(jump, line[done], np.abs(hops[done]))
         if depth == max_depth:
             resolved[line[split]] = False
         keep = split & resolved[line]
@@ -286,7 +285,7 @@ def lift_lines(spec, chart, line, ts, psi, points, max_depth):
         line = np.repeat(line, 2)
         ts = np.stack([ts[:, 0], mid, mid, ts[:, 1]], axis=1).reshape(-1, 2)
         psi = np.stack([psi[:, 0], mid_psi, mid_psi, psi[:, 1]], axis=1).reshape(-1, 2)
-    return total, mids_taken, jump, resolved
+    return total, mids_taken, resolved
 
 
 def first_form_unit(E, F, G, du, dv):

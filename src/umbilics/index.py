@@ -20,9 +20,11 @@ plain uniform sampling:
   is within a couple of decades of the rounding scale of A, B and C fails
   the lift, and the ring is redrawn at twice the radius.
 
-The ring's own samples decide whether it fits in the chart (it is redrawn
-at half the radius when one does not), and they take their forms in one
-kernel call, as do all midpoints of one bisection level.
+The ring's own samples decide whether it fits in the chart: each must keep
+the radicand margin DELTA_VALID that every other chart-validity test of
+the finder and the index uses, or the ring is redrawn at half the radius.
+They take their forms in one kernel call, as do all midpoints of one
+bisection level.
 
 :func:`attach_indices` draws each distinct ring once.  The two charts of
 an axis give bit-identical forms, so the records of a root in both charts
@@ -44,7 +46,7 @@ from . import surface as sf
 from . import umbilic as um
 from .errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 
-RING_RADIUS = 1e3 * math.sqrt(um.TOL_FIND)   # 0.01, before clipping
+RING_RADIUS = 0.01       # before clipping
 RING_SAMPLES = 720
 RING_DEPTH = 37          # bisection levels: 2 pi / 720 / 2^37 = 6.3e-14 rad, the first width below 1e-13
 
@@ -53,34 +55,7 @@ RING_DEPTH = 37          # bisection levels: 2 pi / 720 / 2^37 = 6.3e-14 rad, th
 class WindingResult:
     index: float              # half-integer
     samples: int              # total direction evaluations on the final ring
-    max_jump: float           # largest lifted angle step (radians)
     radius: float             # chart-coordinate circle radius
-
-
-def _lift_ring(spec, chart, cu, cv, radius):
-    """Continuously lift the line angle around the circle.
-
-    Returns (total change, evaluations, max jump).  Raises CircleInvalid
-    when a ring sample's radicand is below 100 DELTA_VALID, and
-    NonConvergentLift when :func:`umbilics.forms.lift_lines` leaves the ring
-    unresolved (a degenerate sample, or a hop RING_DEPTH levels deep).
-    """
-
-    def points(_, ts):
-        return cu + radius * np.cos(ts), cv + radius * np.sin(ts)
-
-    ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 2.0 * math.pi)
-    uu, vv = points(None, ts)
-    if not np.all(sf.chart_valid(spec, chart, uu, vv, margin=100.0 * sf.DELTA_VALID)):
-        raise CircleInvalid(f"ring of radius {radius:.3e} leaves chart {chart.label}")
-    psi = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu, vv))
-    total, mids, jump, resolved = fm.lift_lines(
-        spec, chart, np.zeros(RING_SAMPLES, int), np.stack([ts[:-1], ts[1:]], axis=1),
-        np.stack([psi[:-1], psi[1:]], axis=1), points, RING_DEPTH,
-    )
-    if not resolved[0]:
-        raise NonConvergentLift(f"line field unresolved on the ring of radius {radius:.3e}")
-    return float(total[0]), ts.size + int(mids[0]), float(jump[0])
 
 
 def _radius_clip(spec, rec, records):
@@ -107,10 +82,14 @@ def _radius_clip(spec, rec, records):
 def umbilic_index(spec, rec, records=None) -> WindingResult:
     """Winding index of one isolated umbilic record.
 
-    The circle radius adapts: it shrinks to stay clear of other umbilics and
-    inside the chart, and grows (doubling, within those same limits) when
-    the principal directions on the ring are too degenerate to resolve --
-    the situation at nearly planar umbilics of high-power surfaces.
+    The circle radius adapts.  It starts at RING_RADIUS, clipped to stay
+    clear of other umbilics and inside the chart rectangle.  It halves while
+    a ring sample leaves the chart (CircleInvalid once it is 1e-9 or less),
+    and doubles up to the clip while :func:`umbilics.forms.lift_lines`
+    leaves the ring unresolved (NonConvergentLift past the clip) -- the
+    situation at nearly planar umbilics of high-power surfaces.  A ring that
+    has shrunk never grows again: doubling would only return to a radius
+    that left the chart.
     """
     if rec.kind != um.ISOLATED:
         raise NotIsolated("index is defined for isolated umbilics only")
@@ -119,33 +98,36 @@ def umbilic_index(spec, rec, records=None) -> WindingResult:
     cap = _radius_clip(spec, rec, records)
     radius = min(RING_RADIUS, cap)
 
-    tried = 0
-    while True:
-        try:
-            total, evals, max_jump = _lift_ring(spec, chart, cu, cv, radius)
-            break
-        except CircleInvalid:
-            tried += 1
-            if radius > 1e-9 and tried < 40:
-                radius *= 0.5
-                continue
-            raise CircleInvalid(
-                f"no valid sampling circle around ({cu}, {cv}) on {chart.label}"
-            ) from None
-        except NonConvergentLift:
-            tried += 1
-            if 2.0 * radius <= cap and tried < 40:
-                radius *= 2.0
-                continue
-            raise
+    ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 2.0 * math.pi)
 
-    index = total / (2.0 * math.pi)
+    def points(_, t):
+        return cu + radius * np.cos(t), cv + radius * np.sin(t)
+
+    while True:
+        uu, vv = points(None, ts)
+        if not np.all(sf.chart_valid(spec, chart, uu, vv)):
+            if radius <= 1e-9:
+                raise CircleInvalid(f"no valid sampling circle around ({cu}, {cv}) on {chart.label}")
+            radius = cap = 0.5 * radius      # a ring that has shrunk never grows again
+            continue
+        psi = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu, vv))
+        total, mids, resolved = fm.lift_lines(
+            spec, chart, np.zeros(RING_SAMPLES, int), np.stack([ts[:-1], ts[1:]], axis=1),
+            np.stack([psi[:-1], psi[1:]], axis=1), points, RING_DEPTH,
+        )
+        if resolved[0]:
+            break
+        if 2.0 * radius > cap:
+            raise NonConvergentLift(f"line field unresolved on the ring of radius {radius:.3e}")
+        radius *= 2.0
+
+    index = float(total[0]) / (2.0 * math.pi)
     doubled = round(2.0 * index)
     if abs(2.0 * index - doubled) > 1e-3:
         raise NonConvergentLift(
             f"winding {index:.6f} is not a half-integer; radius {radius:.3e}"
         )
-    return WindingResult(doubled / 2.0, evals, max_jump, radius)
+    return WindingResult(doubled / 2.0, ts.size + int(mids[0]), radius)
 
 
 def attach_indices(spec, records):

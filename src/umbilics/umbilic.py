@@ -11,7 +11,8 @@ nonzero winding and of every cell with an unresolved edge: one that meets a
 degenerate sample or still hops after EDGE_DEPTH bisection levels, as near
 flat umbilics.  No residual threshold picks the seeds.  A pair of index
 +1/2 and -1/2 inside one cell sums to zero, so the cell size is the finder's
-resolution.
+resolution.  The scan, the refiner and the index ring share one chart
+margin: a point is usable when its radicand is at least surface.DELTA_VALID.
 
 The lanes are refined by a damped Newton iteration on the two-equation
 system (C, B), accepted below TOL_FIND and deduplicated across charts.
@@ -91,7 +92,6 @@ EDGE_DEPTH = 30                      # bisection levels of a scan-cell edge
 TOL_FIND = 1e-10                     # residual below which a point is umbilic
 DEDUP_REL = 1e-6                     # dedup radius over the surface diameter
 MAX_NEWTON = 100
-NEWTON_MARGIN = 10.0 * sf.DELTA_VALID
 
 
 def scaled_residual(E, F, G, e, f, g):
@@ -129,8 +129,8 @@ def _norm(a):
 
 def _system(spec, chart, X):
     """Unscaled umbilic system (C, B) at the rows (u, v) of X, and the mask of
-    rows that keep the Newton margin (the other rows are NaN)."""
-    ok = sf.chart_valid(spec, chart, X[:, 0], X[:, 1], margin=NEWTON_MARGIN)
+    valid rows (the other rows are NaN)."""
+    ok = sf.chart_valid(spec, chart, X[:, 0], X[:, 1])
     out = np.full(X.shape, np.nan)
     _, B, C = fm.line_quadratic(*fm.closed_forms_arrays(spec, chart, X[ok, 0], X[ok, 1]))
     out[ok, 0], out[ok, 1] = C, B
@@ -142,7 +142,7 @@ def _newton_refine(spec, chart, seeds):
 
     The seeds run in lockstep as independent lanes, the active lanes'
     evaluations batched per call.  A lane stops when a Jacobian side point
-    leaves the Newton margin, its Jacobian is singular, seven halvings fail
+    leaves the chart, its Jacobian is singular, seven halvings fail
     to lower |(C, B)|, or its step falls below 1e-14 relative.  Flat umbilics
     make Newton converge only linearly (ratio (m-1)/m for a root of
     multiplicity m); when three consecutive undamped steps decay
@@ -241,18 +241,18 @@ def _cell_seeds(spec, chart):
     when every valid grid vertex is degenerate (an umbilic continuum).
 
     The chart rectangle is cut into CELLS x CELLS cells.  The line angle is
-    taken once at every vertex that keeps the Newton margin and lifted along
-    every edge between two such vertices (:func:`umbilics.forms.lift_lines`,
-    one kernel call per bisection level over all edges).  The lifted change
-    around a cell is 2 pi times the index sum inside it.  A cell is a seed
-    when that sum is nonzero, or when an edge of it is unresolved.
+    taken once at every valid vertex and lifted along every edge between two
+    such vertices (:func:`umbilics.forms.lift_lines`, one kernel call per
+    bisection level over all edges).  The lifted change around a cell is
+    2 pi times the index sum inside it.  A cell is a seed when that sum is
+    nonzero, or when an edge of it is unresolved.
     """
     n = CELLS
     umax, vmax = sf.chart_bounds(spec, chart)
     # Exactly symmetric vertices; with n odd the chart centre is a cell centre.
     offsets = np.arange(n + 1) - 0.5 * n
     uu, vv = np.meshgrid(offsets * (2.0 * umax / n), offsets * (2.0 * vmax / n), indexing="ij")
-    valid = sf.chart_valid(spec, chart, uu, vv, margin=NEWTON_MARGIN)
+    valid = sf.chart_valid(spec, chart, uu, vv)
     psi = np.full(uu.shape, np.nan)
     psi[valid] = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu[valid], vv[valid]))
     if np.all(np.isnan(psi[valid])):
@@ -266,7 +266,7 @@ def _cell_seeds(spec, chart):
     live = np.flatnonzero(valid[starts] & valid[ends])
     a, b = starts[live], ends[live]
     u0, v0, du, dv = uu[a], vv[a], uu[b] - uu[a], vv[b] - vv[a]
-    change, _, _, resolved = fm.lift_lines(
+    change, _, resolved = fm.lift_lines(
         spec, chart, np.arange(live.size), np.tile([0.0, 1.0], (live.size, 1)),
         np.stack([psi[a], psi[b]], axis=1), lambda i, t: (u0[i] + t * du[i], v0[i] + t * dv[i]),
         EDGE_DEPTH,

@@ -286,11 +286,15 @@ def test_out_of_range_numbers_rejected(capsys, tmp_path, argv):
         ["umbilics", "--spec", "sq_1112", "--grid-n", "0"],
         ["umbilics", "--spec", "sq_1112", "--tol-find", "nan"],
         ["umbilics", "--spec", "sq_1112", "--tol-find", "-1"],
+        ["umbilics", "--spec", "sq_1112", "--seed", "1"],
+        ["trace", "--spec", "sq_1112", "--start", "0.7,0", "--seed", "1"],
     ],
     ids=lambda argv: " ".join(argv[3:]),
 )
 def test_finder_flags_unrecognized(capsys, tmp_path, argv):
-    """The seed grid and the residual tolerance are fixed; neither is a flag."""
+    """The seed grid and the residual tolerance are fixed; neither is a flag.
+    Only forms and verify sample (the convexity scan), so only they take
+    --seed."""
     code, _, err = run(capsys, *argv, "--out", str(tmp_path))
     assert code == 1
     [line] = [line for line in err.splitlines() if "error:" in line]

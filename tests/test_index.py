@@ -12,7 +12,7 @@ from umbilics import forms as fm
 from umbilics import index as ix
 from umbilics import surface as sf
 from umbilics import umbilic as um
-from umbilics.errors import CircleInvalid, MissingIndex, NotIsolated
+from umbilics.errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 from umbilics.surface import ChartId, SurfaceSpec
 
 from conftest import BUNDLED, PE_GT, PE_LT, SPHERE, SQ_1112, random_valid_chart_points
@@ -60,8 +60,6 @@ def test_index_sampling_oracle(results, monkeypatch):
         co360 = _index_with(monkeypatch, "RING_SAMPLES", 360, rec, recs)
         default = ix.umbilic_index(SQ_1112, rec, recs)
         assert dense.index == co360.index == default.index
-        assert dense.max_jump < math.pi / 4.0
-        assert co360.max_jump < math.pi / 4.0
 
 
 def test_index_radius_stability(results, monkeypatch):
@@ -116,17 +114,66 @@ def test_pole_index_below_threshold(results):
     assert dict(ix.index_multiset(recs)) == {1.0: 2}
 
 
-def test_ring_leaving_chart_is_circle_invalid():
-    """A ring with samples past the chart edge raises CircleInvalid, which
-    makes umbilic_index halve the radius; the sq_c100 diagonal point seen
-    from Z- needs radius 0.00125."""
+def _sq_c100_diagonal_from_z_minus():
+    """sq_c100's diagonal umbilic near the Z- chart edge, as a Z- record."""
     spec, chart = BUNDLED["sq_c100"], ChartId("z", -1)
     p = next(p for p in um.closed_form_umbilics(spec) if p[0] < 0 < p[1] and p[2] < 0)
     u, v, _ = sf.ambient_to_chart(spec, chart, p)
+    return spec, um.UmbilicRecord(tuple(p), chart, (u, v), 0.0)
+
+
+def test_ring_leaving_chart_is_circle_invalid(monkeypatch):
+    """A ring with samples past the chart edge is halved: the sq_c100
+    diagonal point seen from Z- needs radius 0.00125, three halvings down
+    from RING_RADIUS.  A ring that never fits is CircleInvalid once the
+    radius is 1e-9 or less (24 halvings), without a lift."""
+    spec, rec = _sq_c100_diagonal_from_z_minus()
+    res = ix.umbilic_index(spec, rec)
+    assert (res.index, res.radius) == (-0.5, 0.00125)
+
+    rings = []
+
+    def nowhere(spec, chart, u, v, margin=sf.DELTA_VALID):
+        rings.append(np.size(u))
+        return np.zeros(np.shape(u), bool)
+
+    monkeypatch.setattr(sf, "chart_valid", nowhere)
+    monkeypatch.setattr(fm, "lift_lines", None)
     with pytest.raises(CircleInvalid):
-        ix._lift_ring(spec, chart, u, v, 0.01)
-    total, _, _ = ix._lift_ring(spec, chart, u, v, 0.00125)
-    assert total == pytest.approx(-math.pi)
+        ix.umbilic_index(spec, rec)
+    assert rings.count(ix.RING_SAMPLES + 1) == 25
+
+
+def test_shrunk_ring_never_grows(monkeypatch):
+    """An unresolved lift after a halving raises at once: doubling would
+    only return to a radius that left the chart."""
+    spec, rec = _sq_c100_diagonal_from_z_minus()
+    lift, lifts = fm.lift_lines, []
+
+    def unresolved(*args):
+        lifts.append(args)
+        *out, resolved = lift(*args)
+        return (*out, np.zeros_like(resolved))
+
+    monkeypatch.setattr(fm, "lift_lines", unresolved)
+    with pytest.raises(NonConvergentLift):
+        ix.umbilic_index(spec, rec)
+    assert len(lifts) == 1
+
+
+@pytest.mark.parametrize("name", ["sq_c100", "pe_lt"])
+def test_one_chart_margin(name, monkeypatch):
+    """The cell scan, the Newton refiner and the index ring all test chart
+    validity with the one margin DELTA_VALID."""
+    spec, valid, margins = BUNDLED[name], sf.chart_valid, set()
+
+    def recorded(spec, chart, u, v, margin=sf.DELTA_VALID):
+        margins.add(margin)
+        return valid(spec, chart, u, v, margin)
+
+    monkeypatch.setattr(sf, "chart_valid", recorded)
+    ix.attach_indices(spec, um.find_umbilics(spec))
+    assert margins == {sf.DELTA_VALID}
 
 
 def test_bisection_one_kernel_call_per_level(results, monkeypatch):
@@ -142,10 +189,10 @@ def test_bisection_one_kernel_call_per_level(results, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(fm, "closed_forms_arrays", counted)
-    total, samples, _ = ix._lift_ring(spec, rec.chart, *rec.uv, 0.04)
-    assert total == pytest.approx(2.0 * math.pi)
-    assert samples == 835
-    assert len(calls) < samples - (ix.RING_SAMPLES + 1)
+    monkeypatch.setattr(ix, "RING_RADIUS", 0.04)
+    res = ix.umbilic_index(spec, rec, results.records(spec))
+    assert (res.index, res.radius, res.samples) == (1.0, 0.04, 835)
+    assert len(calls) < res.samples - (ix.RING_SAMPLES + 1)
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
@@ -246,7 +293,6 @@ def test_winding_results_are_half_integers(results):
     for rec in recs:
         res = ix.umbilic_index(BUNDLED["pe_gt_eps_hi"], rec, recs)
         assert 2.0 * res.index == round(2.0 * res.index)
-        assert res.max_jump < math.pi / 4.0
         assert res.radius > 0
 
 

@@ -204,17 +204,17 @@ def test_cell_seeds_hold_the_umbilics():
 def test_newton_lanes_independent(name):
     """The lockstep refiner's lanes do not interact: each cell seed refined
     alone ends on the same bits as in the whole batch, and a seed inside
-    the Newton margin stops where it starts without changing the others."""
+    the chart margin stops where it starts without changing the others."""
     spec = BUNDLED[name]
     for chart in sf.chart_atlas(spec)[:3]:
         seeds = um._cell_seeds(spec, chart)
         assert len(seeds) > 1
         umax, _ = sf.chart_bounds(spec, chart)
         edge = brentq(
-            lambda u: float(sf.radicand(spec, chart, u, 0.0)) - 0.5 * um.NEWTON_MARGIN,
+            lambda u: float(sf.radicand(spec, chart, u, 0.0)) - 0.5 * sf.DELTA_VALID,
             0.0, umax, xtol=1e-300,
         )
-        assert 0.0 < sf.radicand(spec, chart, edge, 0.0) < um.NEWTON_MARGIN
+        assert 0.0 < sf.radicand(spec, chart, edge, 0.0) < sf.DELTA_VALID
         batch = um._newton_refine(spec, chart, np.vstack([seeds, [[edge, 0.0]]]))
         assert batch[-1].tolist() == [edge, 0.0]
         assert np.array_equal(batch[:-1], um._newton_refine(spec, chart, seeds))
