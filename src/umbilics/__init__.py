@@ -19,7 +19,7 @@ from .forms import (
     curvature_summary,
     forms_closed,
     forms_numeric,
-    principal_frame,
+    principal_directions,
 )
 from .umbilic import (
     ThresholdReport,

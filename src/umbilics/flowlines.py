@@ -1,18 +1,18 @@
 """Lines of curvature: adaptive tracing of the principal line field.
 
-Field directions come from :func:`umbilics.forms.principal_frame`.  Tracing
-integrates the unit-speed direction field with an embedded Fehlberg 4(5)
-pair, continuing with the principal axis at the smallest surface angle to
-the previous direction (largest first-form |I(w, prev)|, signed to agree).
 A curvature line satisfies the homogeneous quadratic of
-:func:`umbilics.forms.line_quadratic`
+:func:`umbilics.forms.line_quadratic`, the one line-field kernel
 
     (fE - eF) u'^2 + (gE - eG) u'v' + (gF - fG) v'^2 = 0
 
-and each accepted step logs a discretization residual: that quadratic
-evaluated on the cubic-Hermite midpoint derivative of the step, i.e. a
-measure of how well the numerical curve satisfies the defining equation
-between nodes.
+Its two roots, from :func:`umbilics.forms.principal_directions`, are the
+field directions.  Tracing integrates the unit-speed direction field with
+an embedded Fehlberg 4(5) pair, continuing with the principal axis at the
+smallest surface angle to the previous direction (largest first-form
+|I(w, prev)|, signed to agree).  Each accepted step logs a discretization
+residual: the same quadratic evaluated on the cubic-Hermite midpoint
+derivative of the step, i.e. a measure of how well the numerical curve
+satisfies the defining equation between nodes.
 """
 
 from __future__ import annotations
@@ -62,12 +62,9 @@ class CurveTrace:
 def _principal_axes(spec, chart, u, v):
     """Forms (E, F, G, e, f, g) at (u, v) and both principal directions there,
     as (du, dv) float pairs unit in the first form and ordered by chart
-    angle mod pi."""
+    angle in [0, pi)."""
     forms = tuple(float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
-    E, F, G = forms[:3]
-    angles = sorted(fm.principal_frame(*forms)[2:])
-    axes = [fm.first_form_unit(E, F, G, math.cos(t), math.sin(t)) for t in angles]
-    return forms, axes
+    return forms, fm.principal_directions(*forms)
 
 
 def _field_direction(spec, chart, u, v, prev):

@@ -1,4 +1,4 @@
-"""Fundamental forms, principal frame, line field, curvatures, convexity scan.
+"""Fundamental forms, line field, principal directions and curvatures, convexity scan.
 
 Two independent evaluation paths are provided and cross-checked in tests:
 
@@ -59,7 +59,7 @@ class CurvatureSummary:
     H: float
     k1: float                 # larger principal curvature
     k2: float
-    dir1: tuple               # chart-coordinate (du, dv), unit in the first form
+    dir1: tuple               # chart (du, dv), unit in the first form, angle in [0, pi)
     dir2: tuple
     degenerate: bool          # |k1 - k2| below tol_umb: dirs are arbitrary
 
@@ -187,42 +187,29 @@ def forms_numeric(spec, cp, step=None) -> FundamentalForms:
     return FundamentalForms(*(float(x) for x in vals))
 
 
-def principal_frame(E, F, G, e, f, g):
-    """Principal curvatures k1 >= k2 and their chart-direction angles mod pi.
-
-    Eigen-decomposition of the Weingarten matrix (inverse first form times
-    second form); each angle comes from whichever defining row of
-    (W - k I) w = 0 is better conditioned.  Scalar floats in and out.  At
-    (near-)umbilic points the angles are arbitrary: callers apply their own
-    degeneracy rule to k1 - k2.
-    """
-    det = E * G - F * F
-    c00 = (e * G - f * F) / det
-    c01 = (f * G - g * F) / det
-    c10 = (f * E - e * F) / det
-    c11 = (g * E - f * F) / det
-    mean = (c00 + c11) / 2.0
-    root = math.sqrt(max((c00 - c11) ** 2 / 4.0 + c01 * c10, 0.0))
-    # Larger-magnitude root directly; the other from the product K = k1 k2,
-    # which avoids cancellation when one curvature is near zero.
-    big = mean + math.copysign(root, mean)
-    small = (e * g - f * f) / det / big if big else 0.0
-    k1, k2 = (big, small) if big >= small else (small, big)
-
-    def angle(k):
-        w1 = (c01, k - c00)
-        w2 = (k - c11, c10)
-        w = w1 if math.hypot(*w1) >= math.hypot(*w2) else w2
-        return math.atan2(w[1], w[0]) % math.pi
-
-    return k1, k2, angle(k1), angle(k2)
-
-
 def line_quadratic(E, F, G, e, f, g):
     """Coefficients (fE - eF, gE - eG, gF - fG) of the curvature-line
     equation A du^2 + B du dv + C dv^2 = 0; all three vanish exactly at
     umbilics.  Scalars or arrays."""
     return f * E - e * F, g * E - e * G, g * F - f * G
+
+
+def principal_directions(E, F, G, e, f, g):
+    """Both principal directions: the roots psi -+ delta of the curvature-line
+    quadratic, as chart (du, dv) float pairs unit in the first form and
+    ordered by chart angle in [0, pi).
+
+    On unit chart directions the quadratic is (A + C)/2 + R cos(2 phi - 2 psi)
+    with 2R = hypot(A - C, B), so its roots sit at psi -+ delta with
+    cos 2 delta = -(A + C) / 2R and sin 2 delta = sqrt(B^2 - 4AC) / 2R.
+    Scalars in.  At (near-)umbilic points the pair is arbitrary: callers
+    apply their own degeneracy rule.
+    """
+    A, B, C = line_quadratic(E, F, G, e, f, g)
+    psi = 0.5 * math.atan2(B, A - C)
+    delta = 0.5 * math.atan2(math.sqrt(max(B * B - 4.0 * A * C, 0.0)), -(A + C))
+    angles = sorted(((psi - delta) % math.pi, (psi + delta) % math.pi))
+    return [first_form_unit(E, F, G, math.cos(t), math.sin(t)) for t in angles]
 
 
 def line_angle(E, F, G, e, f, g):
@@ -306,15 +293,17 @@ def curvature_summary(spec, cp) -> CurvatureSummary:
     det = ff.det_first
     K = (e * g - f * f) / det
     H = (e * G - 2.0 * f * F + g * E) / (2.0 * det)
-    k1, k2, t1, t2 = principal_frame(E, F, G, e, f, g)
-    if abs(k1 - k2) < tol_umb(k1, k2):
+    # k1 >= k2: the normal curvatures along the unit principal directions
+    d1, d2 = principal_directions(E, F, G, e, f, g)
+    k1, k2 = (e * du * du + 2.0 * f * du * dv + g * dv * dv for du, dv in (d1, d2))
+    if k1 < k2:
+        k1, k2, d1, d2 = k2, k1, d2, d1
+    degenerate = abs(k1 - k2) < tol_umb(k1, k2)
+    if degenerate:
         d1 = first_form_unit(E, F, G, 1.0, 0.0)
         # Gram-Schmidt of the v axis against the u axis in the first form
         d2 = first_form_unit(E, F, G, -F / E, 1.0)
-        return CurvatureSummary(K, H, k1, k2, d1, d2, True)
-    d1 = first_form_unit(E, F, G, math.cos(t1), math.sin(t1))
-    d2 = first_form_unit(E, F, G, math.cos(t2), math.sin(t2))
-    return CurvatureSummary(K, H, k1, k2, d1, d2, False)
+    return CurvatureSummary(K, H, k1, k2, d1, d2, degenerate)
 
 
 def gaussian_curvature_arrays(spec, chart, u, v):

@@ -380,12 +380,15 @@ def closed_form_umbilics(spec):
         thr = critical_epsilon(a, b)
         if eps <= thr.epsilon_critical:
             return pts
+        # Just above eps_c a squared coordinate can round below 0; the
+        # clamp puts the newborn octet at the pole (a > b) or on the
+        # equator (a < b), its limit there.
         if a > b:
             v2 = (-a + math.sqrt(3.0 * b * (a * a + 4.0 * eps) / (2.0 * a + b))) / (
                 2.0 * eps
             )
             z2 = (a - b) * (a * a + 4.0 * eps) / (2.0 * b * eps * (2.0 * a + b))
-            vs, zs = math.sqrt(v2), math.sqrt(z2)
+            vs, zs = math.sqrt(max(v2, 0.0)), math.sqrt(z2)
             for s1 in (1.0, -1.0):
                 for s2 in (1.0, -1.0):
                     pts.append(np.array([0.0, s1 * vs, s2 * zs]))
@@ -393,7 +396,7 @@ def closed_form_umbilics(spec):
         else:
             u2 = (b - a) / (6.0 * eps)
             z2 = (5.0 * a * a - 4.0 * a * b - b * b + 18.0 * eps) / (18.0 * b * eps)
-            us, zs = math.sqrt(u2), math.sqrt(z2)
+            us, zs = math.sqrt(u2), math.sqrt(max(z2, 0.0))
             for s1 in (1.0, -1.0):
                 for s2 in (1.0, -1.0):
                     for s3 in (1.0, -1.0):
@@ -440,20 +443,15 @@ def critical_epsilon(a, b) -> ThresholdReport:
 
 
 def expected_count(spec):
-    """Umbilic count implied by the closed-form results, or None."""
-    if spec.family == sf.SUPERQUADRIC:
-        return 14
-    if spec.family == sf.ELLIPSOID:
-        return 4 if len({spec.a, spec.b, spec.c}) == 3 else None
-    a, b, eps = spec.a, spec.b, spec.epsilon
-    if a == b:
+    """Umbilic count implied by the closed-form results, or None where
+    :func:`closed_form_umbilics` is silent.  The a < b equator octet above
+    eps_c has no closed form and adds 8 to the points it lists."""
+    try:
+        pts = closed_form_umbilics(spec)
+    except NotApplicable:
         return None
-    if eps == 0.0:
-        return 2
-    thr = critical_epsilon(a, b)
-    if eps <= thr.epsilon_critical:
-        return thr.predicted_count_below
-    return thr.predicted_count_above
+    octet = spec.family == sf.PERTURBED_ELLIPSOID and spec.a < spec.b and len(pts) > 2
+    return len(pts) + (8 if octet else 0)
 
 
 def match_distance(points_a, points_b) -> float:

@@ -1,6 +1,7 @@
 """Shared fixtures: reference specs, samplers, and cached pipeline results."""
 
 import json
+import math
 from dataclasses import replace
 from importlib import resources
 
@@ -32,6 +33,16 @@ PE_GT = BUNDLED["pe_gt"]                  # a=0.516 > b=0.3, eps=0.1
 PE_LT = BUNDLED["pe_lt"]                  # a=0.3 < b=0.516, eps=0.1
 ELL_123 = BUNDLED["ellipsoid_123"]
 SPHERE = SurfaceSpec.perturbed_ellipsoid(1.0, 1.0, 0.0)
+# One ulp above eps_c, where a squared closed-form coordinate rounds below 0
+# (v^2 for a > b, z^2 for a < b).
+EPS_C_PLUS = {
+    "a_greater_b": SurfaceSpec.perturbed_ellipsoid(
+        2.886888721308171, 2.188130325281924, 0.4435705368032511
+    ),
+    "a_less_b": SurfaceSpec.perturbed_ellipsoid(
+        2.0408058310878925, 2.330317269152358, 0.20160203658787623
+    ),
+}
 
 
 class _ResultCache:
@@ -91,6 +102,24 @@ def random_valid_chart_points(spec, chart, n, rng, margin=sf.DELTA_COVER, interi
             us.append(float(u))
             vs.append(float(v))
     return np.array(us), np.array(vs)
+
+
+def weingarten_eig(E, F, G, e, f, g):
+    """Independent principal-frame oracle: numpy.linalg.eig of the
+    Weingarten matrix I^-1 II.  Returns k1 >= k2 and the chart angles mod pi
+    of their eigenvectors."""
+    vals, vecs = np.linalg.eig(np.linalg.solve([[E, F], [F, G]], [[e, f], [f, g]]))
+    vals, vecs = vals.real, vecs.real
+    order = np.argsort(-vals)
+    k1, k2 = (float(vals[i]) for i in order)
+    t1, t2 = (math.atan2(vecs[1, i], vecs[0, i]) % math.pi for i in order)
+    return k1, k2, t1, t2
+
+
+def angle_gap(a, b):
+    """Distance between two chart angles modulo pi."""
+    d = (a - b) % math.pi
+    return min(d, math.pi - d)
 
 
 def random_surface_points(spec, n, rng):

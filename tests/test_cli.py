@@ -9,6 +9,8 @@ from umbilics import cli
 from umbilics import umbilic as um
 from umbilics.surface import ChartId, ChartPoint, SurfaceSpec, chart_to_ambient
 
+from conftest import EPS_C_PLUS
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -194,6 +196,20 @@ def test_verify_perturbed(capsys):
     assert sorted(map(tuple, ph["multiset"])) == [(-1.0, 2), (0.5, 8)]
     thr = next(c for c in doc["checks"] if c["name"] == "threshold")
     assert thr["side"] == "above"
+
+
+@pytest.mark.parametrize("regime", sorted(EPS_C_PLUS))
+def test_verify_just_above_critical_epsilon(capsys, tmp_path, regime):
+    spec = EPS_C_PLUS[regime]
+    assert spec.epsilon > um.critical_epsilon(spec.a, spec.b).epsilon_critical
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_json()))
+    code, out, _ = run(capsys, "verify", "--spec", str(path))
+    assert code in (0, 2)
+    doc = json.loads(out)
+    assert out == cli.canonical_json(doc)
+    agree = next(c for c in doc["checks"] if c["name"] == "closed_form_agreement")
+    assert agree["closed_count"] == 10
 
 
 def test_verify_deterministic(capsys):

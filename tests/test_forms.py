@@ -16,7 +16,7 @@ from umbilics import surface as sf
 from umbilics.errors import MarginTooSmall
 from umbilics.surface import ChartId, ChartPoint, SurfaceSpec
 
-from conftest import BUNDLED, PE_LT, SQ_1112, random_valid_chart_points
+from conftest import BUNDLED, PE_LT, SQ_1112, angle_gap, random_valid_chart_points, weingarten_eig
 
 Z_PLUS = ChartId("z", 1)
 
@@ -148,15 +148,23 @@ def test_symmetry_locus_exact_zeros():
                 assert ff.F == 0.0 and ff.f == 0.0
 
 
+def _normal_curvatures(E, F, G, e, f, g):
+    """The second form along each kernel principal direction (unit in the
+    first form), in the kernel's chart-angle order."""
+    return [
+        e * du * du + 2.0 * f * du * dv + g * dv * dv
+        for du, dv in fm.principal_directions(E, F, G, e, f, g)
+    ]
+
+
 def test_shape_operator_sphere_identity():
-    k1, k2, _, _ = fm.principal_frame(1, 0, 1, 1, 0, 1)
-    assert (k1, k2) == (1.0, 1.0)
+    assert _normal_curvatures(1, 0, 1, 1, 0, 1) == [1.0, 1.0]
 
 
 def test_shape_operator_diagonal():
-    k1, k2, t1, t2 = fm.principal_frame(1, 0, 1, 2, 0, 1)
-    assert (k1, k2) == (2.0, 1.0)
-    assert (t1, t2) == (0.0, math.pi / 2.0)
+    assert _normal_curvatures(1, 0, 1, 2, 0, 1) == [2.0, 1.0]
+    dirs = fm.principal_directions(1, 0, 1, 2, 0, 1)
+    assert [math.atan2(dv, du) for du, dv in dirs] == [0.0, math.pi / 2.0]
 
 
 def test_shape_operator_general_entries():
@@ -167,8 +175,8 @@ def test_shape_operator_general_entries():
     c01 = (0.1 * 2.0 - 0.7 * 0.5) / det
     c10 = (0.1 * 1.0 - 0.3 * 0.5) / det
     c11 = (0.7 * 1.0 - 0.1 * 0.5) / det
-    k1, k2, _, _ = fm.principal_frame(1.0, 0.5, 2.0, 0.3, 0.1, 0.7)
-    assert k1 >= k2  # real eigenvalues, ordered
+    k1, k2 = _normal_curvatures(1.0, 0.5, 2.0, 0.3, 0.1, 0.7)
+    assert k1 != k2  # two distinct real curvatures
     assert math.isclose(k1 + k2, c00 + c11, rel_tol=1e-15)
     assert math.isclose(k1 * k2, c00 * c11 - c01 * c10, rel_tol=1e-15)
 
@@ -183,17 +191,43 @@ def test_shape_operator_consistency(name):
     for u, v in zip(us, vs):
         cp = ChartPoint(chart, float(u), float(v))
         ff = fm.forms_closed(spec, cp)
-        k1, k2, _, _ = fm.principal_frame(ff.E, ff.F, ff.G, ff.e, ff.f, ff.g)
         cs = fm.curvature_summary(spec, cp)
-        tr = k1 + k2
-        det = k1 * k2
+        assert cs.k1 >= cs.k2
+        tr = cs.k1 + cs.k2
+        det = cs.k1 * cs.k2
         assert abs(tr - 2.0 * cs.H) <= 1e-9 * max(abs(tr), 1.0)
         assert abs(det - cs.K) <= 1e-9 * max(abs(det), 1.0)
         direct = (ff.e * ff.g - ff.f**2) / ff.det_first
         assert abs(det - direct) <= 1e-12 * max(abs(det), 1e-30)
-        # K = k1 k2 and H = (k1 + k2)/2
-        assert abs(cs.K - cs.k1 * cs.k2) <= 1e-9 * max(abs(cs.K), 1.0)
-        assert abs(cs.H - 0.5 * (cs.k1 + cs.k2)) <= 1e-9 * max(abs(cs.H), 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_principal_directions_match_weingarten_eig(name):
+    """Kernel directions and curvatures against numpy.linalg.eig of I^-1 II,
+    on every chart, wherever the curvatures are well separated."""
+    spec = BUNDLED[name]
+    rng = np.random.default_rng(29)
+    checked = 0
+    for chart in sf.chart_atlas(spec):
+        us, vs = random_valid_chart_points(spec, chart, 200, rng)
+        for u, v in zip(us, vs):
+            cp = ChartPoint(chart, float(u), float(v))
+            ff = fm.forms_closed(spec, cp)
+            k1, k2, t1, t2 = weingarten_eig(ff.E, ff.F, ff.G, ff.e, ff.f, ff.g)
+            if k1 - k2 < 1e-6 * (abs(k1) + abs(k2)):
+                continue
+            for du, dv in fm.principal_directions(ff.E, ff.F, ff.G, ff.e, ff.f, ff.g):
+                t = math.atan2(dv, du)
+                assert min(angle_gap(t, t1), angle_gap(t, t2)) < 1e-11
+            # eig's error is relative to the operator's size, not to each
+            # eigenvalue: a k2 near 0 beside k1 ~ 1 (superquadric flats)
+            # carries its absolute error.
+            cs = fm.curvature_summary(spec, cp)
+            scale = abs(k1) + abs(k2)
+            assert abs(cs.k1 - k1) <= 1e-11 * scale
+            assert abs(cs.k2 - k2) <= 1e-11 * scale
+            checked += 1
+    assert checked > 0
 
 
 def test_principal_directions_first_form_orthogonal():

@@ -1,9 +1,7 @@
 """Winding indices, index sums, and the parameter sweep."""
 
-import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +13,9 @@ from umbilics import umbilic as um
 from umbilics.errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 from umbilics.surface import ChartId, SurfaceSpec
 
-from conftest import BUNDLED, PE_GT, PE_LT, SPHERE, SQ_1112, random_valid_chart_points
+from conftest import (
+    BUNDLED, PE_GT, PE_LT, SPHERE, SQ_1112, random_valid_chart_points, weingarten_eig,
+)
 
 
 def test_ellipsoid_indices(results):
@@ -239,8 +239,9 @@ def test_radius_clip_keeps_records_beyond_dedup_radius(results):
 
 
 def test_ring_angle_bisects_principal_frame():
-    """The ring angle psi halves the principal frame's theta1 + theta2 mod pi
-    wherever the curvatures are distinguishable."""
+    """The ring angle psi halves theta1 + theta2 mod pi, the angles of the
+    Weingarten-matrix eigenvectors, wherever the curvatures are
+    distinguishable."""
     rng = np.random.default_rng(10)
     checked = 0
     for spec in BUNDLED.values():
@@ -249,27 +250,13 @@ def test_ring_angle_bisects_principal_frame():
             psi = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu, vv))
             forms = zip(*(a.tolist() for a in fm.closed_forms_arrays(spec, chart, uu, vv)))
             for p, ff in zip(psi.tolist(), forms):
-                k1, k2, theta1, theta2 = fm.principal_frame(*ff)
+                k1, k2, theta1, theta2 = weingarten_eig(*ff)
                 if k1 - k2 < 1e-6 * (abs(k1) + abs(k2)):
                     continue
                 gap = (theta1 + theta2 - 2.0 * p) % math.pi
                 assert min(gap, math.pi - gap) < 1e-12
                 checked += 1
     assert checked > 10_000
-
-
-def test_index_needs_no_principal_frame(results, monkeypatch):
-    """Index rings read the curvature-line quadratic, never the eigen-solver."""
-    golden = json.loads((Path(__file__).parent / "data" / "bundled_records.json").read_text())
-    found = {name: results.records(BUNDLED[name]) for name in ("pe_lt", "sq_k4")}
-
-    def refuse(*args):
-        raise AssertionError("principal_frame called")
-
-    monkeypatch.setattr(fm, "principal_frame", refuse)
-    for name, records in found.items():
-        indexed = ix.attach_indices(BUNDLED[name], records)
-        assert sorted(r.index for r in indexed) == golden[name]["indices"]
 
 
 def test_not_isolated_rejected():

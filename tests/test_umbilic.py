@@ -1,6 +1,8 @@
 """Umbilic detection, closed forms, thresholds, and cross-checks."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from umbilics import umbilic as um
 from umbilics.errors import NotApplicable
 from umbilics.surface import ChartId, ChartPoint, SurfaceSpec
 
-from conftest import BUNDLED, PE_LT, SPHERE, SQ_1112, SQ_2352
+from conftest import BUNDLED, EPS_C_PLUS, PE_LT, SPHERE, SQ_1112, SQ_2352
 
 Z_PLUS = ChartId("z", 1)
 
@@ -376,6 +378,33 @@ def test_expected_count_helper():
     assert um.expected_count(BUNDLED["pe_gt_eps_lo"]) == 2
     assert um.expected_count(BUNDLED["pe_lt"]) == 18
     assert um.expected_count(SPHERE) is None
+
+
+def _regime_count(spec):
+    """The count rule written out from the family and the eps_c dichotomy."""
+    if spec.family == sf.SUPERQUADRIC:
+        return 14
+    if spec.family == sf.ELLIPSOID:
+        return 4 if len({spec.a, spec.b, spec.c}) == 3 else None
+    if spec.a == spec.b:
+        return None
+    if spec.epsilon == 0.0:
+        return 2
+    thr = um.critical_epsilon(spec.a, spec.b)
+    if spec.epsilon <= thr.epsilon_critical:
+        return thr.predicted_count_below
+    return thr.predicted_count_above
+
+
+def test_expected_count_matches_regime_rule():
+    """expected_count reads closed_form_umbilics; it agrees with the eps_c
+    dichotomy on every bundled and envelope spec and one ulp above eps_c."""
+    envelope = json.loads((Path(__file__).parent / "data" / "envelope_specs.json").read_text())
+    specs = list(BUNDLED.values())
+    specs += [SurfaceSpec.from_json(e) for e in envelope]
+    specs += list(EPS_C_PLUS.values())
+    for spec in specs:
+        assert um.expected_count(spec) == _regime_count(spec), spec
 
 
 def test_records_json_sorted(results):
