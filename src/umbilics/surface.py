@@ -46,6 +46,13 @@ class AxisTerm:
     d = epsilon, which may be 0.  ``scales`` holds, for derivative orders
     n = 0, 1, 2, the falling-factorial factors m!/(m-n)! c and
     (2m)!/(2m-n)! d, computed once here rather than on every call.
+
+    The exponent m is even in every family, so every power of s comes from
+    one power of |s|, |s|^(m-2) = s^(m-2), times s once or twice; the
+    quartic part reuses s^(2m-n) = s^m s^(m-n).  The power never sees a
+    negative base, so the term is exactly even in s and its derivative
+    exactly odd, and numpy's array loop stays on its fast non-negative
+    path.
     """
 
     c: float
@@ -60,17 +67,32 @@ class AxisTerm:
             for n in range(3)
         ))
 
-    def __call__(self, s, n=0):
-        """n-th derivative (n <= 2) of the term at s; n = 0 gives the value.
-
-        A scalar s stays a Python scalar: Python's ``**`` may round the
-        last bit differently from numpy's power loop on arrays.
-        """
-        sc, sd = self.scales[n]
-        out = sc * s ** (self.m - n)
+    def __call__(self, s):
+        """The term's value at s, bit for bit ``jet(s)[0]``."""
+        sm = abs(s) ** (self.m - 2) * s * s
+        sc, sd = self.scales[0]
+        out = sc * sm
         if sd is not None:
-            out = out + sd * s ** (2 * self.m - n)
+            out = out + sd * (sm * sm)
         return out
+
+    def jet(self, s):
+        """The term and its first two derivatives at s.
+
+        A scalar s stays a Python scalar, whose power runs libm ``pow``;
+        an array runs numpy's power loop, so the two may round the last bit
+        differently.
+        """
+        s2 = abs(s) ** (self.m - 2)     # s^(m-2), s^(m-1), s^m
+        s1 = s2 * s
+        sm = s1 * s
+        (c0, d0), (c1, d1), (c2, d2) = self.scales
+        value, first, second = c0 * sm, c1 * s1, c2 * s2
+        if d0 is not None:
+            value = value + d0 * (sm * sm)
+            first = first + d1 * (sm * s1)
+            second = second + d2 * (sm * s2)
+        return value, first, second
 
     def power(self, t):
         """The root s^m of term(s) = t (negative for t < 0).
@@ -270,7 +292,7 @@ def implicit_value(spec: SurfaceSpec, p):
 def implicit_gradient(spec: SurfaceSpec, p):
     """Gradient of the implicit function; vanishes only at the origin."""
     p = np.asarray(p, dtype=float)
-    return np.stack([term(p[..., i], 1) for i, term in enumerate(spec.terms)], axis=-1)
+    return np.stack([term.jet(p[..., i])[1] for i, term in enumerate(spec.terms)], axis=-1)
 
 
 def chart_atlas(spec: SurfaceSpec):
@@ -334,16 +356,18 @@ def height_jet(spec: SurfaceSpec, chart: ChartId, u, v):
 
     Chain rule on the separable t = 1 - term_u(u) - term_v(v) (so t_uv = 0)
     through the inverse of the height term T: dh/dt = 1 / T'(h) and
-    d2h/dt2 = -T''(h) / T'(h)^3.  Inputs must already be valid
-    (radicand > 0); no checking here.
+    d2h/dt2 = -T''(h) / T'(h)^3.  One term jet per axis.  Inputs must
+    already be valid (radicand > 0); no checking here.
     """
     u, v = _as_float(u), _as_float(v)
-    tu, tv, th, t = _chart_terms(spec, chart, u, v)
-    h = th.root(t)
-    h_t = 1.0 / th(h, 1)
-    h_tt = -th(h, 2) * h_t**3
-    t_u, t_v = -tu(u, 1), -tv(v, 1)
-    t_uu, t_vv = -tu(u, 2), -tv(v, 2)
+    tu, tv, th = (spec.terms[i] for i in placement(chart))
+    (Tu, Tu1, Tu2), (Tv, Tv1, Tv2) = tu.jet(u), tv.jet(v)
+    h = th.root(1.0 - Tu - Tv)
+    _, Th1, Th2 = th.jet(h)
+    h_t = 1.0 / Th1
+    h_tt = -Th2 * h_t**3
+    t_u, t_v = -Tu1, -Tv1
+    t_uu, t_vv = -Tu2, -Tv2
     s = chart.sign
     return (
         s * h,

@@ -20,10 +20,10 @@ Every family is even in every coordinate, so the two charts of an axis (X+
 and X-, ...) are mirror images through the height and give bit-identical
 forms at the same (u, v): each axis is scanned and refined once, in its +
 chart, and every root is recorded in both charts, X+ records before X- ones
-as a scan of all six charts would list them.  All seeds of a chart are
-refined in lockstep as rows of one array, so each iteration costs a few
-batched kernel calls; the per-seed rules are those of a scalar refiner, and
-no seed affects another.  Flat umbilics (the axis points of the power
+as a scan of all six charts would list them.  The seeds of all three +
+charts are refined in lockstep as rows of one array, so each iteration costs
+a few batched kernel calls, one per chart; the per-seed rules are those of a
+scalar refiner, and no seed affects another.  Flat umbilics (the axis points of the power
 family are planar points) make that system vanish to high order, so the
 refiner accelerates the resulting geometric step decay by extrapolation and
 finishes with exact symmetry-line snapping.  A chart whose every grid
@@ -127,30 +127,36 @@ def _norm(a):
     return np.linalg.norm(a, axis=-1)
 
 
-def _system(spec, chart, X):
-    """Unscaled umbilic system (C, B) at the rows (u, v) of X, and the mask of
-    valid rows (the other rows are NaN)."""
-    ok = sf.chart_valid(spec, chart, X[:, 0], X[:, 1])
+def _system(spec, charts, lane, X):
+    """Unscaled umbilic system (C, B) at the rows (u, v) of X, row i taken in
+    chart ``charts[lane[i]]``, and the mask of valid rows (the other rows are
+    NaN).  One kernel call per chart that has rows."""
     out = np.full(X.shape, np.nan)
-    _, B, C = fm.line_quadratic(*fm.closed_forms_arrays(spec, chart, X[ok, 0], X[ok, 1]))
-    out[ok, 0], out[ok, 1] = C, B
+    ok = np.zeros(len(X), bool)
+    for i in np.unique(lane):
+        rows = np.flatnonzero(lane == i)
+        rows = rows[sf.chart_valid(spec, charts[i], X[rows, 0], X[rows, 1])]
+        _, B, C = fm.line_quadratic(*fm.closed_forms_arrays(spec, charts[i], X[rows, 0], X[rows, 1]))
+        out[rows, 0], out[rows, 1] = C, B
+        ok[rows] = True
     return out, ok
 
 
-def _newton_refine(spec, chart, seeds):
-    """Damped Newton with geometric-step extrapolation from (n, 2) seeds.
+def _newton_refine(spec, charts, lane, seeds):
+    """Damped Newton with geometric-step extrapolation from (n, 2) seeds,
+    seed i in chart ``charts[lane[i]]``.
 
     The seeds run in lockstep as independent lanes, the active lanes'
-    evaluations batched per call.  A lane stops when a Jacobian side point
-    leaves the chart, its Jacobian is singular, seven halvings fail
-    to lower |(C, B)|, or its step falls below 1e-14 relative.  Flat umbilics
+    evaluations batched into one call per chart.  A lane stops when a
+    Jacobian side point leaves the chart, its Jacobian is singular, seven
+    halvings fail to lower |(C, B)|, or its step falls below 1e-14 relative.  Flat umbilics
     make Newton converge only linearly (ratio (m-1)/m for a root of
     multiplicity m); when three consecutive undamped steps decay
     geometrically the remaining tail is summed in one jump.  Returns the best
     point each lane reached; acceptance is the caller's residual check.
     """
     x = np.array(seeds, float).reshape(-1, 2)
-    fx, active = _system(spec, chart, x)
+    fx, active = _system(spec, charts, lane, x)
     steps = np.zeros((len(x), 3, 2))      # a lane's last undamped steps, newest last
     nsteps = np.zeros(len(x), int)
     for _ in range(MAX_NEWTON):
@@ -160,7 +166,7 @@ def _newton_refine(spec, chart, seeds):
         xa = x[lanes]
         h = 1e-7 * (1.0 + np.abs(xa[:, 0]) + np.abs(xa[:, 1]))
         side = xa[:, None, :] + h[:, None, None] * _SIDES
-        fs, ok = _system(spec, chart, side.reshape(-1, 2))
+        fs, ok = _system(spec, charts, np.repeat(lane[lanes], 4), side.reshape(-1, 2))
         jac = np.stack([fs[0::4] - fs[1::4], fs[2::4] - fs[3::4]], axis=-1) / (2.0 * h)[:, None, None]
         ok = ok.reshape(-1, 4).all(axis=1)
         # np.linalg.solve raises for the whole stack if one matrix is
@@ -177,7 +183,7 @@ def _newton_refine(spec, chart, seeds):
             if s.size == 0:
                 break
             xt = x[lanes[s]] + lam[s, None] * step[s]
-            ft, ok = _system(spec, chart, xt)
+            ft, ok = _system(spec, charts, lane[lanes[s]], xt)
             ok &= (_norm(ft) < nf[s]) | (_norm(lam[s, None] * step[s]) < 1e-15)
             x[lanes[s[ok]]], fx[lanes[s[ok]]] = xt[ok], ft[ok]
             searching[s[ok]] = False
@@ -196,7 +202,7 @@ def _newton_refine(spec, chart, seeds):
         if go.any():
             c, r2 = c[go], r2[go]
             xe = x[c] + steps[c, 2] * (r2 / (1.0 - r2))[:, None]
-            fe, ok = _system(spec, chart, xe)
+            fe, ok = _system(spec, charts, lane[c], xe)
             ok &= _norm(fe) <= _norm(fx[c])
             x[c[ok]], fx[c[ok]] = xe[ok], fe[ok]
             nsteps[c[ok]] = 0
@@ -289,22 +295,28 @@ def find_umbilics(spec):
     ambient coordinates.  An umbilic continuum (a sphere) gives a single
     record flagged ``non_isolated``, at the centre of the first chart.
     """
-    r_dedup = DEDUP_REL * sf.surface_diameter(spec)
-
-    found = []
-    for plus in (chart for chart in sf.chart_atlas(spec) if chart.sign > 0):
-        # The families are even in every coordinate, so the forms of the two
-        # charts of an axis agree bit for bit: refine in one, record in both.
-        minus = sf.ChartId(plus.axis, -1)
-        seeds = _cell_seeds(spec, plus)
-        if seeds is None:
+    pluses = [chart for chart in sf.chart_atlas(spec) if chart.sign > 0]
+    seeds = []
+    for plus in pluses:
+        cells = _cell_seeds(spec, plus)
+        if cells is None:
             res = float(umbilic_residual_arrays(spec, plus, 0.0, 0.0))
             point = tuple(float(c) for c in sf.chart_points(spec, plus, 0.0, 0.0))
             return [UmbilicRecord(point, plus, (0.0, 0.0), res, NON_ISOLATED)]
-        refined = _newton_refine(spec, plus, seeds)
-        residuals = umbilic_residual_arrays(spec, plus, refined[:, 0], refined[:, 1])
+        seeds.append(cells)
+    lane = np.repeat(np.arange(len(pluses)), [len(cells) for cells in seeds])
+    seeds = np.concatenate(seeds)
+    refined = _newton_refine(spec, pluses, lane, seeds)
+
+    found = []
+    for i, plus in enumerate(pluses):
+        # The families are even in every coordinate, so the forms of the two
+        # charts of an axis agree bit for bit: refine in one, record in both.
+        minus = sf.ChartId(plus.axis, -1)
+        rows = lane == i
+        residuals = umbilic_residual_arrays(spec, plus, refined[rows, 0], refined[rows, 1])
         roots = []
-        for (u0, v0), (u, v), res in zip(seeds, refined.tolist(), residuals.tolist()):
+        for (u0, v0), (u, v), res in zip(seeds[rows], refined[rows].tolist(), residuals.tolist()):
             u, v, res = _snap_symmetry(spec, plus, u, v, res)
             if not res < TOL_FIND:
                 log.debug(
@@ -318,14 +330,16 @@ def find_umbilics(spec):
                 point = tuple(float(c) for c in sf.chart_points(spec, chart, u, v))
                 found.append(UmbilicRecord(point, chart, (u, v), res))
 
+    # Greedy dedup in residual order: a record is kept unless it lies within
+    # the dedup radius of one kept before it.
     found.sort(key=lambda r: r.residual)
+    pts = np.array([r.ambient for r in found]).reshape(-1, 3)
+    far = _norm(pts[:, None, :] - pts[None, :, :]) >= DEDUP_REL * sf.surface_diameter(spec)
     kept = []
-    for rec in found:
-        p = np.array(rec.ambient)
-        if all(np.linalg.norm(p - np.array(k.ambient)) >= r_dedup for k in kept):
-            kept.append(rec)
-    kept.sort(key=lambda r: tuple(round(c, 9) for c in r.ambient))
-    return kept
+    for i in range(len(found)):
+        if far[i, kept].all():
+            kept.append(i)
+    return sorted((found[i] for i in kept), key=lambda r: tuple(round(c, 9) for c in r.ambient))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from umbilics import forms as fm
 from umbilics import index as ix
@@ -105,14 +106,13 @@ def random_valid_chart_points(spec, chart, n, rng, margin=sf.DELTA_COVER, interi
 
 
 def weingarten_eig(E, F, G, e, f, g):
-    """Independent principal-frame oracle: numpy.linalg.eig of the
-    Weingarten matrix I^-1 II.  Returns k1 >= k2 and the chart angles mod pi
-    of their eigenvectors."""
-    vals, vecs = np.linalg.eig(np.linalg.solve([[E, F], [F, G]], [[e, f], [f, g]]))
-    vals, vecs = vals.real, vecs.real
-    order = np.argsort(-vals)
-    k1, k2 = (float(vals[i]) for i in order)
-    t1, t2 = (math.atan2(vecs[1, i], vecs[0, i]) % math.pi for i in order)
+    """Independent principal-frame oracle: the symmetric-definite pencil
+    II x = k I x, solved by scipy.linalg.eigh (the eigenproblem of the
+    Weingarten matrix I^-1 II without forming it).  Returns k1 >= k2 and the
+    chart angles mod pi of their eigenvectors."""
+    vals, vecs = scipy.linalg.eigh([[e, f], [f, g]], [[E, F], [F, G]])
+    k2, k1 = (float(k) for k in vals)
+    t2, t1 = (math.atan2(vecs[1, i], vecs[0, i]) % math.pi for i in range(2))
     return k1, k2, t1, t2
 
 

@@ -106,6 +106,26 @@ def test_mirror_charts_bit_identical(spec):
         assert np.array_equal(m[:, [iu, iv]], p[:, [iu, iv]])
 
 
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_in_chart_reflections_bit_exact(name):
+    """Every family is even in each chart coordinate, and the kernel is
+    exactly so: at (-u, v), (u, -v) and (-u, -v) every chart gives the forms
+    (E, +-F, G, e, +-f, g) and the radicand of (u, v) bit for bit, on the
+    array and the Python-float paths."""
+    spec = BUNDLED[name]
+    rng = np.random.default_rng(37)
+    for chart in sf.chart_atlas(spec):
+        us, vs = random_valid_chart_points(spec, chart, 100, rng, margin=sf.DELTA_VALID)
+        for uu, vv in ((us, vs), (float(us[0]), float(vs[0]))):
+            want = fm.closed_forms_arrays(spec, chart, uu, vv)
+            for su, sv in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+                got = fm.closed_forms_arrays(spec, chart, su * uu, sv * vv)
+                for k, (a, b) in enumerate(zip(got, want)):
+                    assert np.array_equal(a, b * su * sv if k in (1, 4) else b), (chart, su, sv, k)
+                assert np.array_equal(sf.radicand(spec, chart, su * uu, sv * vv),
+                                      sf.radicand(spec, chart, uu, vv))
+
+
 @pytest.mark.parametrize(
     "spec",
     [SQ_1112, BUNDLED["sq_123_k3"], PE_LT, SurfaceSpec.perturbed_ellipsoid(0.5, 0.2, 0.0),
@@ -115,8 +135,9 @@ def test_mirror_charts_bit_identical(spec):
 def test_scalar_kernel_path(spec):
     """A Python float or np.float64 (u, v) gives scalars, not arrays, from
     the form kernel, the radicand and the height jet, within 1e-14 relative
-    of the one-element array path: they may round the last bit differently,
-    as Python's ** and numpy's power loop do."""
+    of the one-element array path.  They may differ in the last bit: a
+    scalar power of |s| runs libm ``pow``, an array runs numpy's power
+    loop, and the two may round differently."""
     rng = np.random.default_rng(31)
 
     def kernel(chart, u, v):

@@ -1,6 +1,7 @@
 """Surface families, charts, coverage, and spec serialization."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -222,6 +223,29 @@ def test_load_spec_unreadable(tmp_path, content):
 def test_k1_rejected_with_pointer():
     with pytest.raises(SpecError, match="ellipsoid"):
         SurfaceSpec.superquadric(1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("d", [None, 0.0, 0.1], ids=["single", "eps0", "eps"])
+@pytest.mark.parametrize("m", range(2, 25, 2))
+def test_axis_term_jet_exact(m, d):
+    """AxisTerm.jet is within 4 ulp of exact rational arithmetic on the
+    float inputs, relative to the summed magnitude of the term's parts, for
+    array and scalar s of either sign; the term's value is jet(s)[0] bit for
+    bit."""
+    term = sf.AxisTerm(1.7, m, d)
+    s = np.concatenate([np.random.default_rng(m).uniform(-1.5, 1.5, 40), [0.0, -0.0, 1.0, -1.0]])
+    batch = term.jet(s)
+    assert np.array_equal(term(s), batch[0])
+    for i, x in enumerate(s.tolist()):
+        scalar = term.jet(x)
+        assert term(x) == scalar[0]
+        for n in range(3):
+            parts = [math.perm(m, n) * Fraction(term.c) * Fraction(x) ** (m - n)]
+            if d is not None:
+                parts.append(math.perm(2 * m, n) * Fraction(d) * Fraction(x) ** (2 * m - n))
+            ulp = Fraction(math.ulp(float(sum(abs(p) for p in parts))))
+            for got in (float(batch[n][i]), scalar[n]):
+                assert abs(Fraction(got) - sum(parts)) <= 4 * ulp, (x, n)
 
 
 def test_epsilon_zero_admitted():

@@ -202,11 +202,18 @@ def test_cell_seeds_hold_the_umbilics():
         assert np.any(np.all(np.abs(seeds - uv) <= half, axis=1))
 
 
+def _refine_alone(spec, chart, seeds):
+    """The refiner run on one chart's seeds."""
+    return um._newton_refine(spec, [chart], np.zeros(len(seeds), int), seeds)
+
+
 @pytest.mark.parametrize("name", ["pe_gt", "pe_lt", "sq_c100"])
 def test_newton_lanes_independent(name):
     """The lockstep refiner's lanes do not interact: each cell seed refined
-    alone ends on the same bits as in the whole batch, and a seed inside
-    the chart margin stops where it starts without changing the others."""
+    alone ends on the same bits as in the whole batch, a seed inside the
+    chart margin stops where it starts without changing the others, and the
+    seeds of the three + charts refined together end on the same bits as
+    each chart's seeds refined alone."""
     spec = BUNDLED[name]
     for chart in sf.chart_atlas(spec)[:3]:
         seeds = um._cell_seeds(spec, chart)
@@ -217,11 +224,17 @@ def test_newton_lanes_independent(name):
             0.0, umax, xtol=1e-300,
         )
         assert 0.0 < sf.radicand(spec, chart, edge, 0.0) < sf.DELTA_VALID
-        batch = um._newton_refine(spec, chart, np.vstack([seeds, [[edge, 0.0]]]))
+        batch = _refine_alone(spec, chart, np.vstack([seeds, [[edge, 0.0]]]))
         assert batch[-1].tolist() == [edge, 0.0]
-        assert np.array_equal(batch[:-1], um._newton_refine(spec, chart, seeds))
+        assert np.array_equal(batch[:-1], _refine_alone(spec, chart, seeds))
         for seed, got in zip(seeds, batch):
-            assert um._newton_refine(spec, chart, seed[None]).tolist() == [got.tolist()]
+            assert _refine_alone(spec, chart, seed[None]).tolist() == [got.tolist()]
+    pluses = [chart for chart in sf.chart_atlas(spec) if chart.sign > 0]
+    seeds = [um._cell_seeds(spec, chart) for chart in pluses]
+    lane = np.repeat(np.arange(3), [len(s) for s in seeds])
+    together = um._newton_refine(spec, pluses, lane, np.concatenate(seeds))
+    for i, chart in enumerate(pluses):
+        assert np.array_equal(together[lane == i], _refine_alone(spec, chart, seeds[i]))
 
 
 def six_chart_reference(spec):
@@ -229,7 +242,7 @@ def six_chart_reference(spec):
     on its own, then the stable residual sort, dedup and ambient sort."""
     found = []
     for chart in sf.chart_atlas(spec):
-        refined = um._newton_refine(spec, chart, um._cell_seeds(spec, chart))
+        refined = _refine_alone(spec, chart, um._cell_seeds(spec, chart))
         residuals = um.umbilic_residual_arrays(spec, chart, refined[:, 0], refined[:, 1])
         for (u, v), res in zip(refined.tolist(), residuals.tolist()):
             u, v, res = um._snap_symmetry(spec, chart, u, v, res)
