@@ -17,7 +17,6 @@ satisfies the defining equation between nodes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -59,25 +58,22 @@ class CurveTrace:
         return bad <= EXCURSION_FRAC * len(self.residuals)
 
 
-def _principal_axes(spec, chart, u, v):
-    """Forms (E, F, G, e, f, g) at (u, v) and both principal directions there,
-    as (du, dv) float pairs unit in the first form and ordered by chart
-    angle in [0, pi)."""
-    forms = tuple(float(x) for x in fm.closed_forms_arrays(spec, chart, u, v))
-    return forms, fm.principal_directions(*forms)
-
-
 def _field_direction(spec, chart, u, v, prev):
     """Principal direction at (u, v) continuing prev (unit in first form),
-    and the forms there.  A chart dot product would pick the other family's
-    axis where the first form is anisotropic."""
-    forms, axes = _principal_axes(spec, chart, u, v)
+    and the forms there; (None, None) outside the covered zone.  A chart
+    dot product would pick the other family's axis where the first form is
+    anisotropic."""
+    if not sf.radicand(spec, chart, u, v) >= sf.DELTA_COVER:
+        return None, None
+    forms = fm.closed_forms_arrays(spec, chart, u, v)
     E, F, G = forms[:3]
-    dots = [E * w[0] * prev[0] + F * (w[0] * prev[1] + w[1] * prev[0]) + G * w[1] * prev[1]
-            for w in axes]
-    i = 0 if abs(dots[0]) >= abs(dots[1]) else 1
-    du, dv = axes[i]
-    return ((du, dv) if dots[i] > 0.0 else (-du, -dv)), forms
+    (au, av), (bu, bv) = fm.principal_directions(*forms)
+    pu, pv = prev
+    da = E * au * pu + F * (au * pv + av * pu) + G * av * pv
+    db = E * bu * pu + F * (bu * pv + bv * pu) + G * bv * pv
+    if abs(da) < abs(db):
+        au, av, da = bu, bv, db
+    return ((au, av) if da > 0.0 else (-au, -av)), forms
 
 
 # Fehlberg 4(5) embedded pair; the line field is autonomous, so no stage
@@ -95,11 +91,13 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
 def _combine(x, h, weights, ks):
-    """The node x + h * sum(w_i k_i) of (u, v) float pairs."""
-    return (
-        x[0] + h * sum(w * k[0] for w, k in zip(weights, ks)),
-        x[1] + h * sum(w * k[1] for w, k in zip(weights, ks)),
-    )
+    """The node x + h * sum(w_i k_i) of (u, v) float pairs, summed in
+    stage order."""
+    su = sv = 0.0
+    for w, (ku, kv) in zip(weights, ks):
+        su += w * ku
+        sv += w * kv
+    return x[0] + h * su, x[1] + h * sv
 
 
 def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
@@ -124,18 +122,13 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     if branch not in (0, 1):
         raise ValueError("branch must be 0 or 1")
 
-    def field(y, ref):
-        """Direction and forms at y, or (None, None) outside the covered zone."""
-        if not sf.chart_valid(spec, chart, y[0], y[1], margin=sf.DELTA_COVER):
-            return None, None
-        return _field_direction(spec, chart, y[0], y[1], ref)
-
     # Direction (None: start outside the covered zone) and umbilic residual
     # of the current node, each evaluated once; a rejected step reuses both.
     f0 = None
-    if sf.chart_valid(spec, chart, start.u, start.v, margin=sf.DELTA_COVER):
-        _, axes = _principal_axes(spec, chart, start.u, start.v)
-        f0 = tuple(float(sign) * c for c in axes[branch])
+    if sf.radicand(spec, chart, start.u, start.v) >= sf.DELTA_COVER:
+        forms = fm.closed_forms_arrays(spec, chart, start.u, start.v)
+        du, dv = fm.principal_directions(*forms)[branch]
+        f0 = (sign * du, sign * dv)
     x = (float(start.u), float(start.v))
     s = 0.0
     h = min(MAX_STEP, max(arclen_max / 16.0, 4.0 * MIN_STEP))
@@ -159,7 +152,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
         ks = [f0]
         for i in range(1, 6):
             y = _combine(x, h, _RKF_A[i], ks)
-            fi, _ = field(y, f0)
+            fi, _ = _field_direction(spec, chart, *y, f0)
             if fi is None:
                 break
             ks.append(fi)
@@ -178,7 +171,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
             h = max(MIN_STEP, 0.9 * h * (tol / err) ** 0.2)
             continue
 
-        f1, forms1 = field(x5, f0)
+        f1, forms1 = _field_direction(spec, chart, *x5, f0)
         if f1 is None:
             stop = CHART_BOUNDARY
             break
@@ -216,10 +209,9 @@ def _step_residual(spec, chart, x0, x1, f0, f1, h):
     chord = [0.5 * (a + b) for a, b in zip(x0, x1)]
     mid = [c + (h / 8.0) * (a - b) for c, a, b in zip(chord, f0, f1)]
     du, dv = (1.5 * (b - a) / h - 0.25 * (p + q) for a, b, p, q in zip(x0, x1, f0, f1))
-    if not sf.chart_valid(spec, chart, mid[0], mid[1], margin=sf.DELTA_VALID):
+    if not sf.radicand(spec, chart, *mid) >= sf.DELTA_VALID:
         mid = chord
-    forms = fm.closed_forms_arrays(spec, chart, mid[0], mid[1])
-    A, B, C = (float(c) for c in fm.line_quadratic(*forms))
+    A, B, C = fm.line_quadratic(*fm.closed_forms_arrays(spec, chart, *mid))
     q = A * du * du + B * du * dv + C * dv * dv
     scale = (abs(A) + abs(B) + abs(C)) * (du * du + dv * dv) + 1e-300
     return abs(q) / scale
@@ -238,12 +230,10 @@ def residual_log(trace: CurveTrace):
 def trace_to_csv(spec, trace: CurveTrace, path):
     """Write a trace as CSV: arclength, u, v, x, y, z, residual."""
     uv = np.array(trace.points)
-    xyz = sf.chart_points(spec, trace.chart, uv[:, 0], uv[:, 1])
+    xyz = sf.chart_points(spec, trace.chart, uv[:, 0], uv[:, 1]).tolist()
+    rows = zip(trace.arclengths, trace.points, xyz, (0.0,) + trace.residuals)
+    # The rows csv.writer gives: no field holds a comma, quote or newline.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arclength", "u", "v", "x", "y", "z", "residual"])
-        for i, ((u, v), s, p) in enumerate(zip(trace.points, trace.arclengths, xyz)):
-            res = trace.residuals[i - 1] if i > 0 else 0.0
-            writer.writerow(
-                [f"{val:.17g}" for val in (s, u, v, p[0], p[1], p[2], res)]
-            )
+        fh.write("arclength,u,v,x,y,z,residual\r\n")
+        for s, (u, v), (x, y, z), res in rows:
+            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n" % (s, u, v, x, y, z, res))

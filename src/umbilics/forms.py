@@ -102,7 +102,9 @@ def closed_forms_arrays(spec, chart, u, v):
     E = 1.0 + hu * hu
     F = hu * hv
     G = 1.0 + hv * hv
-    w = np.sqrt(1.0 + hu * hu + hv * hv)
+    w2 = 1.0 + hu * hu + hv * hv
+    # Both square roots are correctly rounded; a float ** 0.5 (libm pow) is not.
+    w = math.sqrt(w2) if isinstance(w2, float) else np.sqrt(w2)
     e = -chart.sign * huu / w
     f = -chart.sign * huv / w
     g = -chart.sign * hvv / w
@@ -208,8 +210,11 @@ def principal_directions(E, F, G, e, f, g):
     A, B, C = line_quadratic(E, F, G, e, f, g)
     psi = 0.5 * math.atan2(B, A - C)
     delta = 0.5 * math.atan2(math.sqrt(max(B * B - 4.0 * A * C, 0.0)), -(A + C))
-    angles = sorted(((psi - delta) % math.pi, (psi + delta) % math.pi))
-    return [first_form_unit(E, F, G, math.cos(t), math.sin(t)) for t in angles]
+    t0, t1 = (psi - delta) % math.pi, (psi + delta) % math.pi
+    if t1 < t0:
+        t0, t1 = t1, t0
+    return (first_form_unit(E, F, G, math.cos(t0), math.sin(t0)),
+            first_form_unit(E, F, G, math.cos(t1), math.sin(t1)))
 
 
 def line_angle(E, F, G, e, f, g):

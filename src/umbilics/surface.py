@@ -360,7 +360,8 @@ def height_jet(spec: SurfaceSpec, chart: ChartId, u, v):
     already be valid (radicand > 0); no checking here.
     """
     u, v = _as_float(u), _as_float(v)
-    tu, tv, th = (spec.terms[i] for i in placement(chart))
+    iu, iv, ih = placement(chart)
+    tu, tv, th = spec.terms[iu], spec.terms[iv], spec.terms[ih]
     (Tu, Tu1, Tu2), (Tv, Tv1, Tv2) = tu.jet(u), tv.jet(v)
     h = th.root(1.0 - Tu - Tv)
     _, Th1, Th2 = th.jet(h)

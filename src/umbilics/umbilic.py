@@ -98,11 +98,14 @@ def scaled_residual(E, F, G, e, f, g):
     """Scale-invariant umbilic residual of a coefficient set (scalars or arrays).
 
     Norm of the line-quadratic coefficients (A, B, C) over
-    (EG - F^2)(1 + |e| + |f| + |g|).
+    (EG - F^2)(1 + |e| + |f| + |g|).  Squares by multiplying, as numpy's
+    array ``** 2`` does (libm ``pow(x, 2)`` is not always correctly
+    rounded), so float and array inputs give the same bits.
     """
     A, B, C = fm.line_quadratic(E, F, G, e, f, g)
-    s = np.sqrt(C**2 + A**2 + B**2)
-    return s / ((E * G - F * F) * (1.0 + np.abs(e) + np.abs(f) + np.abs(g)))
+    s2 = C * C + A * A + B * B
+    s = math.sqrt(s2) if isinstance(s2, float) else np.sqrt(s2)
+    return s / ((E * G - F * F) * (1.0 + abs(e) + abs(f) + abs(g)))
 
 
 def umbilic_residual_arrays(spec, chart, u, v):
@@ -314,6 +317,8 @@ def find_umbilics(spec):
         # charts of an axis agree bit for bit: refine in one, record in both.
         minus = sf.ChartId(plus.axis, -1)
         rows = lane == i
+        if not rows.any():
+            continue
         residuals = umbilic_residual_arrays(spec, plus, refined[rows, 0], refined[rows, 1])
         roots = []
         for (u0, v0), (u, v), res in zip(seeds[rows], refined[rows].tolist(), residuals.tolist()):

@@ -9,9 +9,12 @@ index-0 points on the second.  Each spec must give the expected count, every
 closed-form point within 1e-7, isolated records only, an index sum of 2 and
 no index-0 record.
 
-``GRID_SPECS`` are the superquadrics of the grid (a, b, c) in {(1, 1, 1),
-(1, 1, 3), (2, 1, 1), (1, 2, 3)} x k = 2..9 that the residual-minimum finder
-got wrong and the cell scan gets right, under the same judgement.
+``GRID_SPECS`` are superquadrics of the grid (a, b, c) in {(1, 1, 1),
+(1, 1, 3), (2, 1, 1), (1, 2, 3)} x k = 2..9, under the same judgement: the
+eight that the residual-minimum finder got wrong and the cell scan gets
+right; the seven that gave spurious roots next to the flat axis points
+until each axis term took one power of |s|; and, as strict expected
+failures, the four where the diagonal points are still missed.
 """
 
 import json
@@ -24,11 +27,16 @@ from umbilics import umbilic as um
 from umbilics.surface import SurfaceSpec
 
 SPECS = json.loads((Path(__file__).parent / "data" / "envelope_specs.json").read_text())
+AXIS_ONLY = pytest.mark.xfail(strict=True, reason="only the 6 axis points are found (ROADMAP item 2)")
 GRID_SPECS = [
-    pytest.param({"family": "superquadric", "a": a, "b": b, "c": c, "k": k}, id=f"grid-{a}{b}{c}-k{k}")
-    for a, b, c, k in (
-        (1, 1, 1, 6), (1, 1, 3, 4), (1, 1, 3, 5), (2, 1, 1, 5),
-        (2, 1, 1, 8), (1, 2, 3, 6), (1, 2, 3, 7), (1, 2, 3, 8),
+    pytest.param({"family": "superquadric", "a": a, "b": b, "c": c, "k": k}, id=f"grid-{a}{b}{c}-k{k}",
+                 marks=[AXIS_ONLY] if wrong else [])
+    for a, b, c, k, wrong in (
+        (1, 1, 1, 6, 0), (1, 1, 3, 4, 0), (1, 1, 3, 5, 0), (2, 1, 1, 5, 0),
+        (2, 1, 1, 8, 0), (1, 2, 3, 6, 0), (1, 2, 3, 7, 0), (1, 2, 3, 8, 0),
+        (1, 1, 1, 7, 0), (1, 1, 3, 6, 0), (1, 1, 3, 7, 0), (1, 1, 3, 8, 0),
+        (1, 1, 3, 9, 0), (2, 1, 1, 6, 0), (2, 1, 1, 7, 0),
+        (1, 1, 1, 8, 1), (1, 1, 1, 9, 1), (2, 1, 1, 9, 1), (1, 2, 3, 9, 1),
     )
 ]
 

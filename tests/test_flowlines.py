@@ -1,5 +1,7 @@
 """Principal directions and curvature-line tracing."""
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -228,6 +230,19 @@ def test_trace_to_csv(tmp_path):
     assert len(row) == 7
     p = sf.chart_to_ambient(SQ_1112, ChartPoint(Z_PLUS, *tr.points[0]))
     assert abs(float(row[3]) - p[0]) < 1e-15
+    # Byte for byte what csv.writer writes for the same fields, here and on
+    # a perturbed-ellipsoid X+ trace, whose residuals are np.float64.
+    pe_tr = fl.trace_line(PE_LT, ChartPoint(ChartId("x", 1), 0.3, 0.2), 0, 0.3)
+    for spec, tr in ((SQ_1112, tr), (PE_LT, pe_tr)):
+        fl.trace_to_csv(spec, tr, path)
+        uv = np.array(tr.points)
+        xyz = sf.chart_points(spec, tr.chart, uv[:, 0], uv[:, 1])
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["arclength", "u", "v", "x", "y", "z", "residual"])
+        for (u, v), s, q, res in zip(tr.points, tr.arclengths, xyz, (0.0,) + tr.residuals):
+            writer.writerow([f"{val:.17g}" for val in (s, u, v, q[0], q[1], q[2], res)])
+        assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_single_step_trace():

@@ -13,6 +13,7 @@ import pytest
 import umbilics
 from umbilics import forms as fm
 from umbilics import surface as sf
+from umbilics import umbilic as um
 from umbilics.errors import MarginTooSmall
 from umbilics.surface import ChartId, ChartPoint, SurfaceSpec
 
@@ -126,12 +127,15 @@ def test_in_chart_reflections_bit_exact(name):
                                       sf.radicand(spec, chart, uu, vv))
 
 
-@pytest.mark.parametrize(
+SCALAR_SPECS = pytest.mark.parametrize(
     "spec",
     [SQ_1112, BUNDLED["sq_123_k3"], PE_LT, SurfaceSpec.perturbed_ellipsoid(0.5, 0.2, 0.0),
      BUNDLED["ellipsoid_123"]],
     ids=["sq_1112", "sq_123_k3", "pe_lt", "pe_eps0", "ellipsoid"],
 )
+
+
+@SCALAR_SPECS
 def test_scalar_kernel_path(spec):
     """A Python float or np.float64 (u, v) gives scalars, not arrays, from
     the form kernel, the radicand and the height jet, within 1e-14 relative
@@ -152,6 +156,26 @@ def test_scalar_kernel_path(spec):
                 for a, b in zip(kernel(chart, cu, cv), want):
                     assert not isinstance(a, np.ndarray) and np.ndim(a) == 0
                     assert abs(a - b[0]) <= 1e-14 * abs(b[0])
+
+
+@SCALAR_SPECS
+def test_scalar_kernel_float_clean(spec):
+    """On Python-float (u, v), every chart whose height term is a single
+    power gives exact floats from the form kernel, the line quadratic and
+    the umbilic residual.  The residual of those forms equals the
+    one-element array result bit for bit: both paths square by multiplying
+    and take a correctly rounded square root (libm ``pow(x, 2)`` is not
+    always the correctly rounded x * x)."""
+    rng = np.random.default_rng(41)
+    for chart in sf.chart_atlas(spec):
+        if spec.terms[sf.placement(chart)[2]].d is not None:
+            continue   # AxisTerm.power's np.where returns np.float64 here
+        us, vs = random_valid_chart_points(spec, chart, 200, rng, margin=sf.DELTA_VALID)
+        for u, v in zip(us, vs):
+            forms = fm.closed_forms_arrays(spec, chart, float(u), float(v))
+            res = um.scaled_residual(*forms)
+            assert {type(x) for x in (*forms, *fm.line_quadratic(*forms), res)} == {float}
+            assert res == um.scaled_residual(*(np.array([x]) for x in forms))[0]
 
 
 def test_symmetry_locus_exact_zeros():

@@ -190,6 +190,21 @@ def test_cell_scan_evaluates_each_vertex_once(monkeypatch):
     assert sum(sizes[1:]) < sizes[0]
 
 
+@pytest.mark.parametrize("name", ["ellipsoid_123", "pe_gt_eps_lo"])
+def test_seedless_chart_takes_no_kernel_call(monkeypatch, name):
+    """A + chart without cell seeds makes no kernel call on zero points
+    (ellipsoid_123 has one such chart, pe_gt_eps_lo two)."""
+    kernel, sizes = fm.closed_forms_arrays, []
+
+    def counted(*args):
+        sizes.append(np.size(args[2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(fm, "closed_forms_arrays", counted)
+    um.find_umbilics(BUNDLED[name])
+    assert 0 not in sizes
+
+
 def test_cell_seeds_hold_the_umbilics():
     """sq_1112's Z+ chart holds five umbilics (the pole and four diagonal
     points); each lies inside a seeded cell."""
