@@ -111,10 +111,10 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     kernel calls each step makes run without numpy dispatch.
     """
     chart = start.chart
-    # Starting on (or within refinement accuracy of) an umbilic is ill-posed;
-    # umbilic_residual raises InvalidChartPoint outside the chart.
+    # A start inside the umbilic stop radius would stop before its first
+    # step; umbilic_residual raises InvalidChartPoint outside the chart.
     umb = um.umbilic_residual(spec, start)
-    if umb <= 10.0 * um.TOL_FIND:
+    if umb < UMB_STOP:
         raise StartsAtUmbilic(
             f"({start.u}, {start.v}) on {chart.label} is an umbilic point"
         )

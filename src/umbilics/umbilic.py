@@ -15,7 +15,8 @@ resolution.  The scan, the refiner and the index ring share one chart
 margin: a point is usable when its radicand is at least surface.DELTA_VALID.
 
 The lanes are refined by a damped Newton iteration on the two-equation
-system (C, B), accepted below TOL_FIND and deduplicated across charts.
+system (C, B), accepted where the line field is degenerate by the scan's own
+rule (:func:`umbilics.forms.line_angle` is NaN), and deduplicated across charts.
 Every family is even in every coordinate, so the two charts of an axis (X+
 and X-, ...) are mirror images through the height and give bit-identical
 forms at the same (u, v): each axis is scanned and refined once, in its +
@@ -89,7 +90,6 @@ class ThresholdReport:
 
 CELLS = 63                           # scan cells per chart axis (odd)
 EDGE_DEPTH = 30                      # bisection levels of a scan-cell edge
-TOL_FIND = 1e-10                     # residual below which a point is umbilic
 DEDUP_REL = 1e-6                     # dedup radius over the surface diameter
 MAX_NEWTON = 100
 
@@ -108,15 +108,10 @@ def scaled_residual(E, F, G, e, f, g):
     return s / ((E * G - F * F) * (1.0 + abs(e) + abs(f) + abs(g)))
 
 
-def umbilic_residual_arrays(spec, chart, u, v):
-    """Vectorized scaled umbilic residual at valid chart points."""
-    return scaled_residual(*fm.closed_forms_arrays(spec, chart, u, v))
-
-
 def umbilic_residual(spec, cp) -> float:
     """Scale-invariant umbilic residual; zero exactly at umbilic points."""
     sf.check_valid(spec, cp)
-    return float(umbilic_residual_arrays(spec, cp.chart, cp.u, cp.v))
+    return float(scaled_residual(*fm.closed_forms_arrays(spec, cp.chart, cp.u, cp.v)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +151,7 @@ def _newton_refine(spec, charts, lane, seeds):
     make Newton converge only linearly (ratio (m-1)/m for a root of
     multiplicity m); when three consecutive undamped steps decay
     geometrically the remaining tail is summed in one jump.  Returns the best
-    point each lane reached; acceptance is the caller's residual check.
+    point each lane reached; acceptance is the caller's degeneracy test.
     """
     x = np.array(seeds, float).reshape(-1, 2)
     fx, active = _system(spec, charts, lane, x)
@@ -214,12 +209,13 @@ def _newton_refine(spec, charts, lane, seeds):
     return x
 
 
-def _snap_symmetry(spec, chart, u, v, res):
+def _snap_symmetry(spec, chart, u, v, res, umbilic):
     """Try exact symmetry-line representatives; keep whichever residual wins.
 
     The families are mirror-symmetric in each chart coordinate and, when the
     in-plane coefficients coincide, under u <-> v; converged points that are
-    numerically on a symmetry locus are replaced by the exact one.
+    numerically on a symmetry locus are replaced by the exact one.  ``umbilic``
+    (the line field is degenerate) is returned for the kept point.
     """
     scale = sum(sf.chart_bounds(spec, chart)) / 2.0
     candidates = []
@@ -235,13 +231,14 @@ def _snap_symmetry(spec, chart, u, v, res):
     if abs(u + v) < 1e-5 * scale:
         m = 0.5 * (u - v)
         candidates.append((m, 0.0 - m))   # not -m: (0, -0.0) would print as -0.0
-    best = (u, v, res)
+    best = (u, v, res, umbilic)
     for cu, cv in candidates:
         if not sf.chart_valid(spec, chart, cu, cv):
             continue
-        r = float(umbilic_residual_arrays(spec, chart, cu, cv))
+        forms = fm.closed_forms_arrays(spec, chart, cu, cv)
+        r = float(scaled_residual(*forms))
         if r <= best[2]:
-            best = (cu, cv, r)
+            best = (cu, cv, r, bool(np.isnan(fm.line_angle(*forms))))
     return best
 
 
@@ -303,7 +300,7 @@ def find_umbilics(spec):
     for plus in pluses:
         cells = _cell_seeds(spec, plus)
         if cells is None:
-            res = float(umbilic_residual_arrays(spec, plus, 0.0, 0.0))
+            res = float(scaled_residual(*fm.closed_forms_arrays(spec, plus, 0.0, 0.0)))
             point = tuple(float(c) for c in sf.chart_points(spec, plus, 0.0, 0.0))
             return [UmbilicRecord(point, plus, (0.0, 0.0), res, NON_ISOLATED)]
         seeds.append(cells)
@@ -319,15 +316,16 @@ def find_umbilics(spec):
         rows = lane == i
         if not rows.any():
             continue
-        residuals = umbilic_residual_arrays(spec, plus, refined[rows, 0], refined[rows, 1])
+        forms = fm.closed_forms_arrays(spec, plus, refined[rows, 0], refined[rows, 1])
+        lanes = zip(seeds[rows], refined[rows].tolist(), scaled_residual(*forms).tolist(),
+                    np.isnan(fm.line_angle(*forms)).tolist())
         roots = []
-        for (u0, v0), (u, v), res in zip(seeds[rows], refined[rows].tolist(), residuals.tolist()):
-            u, v, res = _snap_symmetry(spec, plus, u, v, res)
-            if not res < TOL_FIND:
-                log.debug(
-                    "seed (%.3f, %.3f) on %s/%s did not converge (residual %.2e)",
-                    u0, v0, plus.label, minus.label, res,
-                )
+        for (u0, v0), (u, v), res, umbilic in lanes:
+            # Snap first: a flat axis point is degenerate only where exactly symmetric.
+            u, v, res, umbilic = _snap_symmetry(spec, plus, u, v, res, umbilic)
+            if not umbilic:
+                log.debug("seed (%.3f, %.3f) on %s/%s: line field not degenerate at the"
+                          " kept point (residual %.2e)", u0, v0, plus.label, minus.label, res)
                 continue
             roots.append((u, v, res))
         for chart in (plus, minus):

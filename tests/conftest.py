@@ -9,11 +9,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import umbilics
 from umbilics import forms as fm
 from umbilics import index as ix
 from umbilics import surface as sf
 from umbilics import umbilic as um
 from umbilics.surface import SurfaceSpec
+
+
+def pytest_report_header(config):
+    """Name the package tree under test: pyproject.toml puts this tree's
+    ``src`` first on the path, ahead of any PYTHONPATH."""
+    return f"umbilics imported from {umbilics.__file__}"
 
 
 def bundled_specs():

@@ -15,6 +15,13 @@ eight that the residual-minimum finder got wrong and the cell scan gets
 right; the seven that gave spurious roots next to the flat axis points
 until each axis term took one power of |s|; and, as strict expected
 failures, the four where the diagonal points are still missed.
+
+``HIGH_K_SPECS`` are superquadrics at k = 11 to 14 where the finder, while
+it accepted a root by an absolute residual threshold, reported 34 to 486
+records: points next to the flat axis points, where the residual vanishes
+to high order, passed the threshold.  Accepting a root only where the line
+field is degenerate leaves the 14 closed-form points.  Their index rings do
+not converge yet (ROADMAP item 6), so only the finder is judged.
 """
 
 import json
@@ -52,3 +59,21 @@ def test_envelope_spec_judged_correct(fields):
     indexed = ix.attach_indices(spec, records)
     assert ix.poincare_hopf_check(spec, indexed).passed
     assert all(r.index != 0 for r in indexed)
+
+
+HIGH_K_SPECS = [
+    (1, 2, 3, 11), (1, 2, 3, 12), (1, 2, 3, 13), (1, 1, 1, 11), (2, 1, 1, 11),
+    (3, 20, 50, 12), (3, 20, 50, 14),
+]
+
+
+@pytest.mark.parametrize("a, b, c, k", HIGH_K_SPECS)
+def test_high_k_finder_isolated_closed_form(a, b, c, k):
+    spec = SurfaceSpec.from_json({"family": "superquadric", "a": a, "b": b, "c": c, "k": k})
+    records = um.find_umbilics(spec)
+    assert len(records) == 14
+    assert all(r.kind == um.ISOLATED for r in records)
+    closed = um.closed_form_umbilics(spec)
+    found = [r.ambient for r in records]
+    assert um.match_distance(closed, found) < 1e-7
+    assert um.match_distance(found, closed) < 1e-7

@@ -12,11 +12,12 @@ import pytest
 from umbilics import flowlines as fl
 from umbilics import forms as fm
 from umbilics import surface as sf
+from umbilics import umbilic as um
 from umbilics.errors import InvalidChartPoint, StartsAtUmbilic
 from umbilics.surface import ChartId, ChartPoint
 
 from conftest import (
-    BUNDLED, PE_LT, SPHERE, SQ_1112, angle_gap, random_valid_chart_points, weingarten_eig,
+    BUNDLED, ELL_123, PE_LT, SPHERE, SQ_1112, angle_gap, random_valid_chart_points, weingarten_eig,
 )
 
 Z_PLUS = ChartId("z", 1)
@@ -101,6 +102,17 @@ def test_trace_through_diagonal_region():
 def test_trace_sphere_rejected():
     with pytest.raises(StartsAtUmbilic):
         fl.trace_line(SPHERE, ChartPoint(Z_PLUS, 0.1, 0.0), 0, 1.0)
+
+
+def test_trace_start_inside_stop_radius_rejected(results):
+    """A start whose umbilic residual is below the tracer's own stop radius
+    UMB_STOP is an umbilic start: ellipsoid_123's X- record moved 1e-7 along
+    u has residual ~3.6e-8, which would stop a trace before its first step."""
+    (rec,) = [r for r in results.records(ELL_123) if r.chart.label == "X-" and r.uv[1] < 0.0]
+    start = ChartPoint(rec.chart, rec.uv[0] + 1e-7, rec.uv[1])
+    assert 1e-9 < um.umbilic_residual(ELL_123, start) < fl.UMB_STOP
+    with pytest.raises(StartsAtUmbilic):
+        fl.trace_line(ELL_123, start, 0, 0.1)
 
 
 def test_trace_invalid_start():

@@ -254,14 +254,16 @@ def test_newton_lanes_independent(name):
 
 def six_chart_reference(spec):
     """The finder without the mirror fold: every chart scanned and refined
-    on its own, then the stable residual sort, dedup and ambient sort."""
+    on its own, each refined point snapped and accepted where the line field
+    is degenerate, then the stable residual sort, dedup and ambient sort."""
     found = []
     for chart in sf.chart_atlas(spec):
         refined = _refine_alone(spec, chart, um._cell_seeds(spec, chart))
-        residuals = um.umbilic_residual_arrays(spec, chart, refined[:, 0], refined[:, 1])
-        for (u, v), res in zip(refined.tolist(), residuals.tolist()):
-            u, v, res = um._snap_symmetry(spec, chart, u, v, res)
-            if res < um.TOL_FIND:
+        forms = fm.closed_forms_arrays(spec, chart, refined[:, 0], refined[:, 1])
+        residuals, degenerate = um.scaled_residual(*forms), np.isnan(fm.line_angle(*forms))
+        for (u, v), res, umbilic in zip(refined.tolist(), residuals.tolist(), degenerate.tolist()):
+            u, v, res, umbilic = um._snap_symmetry(spec, chart, u, v, res, umbilic)
+            if umbilic:
                 point = tuple(float(c) for c in sf.chart_points(spec, chart, u, v))
                 found.append(um.UmbilicRecord(point, chart, (u, v), res))
     found.sort(key=lambda r: r.residual)
