@@ -96,7 +96,8 @@ def closed_forms_arrays(spec, chart, u, v):
     and |Su x Sv| = sqrt(1 + hu^2 + hv^2); the second form is the height
     Hessian over that norm, signed by the chart sign so it is positive
     definite on convex surfaces (the outward normal's height component has
-    the sign of the height).  Caller guarantees validity; no checks.
+    the sign of the height).  ``chart`` may be a ChartLane (rows in several
+    charts).  Caller guarantees validity; no checks.
     """
     _, hu, hv, huu, huv, hvv = sf.height_jet(spec, chart, u, v)
     E = 1.0 + hu * hu
@@ -233,12 +234,13 @@ def line_angle(E, F, G, e, f, g):
     return np.where(np.hypot(A - C, B) > LINE_DEGENERATE * scale, 0.5 * np.arctan2(B, A - C), np.nan)
 
 
-def lift_lines(spec, chart, line, ts, psi, points, max_depth):
-    """Lift the line angle continuously along polylines in one chart.
+def lift_lines(spec, charts, line, ts, psi, points, max_depth):
+    """Lift the line angle continuously along polylines, each in its own chart.
 
-    The polylines are given as segments: ``line`` holds each segment's
-    polyline id (0, 1, ...), and ``ts`` and ``psi``, of shape (m, 2), the
-    curve parameter and :func:`line_angle` at its two ends.  Angles are
+    Polyline k lies in chart ``surface.ATLAS[charts[k]]``.  The polylines
+    are given as segments: ``line`` holds each segment's polyline id
+    (0, 1, ...), and ``ts`` and ``psi``, of shape (m, 2), the curve
+    parameter and :func:`line_angle` at its two ends.  Angles are
     taken modulo pi (a line field has no orientation): a segment's hop is
     the mod-pi distance from its first angle to the nearest representative
     of its second.  Every segment whose hop reaches MAX_JUMP is split at its
@@ -270,7 +272,7 @@ def lift_lines(spec, chart, line, ts, psi, points, max_depth):
             break
         line, ts, psi = line[keep], ts[keep], psi[keep]
         mid = 0.5 * (ts[:, 0] + ts[:, 1])
-        mid_psi = line_angle(*closed_forms_arrays(spec, chart, *points(line, mid)))
+        mid_psi = line_angle(*closed_forms_arrays(spec, sf.ChartLane(spec, charts[line]), *points(line, mid)))
         resolved[line[np.isnan(mid_psi)]] = False
         mids_taken += np.bincount(line, minlength=n)
         # Each split segment becomes its two halves.

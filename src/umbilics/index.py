@@ -23,12 +23,13 @@ plain uniform sampling:
 The ring's own samples decide whether it fits in the chart: each must keep
 the radicand margin DELTA_VALID that every other chart-validity test of
 the finder and the index uses, or the ring is redrawn at half the radius.
-They take their forms in one kernel call, as do all midpoints of one
-bisection level.
 
-:func:`attach_indices` draws each distinct ring once.  The two charts of
-an axis give bit-identical forms, so the records of a root in both charts
-share one ring; :func:`umbilic_index` itself still draws a ring per call.
+:func:`attach_indices` draws each distinct ring once: the records of a root
+in both charts of an axis, and of its mirror images (+-u, +-v) in them,
+share one ring.  It draws all its rings together, round by round: one
+radicand call and one kernel call take every pending ring's samples, and
+one lift takes all rings that fit their charts, one kernel call per
+bisection level.  :func:`umbilic_index` is that pass on a single ring.
 
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
@@ -79,6 +80,55 @@ def _radius_clip(spec, rec, records):
     return clip
 
 
+def _windings(spec, rings, records):
+    """Winding of each record in ``rings``, all drawn together: a
+    WindingResult, or the error its ring raised.  Each ring's radius
+    sequence is the one :func:`umbilic_index` describes.
+    """
+    out = [None if rec.kind == um.ISOLATED else NotIsolated("index is defined for isolated umbilics only")
+           for rec in rings]
+    centre = np.array([rec.uv for rec in rings], float).reshape(-1, 2)
+    lane = np.array([sf.ATLAS.index(rec.chart) for rec in rings], int)
+    cap = np.array([_radius_clip(spec, rec, records) for rec in rings], float)
+    radius = np.minimum(RING_RADIUS, cap)
+    ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 2.0 * math.pi)
+    pending = np.flatnonzero([res is None for res in out])
+    while pending.size:
+        cu, cv, r = centre[pending, :1], centre[pending, 1:], radius[pending, None]
+        uu, vv = cu + r * np.cos(ts), cv + r * np.sin(ts)
+        fits = sf.chart_valid(spec, sf.ChartLane(spec, np.repeat(lane[pending], ts.size)),
+                              uu.ravel(), vv.ravel()).reshape(uu.shape).all(axis=1)
+        for i in pending[~fits]:
+            if radius[i] <= 1e-9:
+                out[i] = CircleInvalid(f"no valid sampling circle around {rings[i].uv} on {rings[i].chart.label}")
+            radius[i] = cap[i] = 0.5 * radius[i]      # a ring that has shrunk never grows again
+        live = pending[fits]
+        if live.size:
+            cu, cv, r = cu[fits, 0], cv[fits, 0], r[fits, 0]
+            psi = fm.line_angle(*fm.closed_forms_arrays(
+                spec, sf.ChartLane(spec, np.repeat(lane[live], ts.size)), uu[fits].ravel(), vv[fits].ravel(),
+            )).reshape(live.size, ts.size)
+            total, mids, resolved = fm.lift_lines(
+                spec, lane[live], np.repeat(np.arange(live.size), RING_SAMPLES),
+                np.tile(np.stack([ts[:-1], ts[1:]], axis=1), (live.size, 1)),
+                np.stack([psi[:, :-1], psi[:, 1:]], axis=2).reshape(-1, 2),
+                lambda j, t: (cu[j] + r[j] * np.cos(t), cv[j] + r[j] * np.sin(t)), RING_DEPTH,
+            )
+            for j, i in enumerate(live):
+                if not resolved[j]:
+                    if 2.0 * radius[i] > cap[i]:
+                        out[i] = NonConvergentLift(f"line field unresolved on the ring of radius {radius[i]:.3e}")
+                    radius[i] *= 2.0
+                    continue
+                index = float(total[j]) / (2.0 * math.pi)
+                doubled = round(2.0 * index)
+                out[i] = (WindingResult(doubled / 2.0, ts.size + int(mids[j]), float(radius[i]))
+                          if abs(2.0 * index - doubled) <= 1e-3 else NonConvergentLift(
+                              f"winding {index:.6f} is not a half-integer; radius {radius[i]:.3e}"))
+        pending = np.array([i for i in pending if out[i] is None], int)
+    return out
+
+
 def umbilic_index(spec, rec, records=None) -> WindingResult:
     """Winding index of one isolated umbilic record.
 
@@ -91,61 +141,33 @@ def umbilic_index(spec, rec, records=None) -> WindingResult:
     has shrunk never grows again: doubling would only return to a radius
     that left the chart.
     """
-    if rec.kind != um.ISOLATED:
-        raise NotIsolated("index is defined for isolated umbilics only")
-    chart = rec.chart
-    cu, cv = rec.uv
-    cap = _radius_clip(spec, rec, records)
-    radius = min(RING_RADIUS, cap)
-
-    ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 2.0 * math.pi)
-
-    def points(_, t):
-        return cu + radius * np.cos(t), cv + radius * np.sin(t)
-
-    while True:
-        uu, vv = points(None, ts)
-        if not np.all(sf.chart_valid(spec, chart, uu, vv)):
-            if radius <= 1e-9:
-                raise CircleInvalid(f"no valid sampling circle around ({cu}, {cv}) on {chart.label}")
-            radius = cap = 0.5 * radius      # a ring that has shrunk never grows again
-            continue
-        psi = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu, vv))
-        total, mids, resolved = fm.lift_lines(
-            spec, chart, np.zeros(RING_SAMPLES, int), np.stack([ts[:-1], ts[1:]], axis=1),
-            np.stack([psi[:-1], psi[1:]], axis=1), points, RING_DEPTH,
-        )
-        if resolved[0]:
-            break
-        if 2.0 * radius > cap:
-            raise NonConvergentLift(f"line field unresolved on the ring of radius {radius:.3e}")
-        radius *= 2.0
-
-    index = float(total[0]) / (2.0 * math.pi)
-    doubled = round(2.0 * index)
-    if abs(2.0 * index - doubled) > 1e-3:
-        raise NonConvergentLift(
-            f"winding {index:.6f} is not a half-integer; radius {radius:.3e}"
-        )
-    return WindingResult(doubled / 2.0, ts.size + int(mids[0]), radius)
+    [res] = _windings(spec, [rec], records)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def attach_indices(spec, records):
     """Copy of the record list with winding indices filled in.
 
-    A ring's result depends only on the chart's forms, its centre and its
-    radius cap.  The two charts of an axis share their forms and the
-    finder's records are mirror-symmetric, so mirrored records share one
-    :func:`umbilic_index` call (keyed with the record kind too, which that
-    call checks).
+    A ring's index depends only on the chart's forms, its centre and its
+    radius cap, and is unchanged by a reflection.  The two charts of an
+    axis share their forms, the forms at (+-u, +-v) are mirror images and
+    the finder's records are mirror-symmetric, so the records of one
+    ``(axis, |u|, |v|, kind)`` key share one ring, drawn for the first of
+    them.  All rings are drawn together (one pass per round); when rings
+    fail, the error of the first record's ring is raised.
     """
     rings = {}
+    for rec in records:
+        rings.setdefault((rec.chart.axis, abs(rec.uv[0]), abs(rec.uv[1]), rec.kind), rec)
+    results = dict(zip(rings, _windings(spec, list(rings.values()), records)))
     out = []
     for rec in records:
-        key = (rec.chart.axis, rec.uv, rec.kind)
-        if key not in rings:
-            rings[key] = umbilic_index(spec, rec, records)
-        out.append(replace(rec, index=rings[key].index))
+        res = results[(rec.chart.axis, abs(rec.uv[0]), abs(rec.uv[1]), rec.kind)]
+        if isinstance(res, Exception):
+            raise res
+        out.append(replace(rec, index=res.index))
     return out
 
 

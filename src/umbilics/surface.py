@@ -13,7 +13,9 @@ formula below is derived from those three terms.  The atlas has six Monge
 patches, X+, X-, Y+, Y-, Z+ and Z-: one coordinate solved as a height
 function of the other two, in a cyclic placement.  All chart maps are pure
 functions and accept numpy arrays for (u, v); the radicand and the height
-jet evaluate a scalar (u, v) on Python floats and return scalars.
+jet evaluate a scalar (u, v) on Python floats and return scalars.  In place
+of a :class:`ChartId` they also take a :class:`ChartLane`, whose (u, v)
+rows each carry their own chart.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ class AxisTerm:
     n = 0, 1, 2, the falling-factorial factors m!/(m-n)! c and
     (2m)!/(2m-n)! d, computed once here rather than on every call.
 
+    A :class:`ChartLane` slot holds one term per row in array c, d and
+    scales.  A row whose slot has no quartic part carries d = 0, which moves
+    no bit (see :meth:`power`); ``bare`` marks such rows of a height slot.
+
     The exponent m is even in every family, so every power of s comes from
     one power of |s|, |s|^(m-2) = s^(m-2), times s once or twice; the
     quartic part reuses s^(2m-n) = s^m s^(m-n).  The power never sees a
@@ -58,14 +64,16 @@ class AxisTerm:
     c: float
     m: int
     d: float = None
-    scales: tuple = field(init=False, compare=False, repr=False)
+    scales: tuple = field(default=None, compare=False, repr=False)
+    bare: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(
-            (math.perm(self.m, n) * self.c,
-             None if self.d is None else math.perm(2 * self.m, n) * self.d)
-            for n in range(3)
-        ))
+        if self.scales is None:
+            object.__setattr__(self, "scales", tuple(
+                (math.perm(self.m, n) * self.c,
+                 None if self.d is None else math.perm(2 * self.m, n) * self.d)
+                for n in range(3)
+            ))
 
     def __call__(self, s):
         """The term's value at s, bit for bit ``jet(s)[0]``."""
@@ -98,12 +106,15 @@ class AxisTerm:
         """The root s^m of term(s) = t (negative for t < 0).
 
         Conjugate form of the quadratic root in s^m: stable as d -> 0 and
-        exact at d = 0; -inf where that quadratic has no real root.  A
-        scalar t gives a scalar.
+        exact at d = 0, where sqrt(c * c) = c and 2t / 2c = t / c bit for
+        bit (c within 1e-154..1e154); -inf where that quadratic has no real
+        root.  A Python float t runs on Python floats, with the same bits.
         """
         if self.d is None:
             return t / self.c
         disc = self.c * self.c + 4.0 * self.d * t
+        if isinstance(t, float):
+            return 2.0 * t / (math.sqrt(disc) + self.c) if disc >= 0.0 else -math.inf
         return np.where(
             disc >= 0.0, 2.0 * t / (np.sqrt(np.maximum(disc, 0.0)) + self.c), -np.inf
         )[()]
@@ -117,7 +128,8 @@ class AxisTerm:
 class SurfaceSpec:
     """Which family plus its coefficients. Unused fields are None.
 
-    ``terms`` holds the (x, y, z) axis terms, derived from the other fields.
+    ``terms`` holds the (x, y, z) axis terms derived from the other fields,
+    ``lanes`` their :class:`ChartLane` table.
     """
 
     family: str
@@ -127,6 +139,7 @@ class SurfaceSpec:
     k: int = None
     epsilon: float = None
     terms: tuple = field(init=False, compare=False, repr=False)
+    lanes: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -164,6 +177,7 @@ class SurfaceSpec:
                 raise SpecError("ellipsoid takes only a, b, c")
             terms = (AxisTerm(self.a, 2), AxisTerm(self.b, 2), AxisTerm(self.c, 2))
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "lanes", _lane_table(terms))
 
     @classmethod
     def superquadric(cls, a, b, c, k):
@@ -263,6 +277,11 @@ class ChartId:
             )
         return cls(axis, 1 if text[1] == "+" else -1)
 
+    def terms(self, spec):
+        """The axis terms of ``spec`` in this chart's (u, v, height) slots."""
+        iu, iv, ih = _PLACEMENT[self.axis]
+        return spec.terms[iu], spec.terms[iv], spec.terms[ih]
+
 
 @dataclass(frozen=True)
 class ChartPoint:
@@ -272,6 +291,43 @@ class ChartPoint:
 
 
 _PLACEMENT = {"z": (0, 1, 2), "x": (1, 2, 0), "y": (2, 0, 1)}
+ATLAS = tuple(ChartId(ax, s) for ax in _AXES for s in (1, -1))
+
+
+def _lane_table(terms):
+    """The scales of every ATLAS chart's slot terms as (slot, order, c or d,
+    chart), d = 0 where a slot has no quartic part; the charts' signs; and
+    which height slots have none (None when no term has a quartic part)."""
+    slots = [[terms[i] for i in _PLACEMENT[chart.axis]] for chart in ATLAS]
+    scales = np.array([[[[row[j].scales[n][cd] or 0.0 for row in slots] for cd in (0, 1)] for n in range(3)]
+                       for j in range(3)])
+    bare = np.array([row[2].d is None for row in slots]) if any(t.d is not None for t in terms) else None
+    return scales, np.array([chart.sign for chart in ATLAS], float), bare
+
+
+class ChartLane:
+    """Kernel rows that each carry their own chart, ``ATLAS[lane[i]]``.
+
+    The radicand, the height jet and the form kernel take a lane in place of
+    a ChartId, one (u, v) per row, and give each row its own chart's bits.
+    The slot terms are gathered from the spec's table of the six charts;
+    every family has one exponent m, so the powers keep a scalar exponent.
+    """
+
+    def __init__(self, spec, lane):
+        scales, sign, bare = spec.lanes
+        quartic = bare is not None
+        self.sign = sign[lane]
+        self._terms = tuple(
+            AxisTerm(rows[0, 0], spec.terms[0].m, rows[0, 1] if quartic else None,
+                     tuple((c, d if quartic else None) for c, d in rows),
+                     bare[lane] if quartic and j == 2 else None)
+            for j, rows in enumerate(scales[..., lane])
+        )
+
+    def terms(self, spec):
+        """The per-row terms of the (u, v, height) slots."""
+        return self._terms
 
 
 def placement(chart: ChartId):
@@ -297,7 +353,7 @@ def implicit_gradient(spec: SurfaceSpec, p):
 
 def chart_atlas(spec: SurfaceSpec):
     """Charts jointly covering the surface with margin DELTA_COVER."""
-    return [ChartId(ax, s) for ax in _AXES for s in (1, -1)]
+    return list(ATLAS)
 
 
 def _as_float(x):
@@ -310,21 +366,13 @@ def _as_float(x):
     return float(x) if isinstance(x, (float, int)) else np.asarray(x, dtype=float)
 
 
-def _chart_terms(spec: SurfaceSpec, chart: ChartId, u, v):
-    """The (u, v, height) terms of a chart and t = 1 - term_u(u) - term_v(v),
-    the value the height term takes."""
-    iu, iv, ih = placement(chart)
-    tu, tv, th = spec.terms[iu], spec.terms[iv], spec.terms[ih]
-    return tu, tv, th, 1.0 - tu(u) - tv(v)
-
-
 def chart_bounds(spec: SurfaceSpec, chart: ChartId):
     """Half-widths (umax, vmax) of the rectangle enclosing the chart domain."""
     iu, iv, _ = placement(chart)
     return float(spec.terms[iu].root(1.0)), float(spec.terms[iv].root(1.0))
 
 
-def radicand(spec: SurfaceSpec, chart: ChartId, u, v):
+def radicand(spec: SurfaceSpec, chart, u, v):
     """Validity quantity of the chart's height expression (vectorized).
 
     It is t = 1 - term_u(u) - term_v(v) where the height term is a single
@@ -332,8 +380,11 @@ def radicand(spec: SurfaceSpec, chart: ChartId, u, v):
     included) it is the squared height resolved from that quartic, and -inf
     where no real height exists.
     """
-    _, _, th, t = _chart_terms(spec, chart, _as_float(u), _as_float(v))
-    return t if th.d is None else th.power(t)
+    tu, tv, th = chart.terms(spec)
+    t = 1.0 - tu(_as_float(u)) - tv(_as_float(v))
+    if th.d is None:
+        return t
+    return th.power(t) if th.bare is None else np.where(th.bare, t, th.power(t))
 
 
 def chart_valid(spec, chart, u, v, margin=DELTA_VALID):
@@ -351,7 +402,7 @@ def check_valid(spec, cp: ChartPoint):
         raise InvalidChartPoint(f"chart {cp.chart.label} at ({cp.u}, {cp.v}): radicand {r:.3e}")
 
 
-def height_jet(spec: SurfaceSpec, chart: ChartId, u, v):
+def height_jet(spec: SurfaceSpec, chart, u, v):
     """Height h and its derivatives (h, hu, hv, huu, huv, hvv), vectorized.
 
     Chain rule on the separable t = 1 - term_u(u) - term_v(v) (so t_uv = 0)
@@ -360,8 +411,7 @@ def height_jet(spec: SurfaceSpec, chart: ChartId, u, v):
     already be valid (radicand > 0); no checking here.
     """
     u, v = _as_float(u), _as_float(v)
-    iu, iv, ih = placement(chart)
-    tu, tv, th = spec.terms[iu], spec.terms[iv], spec.terms[ih]
+    tu, tv, th = chart.terms(spec)
     (Tu, Tu1, Tu2), (Tv, Tv1, Tv2) = tu.jet(u), tv.jet(v)
     h = th.root(1.0 - Tu - Tv)
     _, Th1, Th2 = th.jet(h)
@@ -382,8 +432,8 @@ def height_jet(spec: SurfaceSpec, chart: ChartId, u, v):
 
 def _height(spec: SurfaceSpec, chart: ChartId, u, v):
     """Chart height h(u, v); no validity check."""
-    _, _, th, t = _chart_terms(spec, chart, u, v)
-    return chart.sign * th.root(t)
+    tu, tv, th = chart.terms(spec)
+    return chart.sign * th.root(1.0 - tu(u) - tv(v))
 
 
 def chart_points(spec: SurfaceSpec, chart: ChartId, u, v):

@@ -17,16 +17,20 @@ margin: a point is usable when its radicand is at least surface.DELTA_VALID.
 The lanes are refined by a damped Newton iteration on the two-equation
 system (C, B), accepted where the line field is degenerate by the scan's own
 rule (:func:`umbilics.forms.line_angle` is NaN), and deduplicated across charts.
-Every family is even in every coordinate, so the two charts of an axis (X+
-and X-, ...) are mirror images through the height and give bit-identical
-forms at the same (u, v): each axis is scanned and refined once, in its +
-chart, and every root is recorded in both charts, X+ records before X- ones
-as a scan of all six charts would list them.  The seeds of all three +
-charts are refined in lockstep as rows of one array, so each iteration costs
-a few batched kernel calls, one per chart; the per-seed rules are those of a
-scalar refiner, and no seed affects another.  Flat umbilics (the axis points of the power
-family are planar points) make that system vanish to high order, so the
-refiner accelerates the resulting geometric step decay by extrapolation and
+Every family is even in every coordinate, and the finder does each piece of
+mirrored work once.  The two charts of an axis (X+ and X-, ...) give
+bit-identical forms at the same (u, v): each axis is scanned and refined in
+its + chart, and every root is recorded in both charts, X+ records before
+X- ones as a scan of all six charts would list them.  Within a chart the
+forms at (+-u, +-v) are those at (u, v) with F and f negated, bit for bit:
+the scan evaluates one quadrant, and only the seeds with u, v >= 0 are
+refined and snapped; every other seed takes its mirror's root with its own
+signs.  Those seeds of all three + charts are refined in lockstep as rows
+of one chart lane (:class:`umbilics.surface.ChartLane`), one kernel call
+per evaluation; the per-seed rules are those of a scalar refiner, and no
+seed affects another.  Flat umbilics (the axis points of the power family
+are planar points) make that system vanish to high order, so the refiner
+accelerates the resulting geometric step decay by extrapolation and
 finishes with exact symmetry-line snapping.  A chart whose every grid
 vertex is degenerate is an umbilic continuum (a sphere), reported as one
 record.
@@ -125,27 +129,24 @@ def _norm(a):
     return np.linalg.norm(a, axis=-1)
 
 
-def _system(spec, charts, lane, X):
+def _system(spec, lane, X):
     """Unscaled umbilic system (C, B) at the rows (u, v) of X, row i taken in
-    chart ``charts[lane[i]]``, and the mask of valid rows (the other rows are
-    NaN).  One kernel call per chart that has rows."""
+    chart ``surface.ATLAS[lane[i]]``, and the mask of valid rows (the other
+    rows are NaN).  One radicand call and one kernel call."""
     out = np.full(X.shape, np.nan)
-    ok = np.zeros(len(X), bool)
-    for i in np.unique(lane):
-        rows = np.flatnonzero(lane == i)
-        rows = rows[sf.chart_valid(spec, charts[i], X[rows, 0], X[rows, 1])]
-        _, B, C = fm.line_quadratic(*fm.closed_forms_arrays(spec, charts[i], X[rows, 0], X[rows, 1]))
-        out[rows, 0], out[rows, 1] = C, B
-        ok[rows] = True
+    ok = sf.chart_valid(spec, sf.ChartLane(spec, lane), X[:, 0], X[:, 1])
+    if ok.any():
+        forms = fm.closed_forms_arrays(spec, sf.ChartLane(spec, lane[ok]), X[ok, 0], X[ok, 1])
+        _, out[ok, 1], out[ok, 0] = fm.line_quadratic(*forms)
     return out, ok
 
 
-def _newton_refine(spec, charts, lane, seeds):
+def _newton_refine(spec, lane, seeds):
     """Damped Newton with geometric-step extrapolation from (n, 2) seeds,
-    seed i in chart ``charts[lane[i]]``.
+    seed i in chart ``surface.ATLAS[lane[i]]``.
 
     The seeds run in lockstep as independent lanes, the active lanes'
-    evaluations batched into one call per chart.  A lane stops when a
+    evaluations batched into one kernel call.  A lane stops when a
     Jacobian side point leaves the chart, its Jacobian is singular, seven
     halvings fail to lower |(C, B)|, or its step falls below 1e-14 relative.  Flat umbilics
     make Newton converge only linearly (ratio (m-1)/m for a root of
@@ -154,7 +155,7 @@ def _newton_refine(spec, charts, lane, seeds):
     point each lane reached; acceptance is the caller's degeneracy test.
     """
     x = np.array(seeds, float).reshape(-1, 2)
-    fx, active = _system(spec, charts, lane, x)
+    fx, active = _system(spec, lane, x)
     steps = np.zeros((len(x), 3, 2))      # a lane's last undamped steps, newest last
     nsteps = np.zeros(len(x), int)
     for _ in range(MAX_NEWTON):
@@ -164,7 +165,7 @@ def _newton_refine(spec, charts, lane, seeds):
         xa = x[lanes]
         h = 1e-7 * (1.0 + np.abs(xa[:, 0]) + np.abs(xa[:, 1]))
         side = xa[:, None, :] + h[:, None, None] * _SIDES
-        fs, ok = _system(spec, charts, np.repeat(lane[lanes], 4), side.reshape(-1, 2))
+        fs, ok = _system(spec, np.repeat(lane[lanes], 4), side.reshape(-1, 2))
         jac = np.stack([fs[0::4] - fs[1::4], fs[2::4] - fs[3::4]], axis=-1) / (2.0 * h)[:, None, None]
         ok = ok.reshape(-1, 4).all(axis=1)
         # np.linalg.solve raises for the whole stack if one matrix is
@@ -181,7 +182,7 @@ def _newton_refine(spec, charts, lane, seeds):
             if s.size == 0:
                 break
             xt = x[lanes[s]] + lam[s, None] * step[s]
-            ft, ok = _system(spec, charts, lane[lanes[s]], xt)
+            ft, ok = _system(spec, lane[lanes[s]], xt)
             ok &= (_norm(ft) < nf[s]) | (_norm(lam[s, None] * step[s]) < 1e-15)
             x[lanes[s[ok]]], fx[lanes[s[ok]]] = xt[ok], ft[ok]
             searching[s[ok]] = False
@@ -200,7 +201,7 @@ def _newton_refine(spec, charts, lane, seeds):
         if go.any():
             c, r2 = c[go], r2[go]
             xe = x[c] + steps[c, 2] * (r2 / (1.0 - r2))[:, None]
-            fe, ok = _system(spec, charts, lane[c], xe)
+            fe, ok = _system(spec, lane[c], xe)
             ok &= _norm(fe) <= _norm(fx[c])
             x[c[ok]], fx[c[ok]] = xe[ok], fe[ok]
             nsteps[c[ok]] = 0
@@ -242,50 +243,65 @@ def _snap_symmetry(spec, chart, u, v, res, umbilic):
     return best
 
 
-def _cell_seeds(spec, chart):
-    """Centres of the scan cells that may hold an umbilic, as (n, 2); None
-    when every valid grid vertex is degenerate (an umbilic continuum).
+def _cell_seeds(spec, charts):
+    """Centres of the scan cells that may hold an umbilic, one (n, 2) array
+    per chart in grid order; None when every valid grid vertex of a chart is
+    degenerate (an umbilic continuum).
 
-    The chart rectangle is cut into CELLS x CELLS cells.  The line angle is
-    taken once at every valid vertex and lifted along every edge between two
-    such vertices (:func:`umbilics.forms.lift_lines`, one kernel call per
-    bisection level over all edges).  The lifted change around a cell is
-    2 pi times the index sum inside it.  A cell is a seed when that sum is
-    nonzero, or when an edge of it is unresolved.
+    Each chart rectangle is cut into CELLS x CELLS cells.  A cell is a seed
+    when the line angle lifted around it (:func:`umbilics.forms.lift_lines`)
+    turns by 2 pi times a nonzero index sum, or when an edge of it is
+    unresolved.  The forms are taken in one kernel call per chart, at the
+    32 x 32 vertices with u, v > 0, and mirrored (F and f negated) onto the
+    vertices just across the axes; the edges of the cells i, j >= CELLS // 2
+    of all charts are lifted together, and the seed mask is mirrored back.
     """
-    n = CELLS
-    umax, vmax = sf.chart_bounds(spec, chart)
-    # Exactly symmetric vertices; with n odd the chart centre is a cell centre.
-    offsets = np.arange(n + 1) - 0.5 * n
-    uu, vv = np.meshgrid(offsets * (2.0 * umax / n), offsets * (2.0 * vmax / n), indexing="ij")
-    valid = sf.chart_valid(spec, chart, uu, vv)
-    psi = np.full(uu.shape, np.nan)
-    psi[valid] = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu[valid], vv[valid]))
-    if np.all(np.isnan(psi[valid])):
-        return None
-    # Edges along u, from vertex (i, j) to (i + 1, j), then along v, from
-    # (i, j) to (i, j + 1), as flat vertex indices.
-    k = np.arange(uu.size).reshape(uu.shape)
-    starts = np.concatenate([k[:-1, :].ravel(), k[:, :-1].ravel()])
-    ends = np.concatenate([k[1:, :].ravel(), k[:, 1:].ravel()])
-    valid, psi, uu, vv = valid.ravel(), psi.ravel(), uu.ravel(), vv.ravel()
+    n, h = CELLS, CELLS // 2                 # cell h straddles both axes
+    fold = np.r_[0, 0:h + 1]                 # block vertex -> quadrant vertex
+    sign = np.r_[-1.0, np.ones(h + 1)]       # block vertex 0 lies across the axis
+    offsets = np.arange(h, n + 1) - 0.5 * n  # block vertices: h..n of the whole grid
+    shape = (len(charts), h + 2, h + 2)
+    uu, vv, psi, valid = np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, bool)
+    for i, chart in enumerate(charts):
+        umax, vmax = sf.chart_bounds(spec, chart)
+        uu[i], vv[i] = np.meshgrid(offsets * (2.0 * umax / n), offsets * (2.0 * vmax / n), indexing="ij")
+        quad = sf.chart_valid(spec, chart, uu[i, 1:, 1:], vv[i, 1:, 1:])
+        forms = np.full((6,) + quad.shape, np.nan)
+        forms[:, quad] = fm.closed_forms_arrays(spec, chart, uu[i, 1:, 1:][quad], vv[i, 1:, 1:][quad])
+        forms = forms[:, fold][:, :, fold]
+        forms[[1, 4]] *= np.multiply.outer(sign, sign)
+        valid[i], psi[i] = quad[fold][:, fold], fm.line_angle(*forms)
+        if np.all(np.isnan(psi[i][valid[i]])):
+            return None
+    # Edges along u, from block vertex (i, j) to (i + 1, j), then along v,
+    # from (i, j) to (i, j + 1), as flat vertex indices over all blocks.
+    k = np.arange(uu.size).reshape(shape)
+    starts = np.concatenate([k[:, :-1].ravel(), k[:, :, :-1].ravel()])
+    ends = np.concatenate([k[:, 1:].ravel(), k[:, :, 1:].ravel()])
+    uu, vv, valid, psi = uu.ravel(), vv.ravel(), valid.ravel(), psi.ravel()
     live = np.flatnonzero(valid[starts] & valid[ends])
     a, b = starts[live], ends[live]
     u0, v0, du, dv = uu[a], vv[a], uu[b] - uu[a], vv[b] - vv[a]
     change, _, resolved = fm.lift_lines(
-        spec, chart, np.arange(live.size), np.tile([0.0, 1.0], (live.size, 1)),
-        np.stack([psi[a], psi[b]], axis=1), lambda i, t: (u0[i] + t * du[i], v0[i] + t * dv[i]),
-        EDGE_DEPTH,
+        spec, np.array([sf.ATLAS.index(chart) for chart in charts])[a // k[0].size],
+        np.arange(live.size), np.tile([0.0, 1.0], (live.size, 1)), np.stack([psi[a], psi[b]], axis=1),
+        lambda i, t: (u0[i] + t * du[i], v0[i] + t * dv[i]), EDGE_DEPTH,
     )
     total = np.full(starts.size, np.nan)            # NaN: unresolved, or an end invalid
     total[live] = np.where(resolved, change, np.nan)
-    tu, tv = total[: n * (n + 1)].reshape(n, n + 1), total[n * (n + 1):].reshape(n + 1, n)
+    c = h + 1                                       # block cells per axis
+    tu, tv = total[: total.size // 2].reshape(-1, c, c + 1), total[total.size // 2:].reshape(-1, c + 1, c)
     # Counter-clockwise around cell (i, j): bottom, right, top, left.
-    winding = tu[:, :-1] + tv[1:, :] - tu[:, 1:] - tv[:-1, :]
-    corners = valid.reshape(n + 1, n + 1)
-    inside = corners[:-1, :-1] & corners[1:, :-1] & corners[:-1, 1:] & corners[1:, 1:]
-    cells = np.argwhere(inside & ~(np.abs(winding) < 0.5 * math.pi))   # nonzero or NaN
-    return (cells - 0.5 * (n - 1)) * (2.0 * umax / n, 2.0 * vmax / n)
+    winding = tu[:, :, :-1] + tv[:, 1:, :] - tu[:, :, 1:] - tv[:, :-1, :]
+    corners = valid.reshape(shape)
+    inside = corners[:, :-1, :-1] & corners[:, 1:, :-1] & corners[:, :-1, 1:] & corners[:, 1:, 1:]
+    mirror = np.abs(np.arange(n) - h)
+    seeds = []
+    for chart, half in zip(charts, inside & ~(np.abs(winding) < 0.5 * math.pi)):   # nonzero or NaN
+        umax, vmax = sf.chart_bounds(spec, chart)
+        cells = np.argwhere(half[mirror][:, mirror])
+        seeds.append((cells - 0.5 * (n - 1)) * (2.0 * umax / n, 2.0 * vmax / n))
+    return seeds
 
 
 def find_umbilics(spec):
@@ -293,43 +309,49 @@ def find_umbilics(spec):
 
     Returns deduplicated :class:`UmbilicRecord` entries sorted by rounded
     ambient coordinates.  An umbilic continuum (a sphere) gives a single
-    record flagged ``non_isolated``, at the centre of the first chart.
+    record flagged ``non_isolated``, at the centre of the X+ chart.
     """
-    pluses = [chart for chart in sf.chart_atlas(spec) if chart.sign > 0]
-    seeds = []
-    for plus in pluses:
-        cells = _cell_seeds(spec, plus)
-        if cells is None:
-            res = float(scaled_residual(*fm.closed_forms_arrays(spec, plus, 0.0, 0.0)))
-            point = tuple(float(c) for c in sf.chart_points(spec, plus, 0.0, 0.0))
-            return [UmbilicRecord(point, plus, (0.0, 0.0), res, NON_ISOLATED)]
-        seeds.append(cells)
-    lane = np.repeat(np.arange(len(pluses)), [len(cells) for cells in seeds])
+    pluses = [chart for chart in sf.ATLAS if chart.sign > 0]
+    seeds = _cell_seeds(spec, pluses)
+    if seeds is None:                         # a sphere: every chart is a continuum
+        plus = pluses[0]
+        res = float(scaled_residual(*fm.closed_forms_arrays(spec, plus, 0.0, 0.0)))
+        point = tuple(float(c) for c in sf.chart_points(spec, plus, 0.0, 0.0))
+        return [UmbilicRecord(point, plus, (0.0, 0.0), res, NON_ISOLATED)]
+    lane = np.repeat([sf.ATLAS.index(plus) for plus in pluses], [len(cells) for cells in seeds])
     seeds = np.concatenate(seeds)
-    refined = _newton_refine(spec, pluses, lane, seeds)
+    if not len(seeds):
+        return []
+    # Refine and snap each seed's mirror image with u, v >= 0 once; the seed
+    # takes its root with its own signs (+ 0.0 keeps a zero coordinate +0.0).
+    reps, rep = np.unique(np.column_stack([lane, np.abs(seeds)]), axis=0, return_inverse=True)
+    rep_lane = reps[:, 0].astype(int)
+    refined = _newton_refine(spec, rep_lane, reps[:, 1:])
+    forms = fm.closed_forms_arrays(spec, sf.ChartLane(spec, rep_lane), refined[:, 0], refined[:, 1])
+    snapped = [
+        # Snap first: a flat axis point is degenerate only where exactly symmetric.
+        _snap_symmetry(spec, sf.ATLAS[i], u, v, res, umbilic)
+        for i, (u, v), res, umbilic in zip(rep_lane.tolist(), refined.tolist(),
+                                           scaled_residual(*forms).tolist(),
+                                           np.isnan(fm.line_angle(*forms)).tolist())
+    ]
+    roots = np.where(seeds < 0.0, -1.0, 1.0) * np.array([x[:2] for x in snapped])[rep] + 0.0
 
     found = []
-    for i, plus in enumerate(pluses):
+    for plus in pluses:
         # The families are even in every coordinate, so the forms of the two
         # charts of an axis agree bit for bit: refine in one, record in both.
         minus = sf.ChartId(plus.axis, -1)
-        rows = lane == i
-        if not rows.any():
-            continue
-        forms = fm.closed_forms_arrays(spec, plus, refined[rows, 0], refined[rows, 1])
-        lanes = zip(seeds[rows], refined[rows].tolist(), scaled_residual(*forms).tolist(),
-                    np.isnan(fm.line_angle(*forms)).tolist())
-        roots = []
-        for (u0, v0), (u, v), res, umbilic in lanes:
-            # Snap first: a flat axis point is degenerate only where exactly symmetric.
-            u, v, res, umbilic = _snap_symmetry(spec, plus, u, v, res, umbilic)
+        kept = []
+        for k in np.flatnonzero(lane == sf.ATLAS.index(plus)):
+            _, _, res, umbilic = snapped[rep[k]]
             if not umbilic:
                 log.debug("seed (%.3f, %.3f) on %s/%s: line field not degenerate at the"
-                          " kept point (residual %.2e)", u0, v0, plus.label, minus.label, res)
+                          " kept point (residual %.2e)", *seeds[k], plus.label, minus.label, res)
                 continue
-            roots.append((u, v, res))
+            kept.append((*roots[k].tolist(), res))
         for chart in (plus, minus):
-            for u, v, res in roots:
+            for u, v, res in kept:
                 point = tuple(float(c) for c in sf.chart_points(spec, chart, u, v))
                 found.append(UmbilicRecord(point, chart, (u, v), res))
 

@@ -148,6 +148,16 @@ def test_trace_kernel_call_count(monkeypatch, spec, start, branch, length, sign,
     assert count == {"forms": calls, "radicand": calls}
 
 
+def test_quartic_chart_trace_returns_floats():
+    """A trace on a perturbed-ellipsoid X+ chart, whose height term has a
+    quartic part, keeps its points, arclengths and residuals in Python
+    floats, as on single-power charts."""
+    tr = fl.trace_line(PE_LT, ChartPoint(ChartId("x", 1), 0.3, 0.2), 0, 0.2)
+    assert len(tr.residuals) > 1
+    values = [*tr.residuals, *tr.arclengths, *(x for p in tr.points for x in p)]
+    assert {type(x) for x in values} == {float}
+
+
 def test_residual_log_monotone():
     tr = fl.trace_line(SQ_1112, ChartPoint(Z_PLUS, 0.7, 0.0), 1, 1.5)
     log = fl.residual_log(tr)

@@ -127,6 +127,35 @@ def test_in_chart_reflections_bit_exact(name):
                                       sf.radicand(spec, chart, uu, vv))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [BUNDLED["sq_2352"], BUNDLED["sq_123_k3"], BUNDLED["pe_lt"], BUNDLED["pe_gt"],
+     SurfaceSpec.perturbed_ellipsoid(0.3, 0.516, 0.0), BUNDLED["ellipsoid_123"]],
+    ids=["sq_k2", "sq_k3", "pe_a_lt_b", "pe_a_gt_b", "pe_eps0", "ellipsoid"],
+)
+def test_chart_lane_rows_bit_exact(spec):
+    """Rows of a ChartLane, each in its own chart, get from the radicand,
+    the height jet and the form kernel the bits their chart's own array
+    call gives them; the radicand also on rows outside their chart."""
+    rng = np.random.default_rng(43)
+    lane = rng.integers(0, 6, 600)
+    uu, vv = np.zeros(600), np.zeros(600)
+    for i, chart in enumerate(sf.ATLAS):
+        rows = lane == i
+        uu[rows], vv[rows] = random_valid_chart_points(spec, chart, rows.sum(), rng, margin=sf.DELTA_VALID)
+    rows = sf.ChartLane(spec, lane)
+    got = [*fm.closed_forms_arrays(spec, rows, uu, vv), *sf.height_jet(spec, rows, uu, vv)]
+    outside = 1.5 * np.array([max(sf.chart_bounds(spec, chart)) for chart in sf.ATLAS])[lane]
+    radicands = [sf.radicand(spec, rows, x * uu, vv) for x in (1.0, outside)]
+    for i, chart in enumerate(sf.ATLAS):
+        u, v = uu[lane == i], vv[lane == i]
+        want = [*fm.closed_forms_arrays(spec, chart, u, v), *sf.height_jet(spec, chart, u, v)]
+        for a, b in zip(got, want):
+            assert a[lane == i].tobytes() == b.tobytes(), chart
+        for x, r in zip((1.0, outside[lane == i]), radicands):
+            assert r[lane == i].tobytes() == sf.radicand(spec, chart, x * u, v).tobytes(), chart
+
+
 SCALAR_SPECS = pytest.mark.parametrize(
     "spec",
     [SQ_1112, BUNDLED["sq_123_k3"], PE_LT, SurfaceSpec.perturbed_ellipsoid(0.5, 0.2, 0.0),
@@ -160,16 +189,14 @@ def test_scalar_kernel_path(spec):
 
 @SCALAR_SPECS
 def test_scalar_kernel_float_clean(spec):
-    """On Python-float (u, v), every chart whose height term is a single
-    power gives exact floats from the form kernel, the line quadratic and
-    the umbilic residual.  The residual of those forms equals the
-    one-element array result bit for bit: both paths square by multiplying
-    and take a correctly rounded square root (libm ``pow(x, 2)`` is not
-    always the correctly rounded x * x)."""
+    """On Python-float (u, v), every chart, the quartic-height charts of the
+    perturbed ellipsoids included, gives exact floats from the form kernel,
+    the line quadratic and the umbilic residual.  The residual of those
+    forms equals the one-element array result bit for bit: both paths
+    square by multiplying and take a correctly rounded square root (libm
+    ``pow(x, 2)`` is not always the correctly rounded x * x)."""
     rng = np.random.default_rng(41)
     for chart in sf.chart_atlas(spec):
-        if spec.terms[sf.placement(chart)[2]].d is not None:
-            continue   # AxisTerm.power's np.where returns np.float64 here
         us, vs = random_valid_chart_points(spec, chart, 200, rng, margin=sf.DELTA_VALID)
         for u, v in zip(us, vs):
             forms = fm.closed_forms_arrays(spec, chart, float(u), float(v))

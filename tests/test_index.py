@@ -195,31 +195,57 @@ def test_bisection_one_kernel_call_per_level(results, monkeypatch):
     assert len(calls) < res.samples - (ix.RING_SAMPLES + 1)
 
 
+def _ring_key(rec):
+    return (rec.chart.axis, abs(rec.uv[0]), abs(rec.uv[1]), rec.kind)
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_attach_indices_draws_each_ring_once(name, results, monkeypatch):
-    """Mirrored records share one ring per (axis, uv, kind) key, each ring
-    clips its radius once (pe_lt's 18 records need 9 rings), and the shared
-    results equal the per-record ones."""
+    """Mirrored records share one ring per (axis, |u|, |v|, kind) key, each
+    ring clips its radius once (pe_lt's 18 records need 4 rings, and each
+    superquadric's 14 need 4 where the signed uv would need 7), and the
+    shared results equal each record's own umbilic_index."""
     spec = BUNDLED[name]
     records, windings = results.records(spec), results.windings(spec)
-    rings = {(r.chart.axis, r.uv, r.kind) for r in records}
-    index, clip, calls, clips = ix.umbilic_index, ix._radius_clip, [], []
-
-    def counted(*args):
-        calls.append(args)
-        return index(*args)
+    rings = {_ring_key(r) for r in records}
+    clip, clips = ix._radius_clip, []
 
     def counted_clip(*args):
         clips.append(args)
         return clip(*args)
 
-    monkeypatch.setattr(ix, "umbilic_index", counted)
     monkeypatch.setattr(ix, "_radius_clip", counted_clip)
     indexed = ix.attach_indices(spec, records)
-    assert len(calls) == len(clips) == len(rings)
+    assert len(clips) == len(rings)
     if name == "pe_lt":
-        assert (len(records), len(rings)) == (18, 9)
+        assert (len(records), len(rings)) == (18, 4)
+    if spec.family == sf.SUPERQUADRIC:
+        assert (len({(r.chart.axis, r.uv, r.kind) for r in records}), len(rings)) == (7, 4)
     assert [r.index for r in indexed] == [w.index for w in windings]
+
+
+def test_attach_indices_lifts_rings_together(results, monkeypatch):
+    """All rings of a spec are drawn and lifted in one pass per round:
+    attach_indices on sq_k4 makes fewer kernel calls than its rings drawn
+    one at a time."""
+    spec = BUNDLED["sq_k4"]
+    records = results.records(spec)
+    kernel, calls = fm.closed_forms_arrays, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(fm, "closed_forms_arrays", counted)
+    ix.attach_indices(spec, records)
+    together = len(calls)
+    firsts = {}
+    for rec in records:
+        firsts.setdefault(_ring_key(rec), rec)
+    calls.clear()
+    for rec in firsts.values():
+        ix.umbilic_index(spec, rec, records)
+    assert 0 < together < len(calls)
 
 
 def test_radius_clip_keeps_records_beyond_dedup_radius(results):

@@ -17,6 +17,8 @@ from umbilics.surface import ChartId, ChartPoint, SurfaceSpec
 from conftest import BUNDLED, EPS_C_PLUS, PE_LT, SPHERE, SQ_1112, SQ_2352
 
 Z_PLUS = ChartId("z", 1)
+PLUSES = [chart for chart in sf.ATLAS if chart.sign > 0]
+ENVELOPE = json.loads((Path(__file__).parent / "data" / "envelope_specs.json").read_text())
 
 
 def test_residual_examples():
@@ -175,19 +177,73 @@ def test_continuum_gives_one_record(spec):
 
 
 def test_cell_scan_evaluates_each_vertex_once(monkeypatch):
-    """The scan of a chart takes the line angle at its grid vertices in one
-    kernel call, then one call per bisection level of the cell edges."""
-    kernel, sizes = fm.closed_forms_arrays, []
+    """The scan takes the line angle at each chart's 32 x 32 vertices with
+    u, v > 0 in one kernel call per chart, then lifts the cell edges of all
+    three charts in one kernel call per bisection level."""
+    kernel, calls = fm.closed_forms_arrays, []
 
     def counted(*args):
-        sizes.append(np.size(args[2]))
+        calls.append((args[1], np.size(args[2])))
         return kernel(*args)
 
     monkeypatch.setattr(fm, "closed_forms_arrays", counted)
-    um._cell_seeds(SQ_1112, Z_PLUS)
-    assert sizes[0] <= (um.CELLS + 1) ** 2
-    assert 1 < len(sizes) <= 1 + um.EDGE_DEPTH
-    assert sum(sizes[1:]) < sizes[0]
+    um._cell_seeds(SQ_1112, PLUSES)
+    blocks, levels = calls[:3], calls[3:]
+    assert [chart for chart, _ in blocks] == PLUSES
+    assert all(size <= (um.CELLS // 2 + 1) ** 2 for _, size in blocks)
+    assert 0 < len(levels) <= um.EDGE_DEPTH
+    assert all(isinstance(chart, sf.ChartLane) for chart, _ in levels)
+    assert sum(size for _, size in levels) < sum(size for _, size in blocks)
+
+
+def full_grid_cell_seeds(spec, chart):
+    """The cell scan without the quadrant fold: the line angle taken at all
+    64 x 64 vertices of one chart and lifted along every edge between two
+    valid vertices; the seeds are the centres of the cells with a nonzero
+    or unresolved winding, in grid order."""
+    n = um.CELLS
+    umax, vmax = sf.chart_bounds(spec, chart)
+    offsets = np.arange(n + 1) - 0.5 * n
+    uu, vv = np.meshgrid(offsets * (2.0 * umax / n), offsets * (2.0 * vmax / n), indexing="ij")
+    valid = sf.chart_valid(spec, chart, uu, vv)
+    psi = np.full(uu.shape, np.nan)
+    psi[valid] = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu[valid], vv[valid]))
+    if np.all(np.isnan(psi[valid])):
+        return None
+    k = np.arange(uu.size).reshape(uu.shape)
+    starts = np.concatenate([k[:-1, :].ravel(), k[:, :-1].ravel()])
+    ends = np.concatenate([k[1:, :].ravel(), k[:, 1:].ravel()])
+    valid, psi, uu, vv = valid.ravel(), psi.ravel(), uu.ravel(), vv.ravel()
+    live = np.flatnonzero(valid[starts] & valid[ends])
+    a, b = starts[live], ends[live]
+    u0, v0, du, dv = uu[a], vv[a], uu[b] - uu[a], vv[b] - vv[a]
+    change, _, resolved = fm.lift_lines(
+        spec, np.full(live.size, sf.ATLAS.index(chart)), np.arange(live.size),
+        np.tile([0.0, 1.0], (live.size, 1)), np.stack([psi[a], psi[b]], axis=1),
+        lambda i, t: (u0[i] + t * du[i], v0[i] + t * dv[i]), um.EDGE_DEPTH,
+    )
+    total = np.full(starts.size, np.nan)
+    total[live] = np.where(resolved, change, np.nan)
+    tu, tv = total[: n * (n + 1)].reshape(n, n + 1), total[n * (n + 1):].reshape(n + 1, n)
+    winding = tu[:, :-1] + tv[1:, :] - tu[:, 1:] - tv[:-1, :]
+    corners = valid.reshape(n + 1, n + 1)
+    inside = corners[:-1, :-1] & corners[1:, :-1] & corners[:-1, 1:] & corners[1:, 1:]
+    cells = np.argwhere(inside & ~(np.abs(winding) < 0.5 * math.pi))
+    return (cells - 0.5 * (n - 1)) * (2.0 * umax / n, 2.0 * vmax / n)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(BUNDLED.values()) + [SurfaceSpec.from_json(e) for e in ENVELOPE],
+    ids=list(BUNDLED) + [f"envelope{i}" for i in range(len(ENVELOPE))],
+)
+def test_quadrant_fold_matches_full_grid_scan(spec):
+    """Scanning one quadrant per chart and mirroring its seed mask gives the
+    whole-grid scan's seeds: the same bits in the same order, on every +
+    chart."""
+    for chart, seeds in zip(PLUSES, um._cell_seeds(spec, PLUSES)):
+        want = full_grid_cell_seeds(spec, chart)
+        assert seeds.shape == want.shape and seeds.tobytes() == want.tobytes(), chart
 
 
 @pytest.mark.parametrize("name", ["ellipsoid_123", "pe_gt_eps_lo"])
@@ -208,7 +264,7 @@ def test_seedless_chart_takes_no_kernel_call(monkeypatch, name):
 def test_cell_seeds_hold_the_umbilics():
     """sq_1112's Z+ chart holds five umbilics (the pole and four diagonal
     points); each lies inside a seeded cell."""
-    seeds = um._cell_seeds(SQ_1112, Z_PLUS)
+    [seeds] = um._cell_seeds(SQ_1112, [Z_PLUS])
     half = np.array(sf.chart_bounds(SQ_1112, Z_PLUS)) / um.CELLS
     pre = [sf.ambient_to_chart(SQ_1112, Z_PLUS, p) for p in um.closed_form_umbilics(SQ_1112)]
     inside = [(u, v) for u, v, _ in filter(None, pre)]
@@ -219,7 +275,7 @@ def test_cell_seeds_hold_the_umbilics():
 
 def _refine_alone(spec, chart, seeds):
     """The refiner run on one chart's seeds."""
-    return um._newton_refine(spec, [chart], np.zeros(len(seeds), int), seeds)
+    return um._newton_refine(spec, np.full(len(seeds), sf.ATLAS.index(chart)), seeds)
 
 
 @pytest.mark.parametrize("name", ["pe_gt", "pe_lt", "sq_c100"])
@@ -231,7 +287,7 @@ def test_newton_lanes_independent(name):
     each chart's seeds refined alone."""
     spec = BUNDLED[name]
     for chart in sf.chart_atlas(spec)[:3]:
-        seeds = um._cell_seeds(spec, chart)
+        [seeds] = um._cell_seeds(spec, [chart])
         assert len(seeds) > 1
         umax, _ = sf.chart_bounds(spec, chart)
         edge = brentq(
@@ -244,21 +300,21 @@ def test_newton_lanes_independent(name):
         assert np.array_equal(batch[:-1], _refine_alone(spec, chart, seeds))
         for seed, got in zip(seeds, batch):
             assert _refine_alone(spec, chart, seed[None]).tolist() == [got.tolist()]
-    pluses = [chart for chart in sf.chart_atlas(spec) if chart.sign > 0]
-    seeds = [um._cell_seeds(spec, chart) for chart in pluses]
-    lane = np.repeat(np.arange(3), [len(s) for s in seeds])
-    together = um._newton_refine(spec, pluses, lane, np.concatenate(seeds))
-    for i, chart in enumerate(pluses):
-        assert np.array_equal(together[lane == i], _refine_alone(spec, chart, seeds[i]))
+    seeds = um._cell_seeds(spec, PLUSES)
+    lane = np.repeat([sf.ATLAS.index(chart) for chart in PLUSES], [len(s) for s in seeds])
+    together = um._newton_refine(spec, lane, np.concatenate(seeds))
+    for chart, alone in zip(PLUSES, seeds):
+        assert np.array_equal(together[lane == sf.ATLAS.index(chart)], _refine_alone(spec, chart, alone))
 
 
 def six_chart_reference(spec):
-    """The finder without the mirror fold: every chart scanned and refined
-    on its own, each refined point snapped and accepted where the line field
-    is degenerate, then the stable residual sort, dedup and ambient sort."""
+    """The finder without the mirror folds: every chart scanned on its whole
+    grid and refined on its own, each refined point snapped and accepted
+    where the line field is degenerate, then the stable residual sort, dedup
+    and ambient sort."""
     found = []
     for chart in sf.chart_atlas(spec):
-        refined = _refine_alone(spec, chart, um._cell_seeds(spec, chart))
+        refined = _refine_alone(spec, chart, full_grid_cell_seeds(spec, chart))
         forms = fm.closed_forms_arrays(spec, chart, refined[:, 0], refined[:, 1])
         residuals, degenerate = um.scaled_residual(*forms), np.isnan(fm.line_angle(*forms))
         for (u, v), res, umbilic in zip(refined.tolist(), residuals.tolist(), degenerate.tolist()):
@@ -276,9 +332,10 @@ def six_chart_reference(spec):
     return kept
 
 
-@pytest.mark.parametrize("name", ["pe_gt", "pe_lt", "sq_c100"])
+@pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_mirror_fold_matches_six_chart_scan(name, results):
-    """Refining each axis once and recording its roots in both charts gives
+    """Refining each axis once, each seed's representative with u, v >= 0
+    once, and recording the roots with the seeds' signs in both charts gives
     the six-chart finder's records, ties between charts broken the same way."""
 
     def bits(recs):
