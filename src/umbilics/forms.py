@@ -272,7 +272,8 @@ def lift_lines(spec, charts, line, ts, psi, points, max_depth):
             break
         line, ts, psi = line[keep], ts[keep], psi[keep]
         mid = 0.5 * (ts[:, 0] + ts[:, 1])
-        mid_psi = line_angle(*closed_forms_arrays(spec, sf.ChartLane(spec, charts[line]), *points(line, mid)))
+        lane = sf.ChartLane(spec, charts[line])
+        mid_psi = line_angle(*closed_forms_arrays(spec, lane, *points(line, mid)))
         resolved[line[np.isnan(mid_psi)]] = False
         mids_taken += np.bincount(line, minlength=n)
         # Each split segment becomes its two halves.

@@ -26,10 +26,9 @@ the finder and the index uses, or the ring is redrawn at half the radius.
 
 :func:`attach_indices` draws each distinct ring once: the records of a root
 in both charts of an axis, and of its mirror images (+-u, +-v) in them,
-share one ring.  It draws all its rings together, round by round: one
-radicand call and one kernel call take every pending ring's samples, and
-one lift takes all rings that fit their charts, one kernel call per
-bisection level.  :func:`umbilic_index` is that pass on a single ring.
+share one ring.  All rings are drawn together, round by round, in one
+radicand call, one kernel call and one lift; :func:`umbilic_index` is that
+pass on one ring.
 
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
@@ -81,12 +80,11 @@ def _radius_clip(spec, rec, records):
 
 
 def _windings(spec, rings, records):
-    """Winding of each record in ``rings``, all drawn together: a
-    WindingResult, or the error its ring raised.  Each ring's radius
-    sequence is the one :func:`umbilic_index` describes.
+    """Winding of each record in ``rings``, all drawn together: a WindingResult
+    or the error its ring raised; each ring's radii are as in umbilic_index.
     """
-    out = [None if rec.kind == um.ISOLATED else NotIsolated("index is defined for isolated umbilics only")
-           for rec in rings]
+    out = [None if rec.kind == um.ISOLATED
+           else NotIsolated("index is defined for isolated umbilics only") for rec in rings]
     centre = np.array([rec.uv for rec in rings], float).reshape(-1, 2)
     lane = np.array([sf.ATLAS.index(rec.chart) for rec in rings], int)
     cap = np.array([_radius_clip(spec, rec, records) for rec in rings], float)
@@ -100,14 +98,15 @@ def _windings(spec, rings, records):
                               uu.ravel(), vv.ravel()).reshape(uu.shape).all(axis=1)
         for i in pending[~fits]:
             if radius[i] <= 1e-9:
-                out[i] = CircleInvalid(f"no valid sampling circle around {rings[i].uv} on {rings[i].chart.label}")
+                rec = rings[i]
+                out[i] = CircleInvalid(f"no valid sampling circle around {rec.uv} on {rec.chart.label}")
             radius[i] = cap[i] = 0.5 * radius[i]      # a ring that has shrunk never grows again
         live = pending[fits]
         if live.size:
             cu, cv, r = cu[fits, 0], cv[fits, 0], r[fits, 0]
-            psi = fm.line_angle(*fm.closed_forms_arrays(
-                spec, sf.ChartLane(spec, np.repeat(lane[live], ts.size)), uu[fits].ravel(), vv[fits].ravel(),
-            )).reshape(live.size, ts.size)
+            rows = sf.ChartLane(spec, np.repeat(lane[live], ts.size))
+            psi = fm.line_angle(*fm.closed_forms_arrays(spec, rows, uu[fits].ravel(), vv[fits].ravel()))
+            psi = psi.reshape(live.size, ts.size)
             total, mids, resolved = fm.lift_lines(
                 spec, lane[live], np.repeat(np.arange(live.size), RING_SAMPLES),
                 np.tile(np.stack([ts[:-1], ts[1:]], axis=1), (live.size, 1)),
@@ -117,7 +116,8 @@ def _windings(spec, rings, records):
             for j, i in enumerate(live):
                 if not resolved[j]:
                     if 2.0 * radius[i] > cap[i]:
-                        out[i] = NonConvergentLift(f"line field unresolved on the ring of radius {radius[i]:.3e}")
+                        out[i] = NonConvergentLift(
+                            f"line field unresolved on the ring of radius {radius[i]:.3e}")
                     radius[i] *= 2.0
                     continue
                 index = float(total[j]) / (2.0 * math.pi)
@@ -158,17 +158,15 @@ def attach_indices(spec, records):
     them.  All rings are drawn together (one pass per round); when rings
     fail, the error of the first record's ring is raised.
     """
+    keys = [(rec.chart.axis, abs(rec.uv[0]), abs(rec.uv[1]), rec.kind) for rec in records]
     rings = {}
-    for rec in records:
-        rings.setdefault((rec.chart.axis, abs(rec.uv[0]), abs(rec.uv[1]), rec.kind), rec)
+    for key, rec in zip(keys, records):
+        rings.setdefault(key, rec)
     results = dict(zip(rings, _windings(spec, list(rings.values()), records)))
-    out = []
-    for rec in records:
-        res = results[(rec.chart.axis, abs(rec.uv[0]), abs(rec.uv[1]), rec.kind)]
+    for res in results.values():             # rings in the order of their first records
         if isinstance(res, Exception):
             raise res
-        out.append(replace(rec, index=res.index))
-    return out
+    return [replace(rec, index=results[key].index) for key, rec in zip(keys, records)]
 
 
 @dataclass(frozen=True)

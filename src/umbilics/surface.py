@@ -49,9 +49,8 @@ class AxisTerm:
     n = 0, 1, 2, the falling-factorial factors m!/(m-n)! c and
     (2m)!/(2m-n)! d, computed once here rather than on every call.
 
-    A :class:`ChartLane` slot holds one term per row in array c, d and
-    scales.  A row whose slot has no quartic part carries d = 0, which moves
-    no bit (see :meth:`power`); ``bare`` marks such rows of a height slot.
+    A :class:`ChartLane` slot holds one term per row, in arrays; a row with
+    no quartic part carries d = 0 (see :meth:`power`), marked in ``bare``.
 
     The exponent m is even in every family, so every power of s comes from
     one power of |s|, |s|^(m-2) = s^(m-2), times s once or twice; the
@@ -295,34 +294,31 @@ ATLAS = tuple(ChartId(ax, s) for ax in _AXES for s in (1, -1))
 
 
 def _lane_table(terms):
-    """The scales of every ATLAS chart's slot terms as (slot, order, c or d,
-    chart), d = 0 where a slot has no quartic part; the charts' signs; and
-    which height slots have none (None when no term has a quartic part)."""
+    """Per ATLAS chart (a column): its sign, the scales c_n of its u, v and
+    height slot terms and, when some term has a quartic part, their d_n (0
+    where a slot has none); and which height slots have none, or None."""
     slots = [[terms[i] for i in _PLACEMENT[chart.axis]] for chart in ATLAS]
-    scales = np.array([[[[row[j].scales[n][cd] or 0.0 for row in slots] for cd in (0, 1)] for n in range(3)]
-                       for j in range(3)])
-    bare = np.array([row[2].d is None for row in slots]) if any(t.d is not None for t in terms) else None
-    return scales, np.array([chart.sign for chart in ATLAS], float), bare
+    parts = (0, 1) if any(t.d is not None for t in terms) else (0,)
+    table = [[chart.sign for chart in ATLAS]] + [
+        [row[j].scales[n][p] or 0.0 for row in slots] for p in parts for j in range(3) for n in range(3)]
+    bare = np.array([row[2].d is None for row in slots]) if len(parts) == 2 else None
+    return np.array(table, float), bare
 
 
 class ChartLane:
-    """Kernel rows that each carry their own chart, ``ATLAS[lane[i]]``.
-
-    The radicand, the height jet and the form kernel take a lane in place of
-    a ChartId, one (u, v) per row, and give each row its own chart's bits.
-    The slot terms are gathered from the spec's table of the six charts;
-    every family has one exponent m, so the powers keep a scalar exponent.
+    """Kernel rows that each carry their own chart, ``ATLAS[lane[i]]``: the
+    radicand, the height jet and the form kernel take one in place of a
+    ChartId and give each row its chart's bits (every family has one m).
     """
 
     def __init__(self, spec, lane):
-        scales, sign, bare = spec.lanes
-        quartic = bare is not None
-        self.sign = sign[lane]
+        table, bare = spec.lanes
+        self.sign, *c = table.take(lane, axis=1)
+        d, m = c[9:] or [None] * 9, spec.terms[0].m
         self._terms = tuple(
-            AxisTerm(rows[0, 0], spec.terms[0].m, rows[0, 1] if quartic else None,
-                     tuple((c, d if quartic else None) for c, d in rows),
-                     bare[lane] if quartic and j == 2 else None)
-            for j, rows in enumerate(scales[..., lane])
+            AxisTerm(c[k], m, d[k], tuple(zip(c[k:k + 3], d[k:k + 3])),
+                     None if k < 6 or bare is None else bare[lane])
+            for k in (0, 3, 6)
         )
 
     def terms(self, spec):

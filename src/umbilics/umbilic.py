@@ -18,20 +18,19 @@ The lanes are refined by a damped Newton iteration on the two-equation
 system (C, B), accepted where the line field is degenerate by the scan's own
 rule (:func:`umbilics.forms.line_angle` is NaN), and deduplicated across charts.
 Every family is even in every coordinate, and the finder does each piece of
-mirrored work once.  The two charts of an axis (X+ and X-, ...) give
-bit-identical forms at the same (u, v): each axis is scanned and refined in
-its + chart, and every root is recorded in both charts, X+ records before
-X- ones as a scan of all six charts would list them.  Within a chart the
-forms at (+-u, +-v) are those at (u, v) with F and f negated, bit for bit:
-the scan evaluates one quadrant, and only the seeds with u, v >= 0 are
-refined and snapped; every other seed takes its mirror's root with its own
-signs.  Those seeds of all three + charts are refined in lockstep as rows
-of one chart lane (:class:`umbilics.surface.ChartLane`), one kernel call
-per evaluation; the per-seed rules are those of a scalar refiner, and no
-seed affects another.  Flat umbilics (the axis points of the power family
-are planar points) make that system vanish to high order, so the refiner
-accelerates the resulting geometric step decay by extrapolation and
-finishes with exact symmetry-line snapping.  A chart whose every grid
+mirrored work once.  The two charts of an axis give bit-identical forms at
+the same (u, v): each axis is scanned and refined in its + chart, and every
+root is recorded in both, X+ before X- as a scan of all six charts would
+list them.  Within a chart the forms at (+-u, +-v) are those at (u, v) with
+F and f negated, bit for bit: the scan evaluates one quadrant, and only the
+seeds with u, v >= 0 are refined and snapped, every other seed taking its
+mirror's root with its own signs.  Those seeds of all three + charts are
+refined in lockstep as rows of one :class:`umbilics.surface.ChartLane`, one
+kernel call per evaluation, by the rules of a scalar refiner.  Flat
+umbilics (the axis points of the power family are planar points) make that
+system vanish to high order, so the refiner accelerates the resulting
+geometric step decay by extrapolation and finishes with exact
+symmetry-line snapping.  A chart whose every grid
 vertex is degenerate is an umbilic continuum (a sphere), reported as one
 record.
 """
@@ -218,23 +217,18 @@ def _snap_symmetry(spec, chart, u, v, res, umbilic):
     numerically on a symmetry locus are replaced by the exact one.  ``umbilic``
     (the line field is degenerate) is returned for the kept point.
     """
-    scale = sum(sf.chart_bounds(spec, chart)) / 2.0
-    candidates = []
-    if abs(u) < 1e-5 * scale:
-        candidates.append((0.0, v))
-    if abs(v) < 1e-5 * scale:
-        candidates.append((u, 0.0))
-    if abs(u) < 1e-5 * scale and abs(v) < 1e-5 * scale:
-        candidates.append((0.0, 0.0))
-    if abs(u - v) < 1e-5 * scale:
-        m = 0.5 * (u + v)
-        candidates.append((m, m))
-    if abs(u + v) < 1e-5 * scale:
-        m = 0.5 * (u - v)
-        candidates.append((m, 0.0 - m))   # not -m: (0, -0.0) would print as -0.0
+    near = 1e-5 * (sum(sf.chart_bounds(spec, chart)) / 2.0)
+    m, n = 0.5 * (u + v), 0.5 * (u - v)
+    candidates = (
+        (abs(u) < near, 0.0, v),
+        (abs(v) < near, u, 0.0),
+        (abs(u) < near and abs(v) < near, 0.0, 0.0),
+        (abs(u - v) < near, m, m),
+        (abs(u + v) < near, n, 0.0 - n),   # not -n: (0, -0.0) would print as -0.0
+    )
     best = (u, v, res, umbilic)
-    for cu, cv in candidates:
-        if not sf.chart_valid(spec, chart, cu, cv):
+    for on_line, cu, cv in candidates:
+        if not on_line or not sf.chart_valid(spec, chart, cu, cv):
             continue
         forms = fm.closed_forms_arrays(spec, chart, cu, cv)
         r = float(scaled_residual(*forms))
@@ -245,8 +239,7 @@ def _snap_symmetry(spec, chart, u, v, res, umbilic):
 
 def _cell_seeds(spec, charts):
     """Centres of the scan cells that may hold an umbilic, one (n, 2) array
-    per chart in grid order; None when every valid grid vertex of a chart is
-    degenerate (an umbilic continuum).
+    per chart in grid order; None when a chart is an umbilic continuum.
 
     Each chart rectangle is cut into CELLS x CELLS cells.  A cell is a seed
     when the line angle lifted around it (:func:`umbilics.forms.lift_lines`)
@@ -290,7 +283,8 @@ def _cell_seeds(spec, charts):
     total = np.full(starts.size, np.nan)            # NaN: unresolved, or an end invalid
     total[live] = np.where(resolved, change, np.nan)
     c = h + 1                                       # block cells per axis
-    tu, tv = total[: total.size // 2].reshape(-1, c, c + 1), total[total.size // 2:].reshape(-1, c + 1, c)
+    tu = total[: total.size // 2].reshape(-1, c, c + 1)
+    tv = total[total.size // 2:].reshape(-1, c + 1, c)
     # Counter-clockwise around cell (i, j): bottom, right, top, left.
     winding = tu[:, :, :-1] + tv[:, 1:, :] - tu[:, :, 1:] - tv[:, :-1, :]
     corners = valid.reshape(shape)
@@ -339,9 +333,7 @@ def find_umbilics(spec):
 
     found = []
     for plus in pluses:
-        # The families are even in every coordinate, so the forms of the two
-        # charts of an axis agree bit for bit: refine in one, record in both.
-        minus = sf.ChartId(plus.axis, -1)
+        minus = sf.ChartId(plus.axis, -1)      # same forms: refined in plus, recorded in both
         kept = []
         for k in np.flatnonzero(lane == sf.ATLAS.index(plus)):
             _, _, res, umbilic = snapped[rep[k]]
