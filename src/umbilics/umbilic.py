@@ -214,17 +214,20 @@ def _snap_symmetry(spec, chart, u, v, res, umbilic):
 
     The families are mirror-symmetric in each chart coordinate and, when the
     in-plane coefficients coincide, under u <-> v; converged points that are
-    numerically on a symmetry locus are replaced by the exact one.  ``umbilic``
-    (the line field is degenerate) is returned for the kept point.
+    numerically on a symmetry locus are replaced by the exact one.  A later
+    candidate wins a tie, and the centre (0, 0) comes last: next to a flat
+    axis point the forms can underflow to a residual of exactly 0 along a
+    whole symmetry line.  ``umbilic`` (the line field is degenerate) is
+    returned for the kept point.
     """
     near = 1e-5 * (sum(sf.chart_bounds(spec, chart)) / 2.0)
     m, n = 0.5 * (u + v), 0.5 * (u - v)
     candidates = (
         (abs(u) < near, 0.0, v),
         (abs(v) < near, u, 0.0),
-        (abs(u) < near and abs(v) < near, 0.0, 0.0),
         (abs(u - v) < near, m, m),
         (abs(u + v) < near, n, 0.0 - n),   # not -n: (0, -0.0) would print as -0.0
+        (abs(u) < near and abs(v) < near, 0.0, 0.0),
     )
     best = (u, v, res, umbilic)
     for on_line, cu, cv in candidates:

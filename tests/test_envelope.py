@@ -20,8 +20,11 @@ failures, the four where the diagonal points are still missed.
 it accepted a root by an absolute residual threshold, reported 34 to 486
 records: points next to the flat axis points, where the residual vanishes
 to high order, passed the threshold.  Accepting a root only where the line
-field is degenerate leaves the 14 closed-form points.  Their index rings do
-not converge yet (ROADMAP item 6), so only the finder is judged.
+field is degenerate leaves the 14 closed-form points.  The six with equal
+coefficients at k = 12 and 13 then still gave 18 to 38 records, the axis
+points recorded off the axis where the symmetry snap lost a residual-0 tie
+to an anti-diagonal point; the snap now tries the centre last.  Their index
+rings do not converge yet (ROADMAP item 6), so only the finder is judged.
 """
 
 import json
@@ -64,6 +67,7 @@ def test_envelope_spec_judged_correct(fields):
 HIGH_K_SPECS = [
     (1, 2, 3, 11), (1, 2, 3, 12), (1, 2, 3, 13), (1, 1, 1, 11), (2, 1, 1, 11),
     (3, 20, 50, 12), (3, 20, 50, 14),
+    (1, 1, 1, 12), (1, 1, 1, 13), (2, 1, 1, 12), (2, 1, 1, 13), (1, 1, 3, 12), (1, 1, 3, 13),
 ]
 
 

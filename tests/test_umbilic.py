@@ -273,6 +273,18 @@ def test_cell_seeds_hold_the_umbilics():
         assert np.any(np.all(np.abs(seeds - uv) <= half, axis=1))
 
 
+def test_snap_centre_wins_residual_ties():
+    """Next to sq(1, 1, 1, 14)'s Z+ axis point the forms underflow: a lane
+    ending at (u, -u), u = 3.8e-7, has residual exactly 0, as its
+    anti-diagonal candidate and the centre have.  The centre is tried last
+    and wins the tie, so the axis point is recorded at (0, 0)."""
+    spec = SurfaceSpec.superquadric(1, 1, 1, 14)
+    u = 3.8374616610113647e-07
+    for point in ((u, -u), (0.0, 0.0)):
+        assert um.scaled_residual(*fm.closed_forms_arrays(spec, Z_PLUS, *point)) == 0.0
+    assert um._snap_symmetry(spec, Z_PLUS, u, -u, 0.0, True) == (0.0, 0.0, 0.0, True)
+
+
 def _refine_alone(spec, chart, seeds):
     """The refiner run on one chart's seeds."""
     return um._newton_refine(spec, np.full(len(seeds), sf.ATLAS.index(chart)), seeds)
