@@ -49,8 +49,8 @@ class AxisTerm:
     n = 0, 1, 2, the falling-factorial factors m!/(m-n)! c and
     (2m)!/(2m-n)! d, computed once here rather than on every call.
 
-    A :class:`ChartLane` slot holds one term per row, in arrays; a row with
-    no quartic part carries d = 0 (see :meth:`power`), marked in ``bare``.
+    A :class:`ChartLane` slot holds array terms, d = 0 on rows without a
+    quartic part (see :meth:`power`), which ``bare`` marks in a height slot.
 
     The exponent m is even in every family, so every power of s comes from
     one power of |s|, |s|^(m-2) = s^(m-2), times s once or twice; the
