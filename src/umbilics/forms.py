@@ -339,7 +339,7 @@ def convexity_scan(spec, n_samples, seed=0) -> ConvexityReport:
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    charts = sf.chart_atlas(spec)
+    charts = sf.ATLAS
     per_chart = max(1, n_samples // len(charts))
     best = math.inf
     arg_chart = charts[0].label

@@ -20,6 +20,7 @@ rows each carry their own chart.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -49,8 +50,8 @@ class AxisTerm:
     n = 0, 1, 2, the falling-factorial factors m!/(m-n)! c and
     (2m)!/(2m-n)! d, computed once here rather than on every call.
 
-    A :class:`ChartLane` slot holds array terms, d = 0 on rows without a
-    quartic part (see :meth:`power`), which ``bare`` marks in a height slot.
+    A :class:`ChartLane` slot holds array terms; its rows without a quartic
+    part (``bare``) take it at s = 0 and their :meth:`power` as t / c.
 
     The exponent m is even in every family, so every power of s comes from
     one power of |s|, |s|^(m-2) = s^(m-2), times s once or twice; the
@@ -80,7 +81,8 @@ class AxisTerm:
         sc, sd = self.scales[0]
         out = sc * sm
         if sd is not None:
-            out = out + sd * (sm * sm)
+            sq = sm if self.bare is None else np.where(self.bare, 0.0, sm)
+            out = out + sd * (sq * sq)
         return out
 
     def jet(self, s):
@@ -96,27 +98,26 @@ class AxisTerm:
         (c0, d0), (c1, d1), (c2, d2) = self.scales
         value, first, second = c0 * sm, c1 * s1, c2 * s2
         if d0 is not None:
-            value = value + d0 * (sm * sm)
-            first = first + d1 * (sm * s1)
-            second = second + d2 * (sm * s2)
+            sq = sm if self.bare is None else np.where(self.bare, 0.0, sm)
+            value = value + d0 * (sq * sq)
+            first = first + d1 * (sq * s1)
+            second = second + d2 * (sq * s2)
         return value, first, second
 
     def power(self, t):
         """The root s^m of term(s) = t (negative for t < 0).
 
         Conjugate form of the quadratic root in s^m: stable as d -> 0 and
-        exact at d = 0, where sqrt(c * c) = c and 2t / 2c = t / c bit for
-        bit (c within 1e-154..1e154); -inf where that quadratic has no real
-        root.  A Python float t runs on Python floats, with the same bits.
+        exact at d = 0; -inf where that quadratic has no real root.  A Python
+        float t runs on Python floats (math.sqrt rounds as np.sqrt does).
         """
         if self.d is None:
             return t / self.c
         disc = self.c * self.c + 4.0 * self.d * t
         if isinstance(t, float):
             return 2.0 * t / (math.sqrt(disc) + self.c) if disc >= 0.0 else -math.inf
-        return np.where(
-            disc >= 0.0, 2.0 * t / (np.sqrt(np.maximum(disc, 0.0)) + self.c), -np.inf
-        )[()]
+        out = np.where(disc >= 0.0, 2.0 * t / (np.sqrt(np.maximum(disc, 0.0)) + self.c), -np.inf)
+        return (out if self.bare is None else np.where(self.bare, t / self.c, out))[()]
 
     def root(self, t):
         """The s >= 0 where the term equals t."""
@@ -128,7 +129,7 @@ class SurfaceSpec:
     """Which family plus its coefficients. Unused fields are None.
 
     ``terms`` holds the (x, y, z) axis terms derived from the other fields,
-    ``lanes`` their :class:`ChartLane` table.
+    and ``lanes``, built on first use, their :class:`ChartLane` table.
     """
 
     family: str
@@ -138,7 +139,6 @@ class SurfaceSpec:
     k: int = None
     epsilon: float = None
     terms: tuple = field(init=False, compare=False, repr=False)
-    lanes: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -176,7 +176,8 @@ class SurfaceSpec:
                 raise SpecError("ellipsoid takes only a, b, c")
             terms = (AxisTerm(self.a, 2), AxisTerm(self.b, 2), AxisTerm(self.c, 2))
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "lanes", _lane_table(terms))
+
+    lanes = functools.cached_property(lambda self: _lane_table(self.terms))
 
     @classmethod
     def superquadric(cls, a, b, c, k):
@@ -296,12 +297,12 @@ ATLAS = tuple(ChartId(ax, s) for ax in _AXES for s in (1, -1))
 def _lane_table(terms):
     """Per ATLAS chart (a column): its sign, the scales c_n of its u, v and
     height slot terms and, when some term has a quartic part, their d_n (0
-    where a slot has none); and which height slots have none, or None."""
+    where a slot has none) and which slots have none (else None)."""
     slots = [[terms[i] for i in _PLACEMENT[chart.axis]] for chart in ATLAS]
     parts = (0, 1) if any(t.d is not None for t in terms) else (0,)
     table = [[chart.sign for chart in ATLAS]] + [
         [row[j].scales[n][p] or 0.0 for row in slots] for p in parts for j in range(3) for n in range(3)]
-    bare = np.array([row[2].d is None for row in slots]) if len(parts) == 2 else None
+    bare = np.array([[row[j].d is None for row in slots] for j in range(3)]) if len(parts) == 2 else None
     return np.array(table, float), bare
 
 
@@ -315,11 +316,9 @@ class ChartLane:
         table, bare = spec.lanes
         self.sign, *c = table.take(lane, axis=1)
         d, m = c[9:] or [None] * 9, spec.terms[0].m
-        self._terms = tuple(
-            AxisTerm(c[k], m, d[k], tuple(zip(c[k:k + 3], d[k:k + 3])),
-                     None if k < 6 or bare is None else bare[lane])
-            for k in (0, 3, 6)
-        )
+        bare = [None] * 3 if bare is None else bare.take(lane, axis=1)
+        self._terms = tuple(AxisTerm(c[k], m, d[k], tuple(zip(c[k:k + 3], d[k:k + 3])), bare[k // 3])
+                            for k in (0, 3, 6))
 
     def terms(self, spec):
         """The per-row terms of the (u, v, height) slots."""
@@ -348,7 +347,7 @@ def implicit_gradient(spec: SurfaceSpec, p):
 
 
 def chart_atlas(spec: SurfaceSpec):
-    """Charts jointly covering the surface with margin DELTA_COVER."""
+    """Charts jointly covering the surface with margin DELTA_COVER: ATLAS."""
     return list(ATLAS)
 
 
@@ -364,8 +363,8 @@ def _as_float(x):
 
 def chart_bounds(spec: SurfaceSpec, chart: ChartId):
     """Half-widths (umax, vmax) of the rectangle enclosing the chart domain."""
-    iu, iv, _ = placement(chart)
-    return float(spec.terms[iu].root(1.0)), float(spec.terms[iv].root(1.0))
+    tu, tv, _ = chart.terms(spec)
+    return float(tu.root(1.0)), float(tv.root(1.0))
 
 
 def radicand(spec: SurfaceSpec, chart, u, v):

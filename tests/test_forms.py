@@ -130,13 +130,17 @@ def test_in_chart_reflections_bit_exact(name):
 @pytest.mark.parametrize(
     "spec",
     [BUNDLED["sq_2352"], BUNDLED["sq_123_k3"], BUNDLED["pe_lt"], BUNDLED["pe_gt"],
-     SurfaceSpec.perturbed_ellipsoid(0.3, 0.516, 0.0), BUNDLED["ellipsoid_123"]],
-    ids=["sq_k2", "sq_k3", "pe_a_lt_b", "pe_a_gt_b", "pe_eps0", "ellipsoid"],
+     SurfaceSpec.perturbed_ellipsoid(0.3, 0.516, 0.0), BUNDLED["ellipsoid_123"],
+     SurfaceSpec.perturbed_ellipsoid(1.0, 1e-200, 0.1), SurfaceSpec.perturbed_ellipsoid(1.0, 1e200, 0.1)],
+    ids=["sq_k2", "sq_k3", "pe_a_lt_b", "pe_a_gt_b", "pe_eps0", "ellipsoid", "pe_b_tiny", "pe_b_huge"],
 )
 def test_chart_lane_rows_bit_exact(spec):
     """Rows of a ChartLane, each in its own chart, get from the radicand,
     the height jet and the form kernel the bits their chart's own array
-    call gives them; the radicand also on rows outside their chart."""
+    call gives them; the radicand also on rows outside their chart.  A
+    height coefficient b far outside 1e-154..1e154 over- or underflows b * b
+    and a quartic z^4 on the X and Y charts: rows without a quartic part
+    must not take their bits through either."""
     rng = np.random.default_rng(43)
     lane = rng.integers(0, 6, 600)
     uu, vv = np.zeros(600), np.zeros(600)
