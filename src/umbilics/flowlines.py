@@ -111,9 +111,11 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     kernel calls each step makes run without numpy dispatch.
     """
     chart = start.chart
-    # A start inside the umbilic stop radius would stop before its first
-    # step; umbilic_residual raises InvalidChartPoint outside the chart.
-    umb = um.umbilic_residual(spec, start)
+    # check_valid raises InvalidChartPoint outside the chart; a start inside
+    # the umbilic stop radius would stop before its first step.
+    margin = sf.check_valid(spec, start)
+    forms = fm.closed_forms_arrays(spec, chart, start.u, start.v)
+    umb = um.scaled_residual(*forms)
     if umb < UMB_STOP:
         raise StartsAtUmbilic(
             f"({start.u}, {start.v}) on {chart.label} is an umbilic point"
@@ -125,8 +127,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     # Direction (None: start outside the covered zone) and umbilic residual
     # of the current node, each evaluated once; a rejected step reuses both.
     f0 = None
-    if sf.radicand(spec, chart, start.u, start.v) >= sf.DELTA_COVER:
-        forms = fm.closed_forms_arrays(spec, chart, start.u, start.v)
+    if margin >= sf.DELTA_COVER:
         du, dv = fm.principal_directions(*forms)[branch]
         f0 = (sign * du, sign * dv)
     x = (float(start.u), float(start.v))

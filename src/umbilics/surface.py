@@ -388,13 +388,14 @@ def chart_valid(spec, chart, u, v, margin=DELTA_VALID):
 
 
 def check_valid(spec, cp: ChartPoint):
-    """Raise InvalidChartPoint unless the chart point is usable."""
+    """The chart point's radicand; raise InvalidChartPoint unless it is usable."""
     try:
         r = float(radicand(spec, cp.chart, cp.u, cp.v))
     except OverflowError:   # Python's ** raises where numpy's gives inf
         r = -math.inf
     if not r >= DELTA_VALID:
         raise InvalidChartPoint(f"chart {cp.chart.label} at ({cp.u}, {cp.v}): radicand {r:.3e}")
+    return r
 
 
 def height_jet(spec: SurfaceSpec, chart, u, v):

@@ -19,24 +19,25 @@ system (C, B), accepted where the line field is degenerate by the scan's own
 rule (:func:`umbilics.forms.line_angle` is NaN), and deduplicated across charts.
 Every family is even in every coordinate, and the finder does each piece of
 mirrored work once.  The two charts of an axis give bit-identical forms at
-the same (u, v): each axis is scanned and refined in its + chart, and every
-root is recorded in both, X+ before X- as a scan of all six charts would
-list them.  Within a chart the forms at (+-u, +-v) are those at (u, v) with
-F and f negated, bit for bit: the scan evaluates one quadrant, and only the
-seeds with u, v >= 0 are refined and snapped, every other seed taking its
-mirror's root with its own signs.  Those seeds of all three + charts are
-refined in lockstep as rows of one :class:`umbilics.surface.ChartLane`, one
-kernel call per evaluation, by the rules of a scalar refiner.  Flat
-umbilics (the axis points of the power family are planar points) make that
-system vanish to high order, so the refiner accelerates the resulting
-geometric step decay by extrapolation and finishes with exact
-symmetry-line snapping.  A chart whose every grid
-vertex is degenerate is an umbilic continuum (a sphere), reported as one
-record.
+the same (u, v), and within a chart the forms at (+-u, +-v) are those at
+(u, v) with F and f negated, bit for bit.  So each axis is scanned in its +
+chart, on the cells with u, v >= 0 only, and those seeds of all three +
+charts are refined in lockstep as rows of one
+:class:`umbilics.surface.ChartLane`, one kernel call per evaluation, by the
+rules of a scalar refiner.  Flat umbilics (the axis points of the power
+family are planar points) make that system vanish to high order, so the
+refiner accelerates the resulting geometric step decay by extrapolation,
+and every root is then snapped to its exact symmetry-line representative,
+all roots in one kernel call.  The accepted roots are folded onto
+u, v >= 0 and deduplicated there; each kept root is recorded at its
+distinct images (+-u, +-v) in both charts of its axis.  A chart whose every
+grid vertex is degenerate is an umbilic continuum (a sphere), reported as
+one record.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -209,40 +210,43 @@ def _newton_refine(spec, lane, seeds):
     return x
 
 
-def _snap_symmetry(spec, chart, u, v, res, umbilic):
-    """Try exact symmetry-line representatives; keep whichever residual wins.
+def _snap_symmetry(spec, lane, x):
+    """Try exact symmetry-line representatives of the (n, 2) roots ``x``,
+    root i in chart ``surface.ATLAS[lane[i]]``; keep whichever residual wins.
 
     The families are mirror-symmetric in each chart coordinate and, when the
     in-plane coefficients coincide, under u <-> v; converged points that are
     numerically on a symmetry locus are replaced by the exact one.  A later
     candidate wins a tie, and the centre (0, 0) comes last: next to a flat
     axis point the forms can underflow to a residual of exactly 0 along a
-    whole symmetry line.  ``umbilic`` (the line field is degenerate) is
-    returned for the kept point.
+    whole symmetry line.  The roots and their candidates are the rows of
+    one ChartLane: one radicand call and one kernel call.  Returns the kept
+    points, their residuals and whether the line field is degenerate there.
     """
-    near = 1e-5 * (sum(sf.chart_bounds(spec, chart)) / 2.0)
-    m, n = 0.5 * (u + v), 0.5 * (u - v)
-    candidates = (
-        (abs(u) < near, 0.0, v),
-        (abs(v) < near, u, 0.0),
-        (abs(u - v) < near, m, m),
-        (abs(u + v) < near, n, 0.0 - n),   # not -n: (0, -0.0) would print as -0.0
-        (abs(u) < near and abs(v) < near, 0.0, 0.0),
-    )
-    best = (u, v, res, umbilic)
-    for on_line, cu, cv in candidates:
-        if not on_line or not sf.chart_valid(spec, chart, cu, cv):
-            continue
-        forms = fm.closed_forms_arrays(spec, chart, cu, cv)
-        r = float(scaled_residual(*forms))
-        if r <= best[2]:
-            best = (cu, cv, r, bool(np.isnan(fm.line_angle(*forms))))
-    return best
+    u, v = x.T
+    near = 1e-5 * np.array([sum(sf.chart_bounds(spec, chart)) / 2.0 for chart in sf.ATLAS])[lane]
+    m, n, zero = 0.5 * (u + v), 0.5 * (u - v), np.zeros_like(u)
+    cu = np.concatenate([u, zero, u, m, n, zero])
+    cv = np.concatenate([v, v, zero, m, 0.0 - n, zero])   # not -n: (0, -0.0) would print as -0.0
+    on_u, on_v = np.abs(u) < near, np.abs(v) < near
+    tried = np.concatenate([np.ones_like(on_u), on_u, on_v, np.abs(u - v) < near, np.abs(u + v) < near,
+                            on_u & on_v])
+    lanes = np.tile(lane, 6)
+    tried[tried] = sf.chart_valid(spec, sf.ChartLane(spec, lanes[tried]), cu[tried], cv[tried])
+    forms = fm.closed_forms_arrays(spec, sf.ChartLane(spec, lanes[tried]), cu[tried], cv[tried])
+    res, umbilic = np.full(cu.shape, np.nan), np.zeros(cu.shape, bool)
+    res[tried], umbilic[tried] = scaled_residual(*forms), np.isnan(fm.line_angle(*forms))
+    rows = np.arange(len(x))
+    best = rows.copy()                   # row of the kept point; NaN never wins
+    for k in range(1, 6):
+        best = np.where(res[k * len(x) + rows] <= res[best], k * len(x) + rows, best)
+    return np.column_stack([cu[best], cv[best]]), res[best], umbilic[best]
 
 
 def _cell_seeds(spec, charts):
-    """Centres of the scan cells that may hold an umbilic, one (n, 2) array
-    per chart in grid order; None when a chart is an umbilic continuum.
+    """Centres of the scan cells with u, v >= 0 that may hold an umbilic,
+    one (n, 2) array per chart in grid order; None when a chart is an
+    umbilic continuum.
 
     Each chart rectangle is cut into CELLS x CELLS cells.  A cell is a seed
     when the line angle lifted around it (:func:`umbilics.forms.lift_lines`)
@@ -250,7 +254,8 @@ def _cell_seeds(spec, charts):
     unresolved.  The forms are taken in one kernel call per chart, at the
     32 x 32 vertices with u, v > 0, and mirrored (F and f negated) onto the
     vertices just across the axes; the edges of the cells i, j >= CELLS // 2
-    of all charts are lifted together, and the seed mask is mirrored back.
+    of all charts are lifted together.  The other cells are their mirror
+    images, which hold the mirror images of their umbilics.
     """
     n, h = CELLS, CELLS // 2                 # cell h straddles both axes
     fold = np.r_[0, 0:h + 1]                 # block vertex -> quadrant vertex
@@ -292,12 +297,10 @@ def _cell_seeds(spec, charts):
     winding = tu[:, :, :-1] + tv[:, 1:, :] - tu[:, :, 1:] - tv[:, :-1, :]
     corners = valid.reshape(shape)
     inside = corners[:, :-1, :-1] & corners[:, 1:, :-1] & corners[:, :-1, 1:] & corners[:, 1:, 1:]
-    mirror = np.abs(np.arange(n) - h)
     seeds = []
-    for chart, half in zip(charts, inside & ~(np.abs(winding) < 0.5 * math.pi)):   # nonzero or NaN
+    for chart, quad in zip(charts, inside & ~(np.abs(winding) < 0.5 * math.pi)):   # nonzero or NaN
         umax, vmax = sf.chart_bounds(spec, chart)
-        cells = np.argwhere(half[mirror][:, mirror])
-        seeds.append((cells - 0.5 * (n - 1)) * (2.0 * umax / n, 2.0 * vmax / n))
+        seeds.append(np.argwhere(quad) * (2.0 * umax / n, 2.0 * vmax / n))   # block cell 0 is cell h
     return seeds
 
 
@@ -319,47 +322,40 @@ def find_umbilics(spec):
     seeds = np.concatenate(seeds)
     if not len(seeds):
         return []
-    # Refine and snap each seed's mirror image with u, v >= 0 once; the seed
-    # takes its root with its own signs (+ 0.0 keeps a zero coordinate +0.0).
-    reps, rep = np.unique(np.column_stack([lane, np.abs(seeds)]), axis=0, return_inverse=True)
-    rep_lane = reps[:, 0].astype(int)
-    refined = _newton_refine(spec, rep_lane, reps[:, 1:])
-    forms = fm.closed_forms_arrays(spec, sf.ChartLane(spec, rep_lane), refined[:, 0], refined[:, 1])
-    snapped = [
-        # Snap first: a flat axis point is degenerate only where exactly symmetric.
-        _snap_symmetry(spec, sf.ATLAS[i], u, v, res, umbilic)
-        for i, (u, v), res, umbilic in zip(rep_lane.tolist(), refined.tolist(),
-                                           scaled_residual(*forms).tolist(),
-                                           np.isnan(fm.line_angle(*forms)).tolist())
-    ]
-    roots = np.where(seeds < 0.0, -1.0, 1.0) * np.array([x[:2] for x in snapped])[rep] + 0.0
+    # Snap first: a flat axis point is degenerate only where exactly symmetric.
+    roots, residual, umbilic = _snap_symmetry(spec, lane, _newton_refine(spec, lane, seeds))
+    for i, (u, v), res in zip(lane[~umbilic], seeds[~umbilic], residual[~umbilic]):
+        log.debug("seed (%.3f, %.3f) on %s: line field not degenerate at the kept point"
+                  " (residual %.2e)", u, v, sf.ATLAS[i].label, res)
 
-    found = []
-    for plus in pluses:
-        minus = sf.ChartId(plus.axis, -1)      # same forms: refined in plus, recorded in both
-        kept = []
-        for k in np.flatnonzero(lane == sf.ATLAS.index(plus)):
-            _, _, res, umbilic = snapped[rep[k]]
-            if not umbilic:
-                log.debug("seed (%.3f, %.3f) on %s/%s: line field not degenerate at the"
-                          " kept point (residual %.2e)", *seeds[k], plus.label, minus.label, res)
-                continue
-            kept.append((*roots[k].tolist(), res))
-        for chart in (plus, minus):
-            for u, v, res in kept:
-                point = tuple(float(c) for c in sf.chart_points(spec, chart, u, v))
-                found.append(UmbilicRecord(point, chart, (u, v), res))
-
-    # Greedy dedup in residual order: a record is kept unless it lies within
-    # the dedup radius of one kept before it.
-    found.sort(key=lambda r: r.residual)
-    pts = np.array([r.ambient for r in found]).reshape(-1, 3)
+    # Greedy dedup of the roots folded onto u, v >= 0 (so into the octant
+    # x, y, z >= 0), in residual order: a root is kept unless it lies within
+    # the dedup radius of one kept before it.  Folded points are the closest
+    # of their mirror images, and a root's own images are distinct points.
+    order = np.flatnonzero(umbilic)[np.argsort(residual[umbilic], kind="stable")]
+    lane, roots, residual = lane[order], np.abs(roots[order]), residual[order].tolist()
+    # One scalar chart_points call per root (numpy's scalar and array powers
+    # may round apart); each image's ambient point is a sign flip of it.
+    pts = np.array([sf.chart_points(spec, sf.ATLAS[i], u, v)
+                    for i, (u, v) in zip(lane.tolist(), roots.tolist())]).reshape(-1, 3)
     far = _norm(pts[:, None, :] - pts[None, :, :]) >= DEDUP_REL * sf.surface_diameter(spec)
     kept = []
-    for i in range(len(found)):
+    for i in range(len(order)):
         if far[i, kept].all():
             kept.append(i)
-    return sorted((found[i] for i in kept), key=lambda r: tuple(round(c, 9) for c in r.ambient))
+
+    # Record each kept root's distinct images (+-u, +-v) in both charts of
+    # its axis: the forms, and so the residual, are the same bits at all.
+    found = []
+    for i in kept:
+        plus, (u, v) = sf.ATLAS[lane[i]], roots[i].tolist()
+        signs = [(1.0, -1.0) if c else (1.0,) for c in (u, v)]
+        for sign, su, sv in itertools.product((1, -1), *signs):
+            flip = np.empty(3)
+            flip[list(sf.placement(plus))] = su, sv, sign
+            point = tuple((pts[i] * flip).tolist())
+            found.append(UmbilicRecord(point, sf.ChartId(plus.axis, sign), (su * u, sv * v), residual[i]))
+    return sorted(found, key=lambda r: tuple(round(c, 9) for c in r.ambient))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from umbilics import forms as fm
+from umbilics import index as ix
 from umbilics import surface as sf
 from umbilics import umbilic as um
 from umbilics.errors import NotApplicable
@@ -238,11 +239,15 @@ def full_grid_cell_seeds(spec, chart):
     ids=list(BUNDLED) + [f"envelope{i}" for i in range(len(ENVELOPE))],
 )
 def test_quadrant_fold_matches_full_grid_scan(spec):
-    """Scanning one quadrant per chart and mirroring its seed mask gives the
-    whole-grid scan's seeds: the same bits in the same order, on every +
-    chart."""
+    """Scanning one quadrant per chart gives the whole-grid scan's seeds with
+    u, v >= 0: the same bits in the same order, on every + chart.  The
+    whole-grid seeds are mirror-symmetric, so those hold every seed's
+    mirror image."""
     for chart, seeds in zip(PLUSES, um._cell_seeds(spec, PLUSES)):
-        want = full_grid_cell_seeds(spec, chart)
+        full = full_grid_cell_seeds(spec, chart)
+        for flip in ((-1.0, 1.0), (1.0, -1.0)):
+            assert set(map(tuple, (full * flip).tolist())) == set(map(tuple, full.tolist())), chart
+        want = full[np.all(full >= 0.0, axis=1)]
         assert seeds.shape == want.shape and seeds.tobytes() == want.tobytes(), chart
 
 
@@ -263,14 +268,14 @@ def test_seedless_chart_takes_no_kernel_call(monkeypatch, name):
 
 def test_cell_seeds_hold_the_umbilics():
     """sq_1112's Z+ chart holds five umbilics (the pole and four diagonal
-    points); each lies inside a seeded cell."""
+    points); each, folded onto u, v >= 0, lies inside a seeded cell."""
     [seeds] = um._cell_seeds(SQ_1112, [Z_PLUS])
     half = np.array(sf.chart_bounds(SQ_1112, Z_PLUS)) / um.CELLS
     pre = [sf.ambient_to_chart(SQ_1112, Z_PLUS, p) for p in um.closed_form_umbilics(SQ_1112)]
     inside = [(u, v) for u, v, _ in filter(None, pre)]
     assert len(inside) == 5
     for uv in inside:
-        assert np.any(np.all(np.abs(seeds - uv) <= half, axis=1))
+        assert np.any(np.all(np.abs(seeds - np.abs(uv)) <= half, axis=1))
 
 
 def test_snap_centre_wins_residual_ties():
@@ -282,7 +287,9 @@ def test_snap_centre_wins_residual_ties():
     u = 3.8374616610113647e-07
     for point in ((u, -u), (0.0, 0.0)):
         assert um.scaled_residual(*fm.closed_forms_arrays(spec, Z_PLUS, *point)) == 0.0
-    assert um._snap_symmetry(spec, Z_PLUS, u, -u, 0.0, True) == (0.0, 0.0, 0.0, True)
+    lane = np.array([sf.ATLAS.index(Z_PLUS)])
+    points, residuals, umbilic = um._snap_symmetry(spec, lane, np.array([[u, -u]]))
+    assert (*points[0].tolist(), residuals[0], umbilic[0]) == (0.0, 0.0, 0.0, True)
 
 
 def _refine_alone(spec, chart, seeds):
@@ -292,14 +299,14 @@ def _refine_alone(spec, chart, seeds):
 
 @pytest.mark.parametrize("name", ["pe_gt", "pe_lt", "sq_c100"])
 def test_newton_lanes_independent(name):
-    """The lockstep refiner's lanes do not interact: each cell seed refined
-    alone ends on the same bits as in the whole batch, a seed inside the
-    chart margin stops where it starts without changing the others, and the
-    seeds of the three + charts refined together end on the same bits as
-    each chart's seeds refined alone."""
+    """The lockstep refiner's lanes do not interact: each seed of a
+    whole-grid scan refined alone ends on the same bits as in the whole
+    batch, a seed inside the chart margin stops where it starts without
+    changing the others, and the seeds of the three + charts refined
+    together end on the same bits as each chart's seeds refined alone."""
     spec = BUNDLED[name]
     for chart in sf.chart_atlas(spec)[:3]:
-        [seeds] = um._cell_seeds(spec, [chart])
+        seeds = full_grid_cell_seeds(spec, chart)
         assert len(seeds) > 1
         umax, _ = sf.chart_bounds(spec, chart)
         edge = brentq(
@@ -319,6 +326,31 @@ def test_newton_lanes_independent(name):
         assert np.array_equal(together[lane == sf.ATLAS.index(chart)], _refine_alone(spec, chart, alone))
 
 
+def _snap_alone(spec, chart, u, v, res, umbilic):
+    """The symmetry snap one root and one candidate at a time, each
+    candidate evaluated as a one-element array: the arithmetic of the
+    finder's batched snap.  A later candidate wins a tie; the centre comes
+    last."""
+    near = 1e-5 * (sum(sf.chart_bounds(spec, chart)) / 2.0)
+    m, n = 0.5 * (u + v), 0.5 * (u - v)
+    candidates = (
+        (abs(u) < near, 0.0, v),
+        (abs(v) < near, u, 0.0),
+        (abs(u - v) < near, m, m),
+        (abs(u + v) < near, n, 0.0 - n),
+        (abs(u) < near and abs(v) < near, 0.0, 0.0),
+    )
+    best = (u, v, res, umbilic)
+    for on_line, cu, cv in candidates:
+        if not on_line or not sf.chart_valid(spec, chart, np.array([cu]), np.array([cv]))[0]:
+            continue
+        forms = fm.closed_forms_arrays(spec, chart, np.array([cu]), np.array([cv]))
+        r = float(um.scaled_residual(*forms)[0])
+        if r <= best[2]:
+            best = (cu, cv, r, bool(np.isnan(fm.line_angle(*forms))[0]))
+    return best
+
+
 def six_chart_reference(spec):
     """The finder without the mirror folds: every chart scanned on its whole
     grid and refined on its own, each refined point snapped and accepted
@@ -330,7 +362,7 @@ def six_chart_reference(spec):
         forms = fm.closed_forms_arrays(spec, chart, refined[:, 0], refined[:, 1])
         residuals, degenerate = um.scaled_residual(*forms), np.isnan(fm.line_angle(*forms))
         for (u, v), res, umbilic in zip(refined.tolist(), residuals.tolist(), degenerate.tolist()):
-            u, v, res, umbilic = um._snap_symmetry(spec, chart, u, v, res, umbilic)
+            u, v, res, umbilic = _snap_alone(spec, chart, u, v, res, umbilic)
             if umbilic:
                 point = tuple(float(c) for c in sf.chart_points(spec, chart, u, v))
                 found.append(um.UmbilicRecord(point, chart, (u, v), res))
@@ -346,9 +378,10 @@ def six_chart_reference(spec):
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_mirror_fold_matches_six_chart_scan(name, results):
-    """Refining each axis once, each seed's representative with u, v >= 0
-    once, and recording the roots with the seeds' signs in both charts gives
-    the six-chart finder's records, ties between charts broken the same way."""
+    """Refining each axis once, on its seeds with u, v >= 0, deduplicating
+    the roots folded onto u, v >= 0, and recording each kept root's mirror
+    images in both charts gives the six-chart finder's records, ties between
+    charts broken the same way."""
 
     def bits(recs):
         return [
@@ -358,6 +391,44 @@ def test_mirror_fold_matches_six_chart_scan(name, results):
 
     spec = BUNDLED[name]
     assert bits(results.records(spec)) == bits(six_chart_reference(spec))
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_finder_evaluates_arrays_and_each_root_once(monkeypatch, name):
+    """The finder makes no scalar (0-d) kernel or radicand call, and at most
+    one chart_points call per root that the line-field test accepts: the
+    mirror images of a root are sign flips of its one ambient point."""
+    calls = {"kernel": [], "radicand": [], "chart_points": []}
+
+    def counted(key, func):
+        def wrapper(spec, chart, u, v):
+            calls[key].append(np.ndim(u))
+            return func(spec, chart, u, v)
+        return wrapper
+
+    monkeypatch.setattr(fm, "closed_forms_arrays", counted("kernel", fm.closed_forms_arrays))
+    monkeypatch.setattr(sf, "radicand", counted("radicand", sf.radicand))
+    monkeypatch.setattr(sf, "chart_points", counted("chart_points", sf.chart_points))
+    snaps, snap = [], um._snap_symmetry
+    monkeypatch.setattr(um, "_snap_symmetry", lambda *args: snaps.append(snap(*args)) or snaps[-1])
+    assert um.find_umbilics(BUNDLED[name])
+    assert 0 not in calls["kernel"] and 0 not in calls["radicand"]
+    [(_, _, accepted)] = snaps
+    assert 0 < len(calls["chart_points"]) <= accepted.sum()
+
+
+@pytest.mark.parametrize("b", [1e100, 1e160, 1e200])
+def test_flat_ellipsoid_keeps_both_poles(b):
+    """pe(1, b, 0.1) with a huge b is flat: its poles at z = +-b^(-1/2) lie
+    far inside the dedup radius of each other, which the x and y extent
+    sets.  They are mirror images of one root, never merged, so both are
+    recorded and the index sum is 2."""
+    spec = SurfaceSpec.perturbed_ellipsoid(1.0, b, 0.1)
+    records = ix.attach_indices(spec, um.find_umbilics(spec))
+    poles = sorted((r.chart.label, r.ambient, r.uv, r.index) for r in records)
+    z = b ** -0.5
+    assert poles == [("Z+", (0.0, 0.0, z), (0.0, 0.0), 1.0), ("Z-", (0.0, 0.0, -z), (0.0, 0.0), 1.0)]
+    assert ix.poincare_hopf_check(spec, records).passed
 
 
 def test_find_ellipsoid(results):
