@@ -237,7 +237,9 @@ def line_angle(E, F, G, e, f, g):
 def lift_lines(spec, charts, line, ts, psi, points, max_depth):
     """Lift the line angle continuously along polylines, each in its own chart.
 
-    Polyline k lies in chart ``surface.ATLAS[charts[k]]``.  The polylines
+    The index rings are such polylines, all lifted together; the finder
+    does not lift (it solves the umbilic strata directly).  Polyline k lies
+    in chart ``surface.ATLAS[charts[k]]``.  The polylines
     are given as segments: ``line`` holds each segment's polyline id
     (0, 1, ...), and ``ts`` and ``psi``, of shape (m, 2), the curve
     parameter and :func:`line_angle` at its two ends.  Angles are

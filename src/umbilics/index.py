@@ -8,8 +8,8 @@ modulo pi (a line field has no orientation), lifted continuously by nearest
 representative; closing the loop then yields an integer multiple of pi,
 i.e. a half-integer index.
 
-The ring is lifted by :func:`umbilics.forms.lift_lines`, the level-wise
-bisection the finder's cell scan also uses.  Two robustness measures beyond
+The ring is lifted by :func:`umbilics.forms.lift_lines`, a level-wise
+bisection of every ring together.  Two robustness measures beyond
 plain uniform sampling:
 
 * segments whose hop (the mod-pi distance between their endpoint angles)
@@ -62,7 +62,8 @@ def _radius_clip(spec, rec, records):
     """Largest admissible circle: half the gap to other umbilic preimages
     in this chart, and well inside the chart rectangle.
 
-    A record within the finder's dedup radius of ``rec`` is the same point.
+    A record within DEDUP_REL of the surface diameter of ``rec`` is the
+    same point.
     Each half of these even, convex surfaces is a graph over its chart, so
     the preimages are the records on the chart's side over valid (u, v).
     """

@@ -51,7 +51,8 @@ class AxisTerm:
     (2m)!/(2m-n)! d, computed once here rather than on every call.
 
     A :class:`ChartLane` slot holds array terms; its rows without a quartic
-    part (``bare``) take it at s = 0 and their :meth:`power` as t / c.
+    part (``bare``) take it at s = 0 and their :meth:`power` as t / c; the
+    quadratic root sees them with c = 1, so c * c cannot overflow there.
 
     The exponent m is even in every family, so every power of s comes from
     one power of |s|, |s|^(m-2) = s^(m-2), times s once or twice; the
@@ -113,10 +114,12 @@ class AxisTerm:
         """
         if self.d is None:
             return t / self.c
-        disc = self.c * self.c + 4.0 * self.d * t
         if isinstance(t, float):
+            disc = self.c * self.c + 4.0 * self.d * t
             return 2.0 * t / (math.sqrt(disc) + self.c) if disc >= 0.0 else -math.inf
-        out = np.where(disc >= 0.0, 2.0 * t / (np.sqrt(np.maximum(disc, 0.0)) + self.c), -np.inf)
+        c = self.c if self.bare is None else np.where(self.bare, 1.0, self.c)   # bare rows keep t / c
+        disc = c * c + 4.0 * self.d * t
+        out = np.where(disc >= 0.0, 2.0 * t / (np.sqrt(np.maximum(disc, 0.0)) + c), -np.inf)
         return (out if self.bare is None else np.where(self.bare, t / self.c, out))[()]
 
     def root(self, t):

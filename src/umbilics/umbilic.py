@@ -2,43 +2,34 @@
 
 Umbilics are the points where the curvature-line quadratic
 A du^2 + B du dv + C dv^2 (:func:`umbilics.forms.line_quadratic`) vanishes
-identically.  The finder seeds from the line field itself: it cuts each
-chart into 63 x 63 cells, lifts the line angle psi along every cell edge
-(:func:`umbilics.forms.lift_lines`, the bisection the index ring uses) and
-reads psi's change around each cell, 2 pi times the index sum inside it
-(Poincare-Hopf).  One Newton lane starts at the centre of every cell with a
-nonzero winding and of every cell with an unresolved edge: one that meets a
-degenerate sample or still hops after EDGE_DEPTH bisection levels, as near
-flat umbilics.  No residual threshold picks the seeds.  A pair of index
-+1/2 and -1/2 inside one cell sums to zero, so the cell size is the finder's
-resolution.  The scan, the refiner and the index ring share one chart
-margin: a point is usable when its radicand is at least surface.DELTA_VALID.
+identically.  Every family is F = T_x(x) + T_y(y) + T_z(z) - 1 with even
+axis terms, so the Hessian of F is diagonal, d_i = T_i''(x_i), and a point
+is umbilic exactly when that Hessian projected onto the tangent plane is
+isotropic (the implicit shape operator; Goldman, "Curvature formulas for
+implicit curves and surfaces", CAGD 22, 2005).  With g_i = T_i'(x_i) the
+umbilic set splits into strata, each a root problem in one variable at
+most:
 
-The lanes are refined by a damped Newton iteration on the two-equation
-system (C, B), accepted where the line field is degenerate by the scan's own
-rule (:func:`umbilics.forms.line_angle` is NaN), and deduplicated across charts.
-Every family is even in every coordinate, and the finder does each piece of
-mirrored work once.  The two charts of an axis give bit-identical forms at
-the same (u, v), and within a chart the forms at (+-u, +-v) are those at
-(u, v) with F and f negated, bit for bit.  So each axis is scanned in its +
-chart, on the cells with u, v >= 0 only, and those seeds of all three +
-charts are refined in lockstep as rows of one
-:class:`umbilics.surface.ChartLane`, one kernel call per evaluation, by the
-rules of a scalar refiner.  Flat umbilics (the axis points of the power
-family are planar points) make that system vanish to high order, so the
-refiner accelerates the resulting geometric step decay by extrapolation,
-and every root is then snapped to its exact symmetry-line representative,
-all roots in one kernel call.  The accepted roots are folded onto
-u, v >= 0 and deduplicated there; each kept root is recorded at its
-distinct images (+-u, +-v) in both charts of its axis.  A chart whose every
-grid vertex is degenerate is an umbilic continuum (a sphere), reported as
-one record.
+* axis of x_i: umbilic exactly when T_j''(0) = T_k''(0);
+* face x_k = 0, x_i, x_j != 0: (d_i - d_k) g_j^2 + (d_j - d_k) g_i^2 = 0
+  on the curve T_i + T_j = 1, sampled and refined by regula falsi;
+* off the coordinate planes: d_x = d_y = d_z = lambda, solved per axis
+  in closed form, one point per octant or none.
+
+The finder solves each stratum in the octant x, y, z >= 0 from the axis
+terms (``spec.terms``) alone, and records every point at its distinct
+mirror images (sign flips), each in its home chart: the chart of the axis
+with the largest |dF/dx_i|, on that coordinate's side.  The strata are
+disjoint, so no point is found twice.  All residuals come from one kernel
+call.  A face sample whose value is within ROUNDING_FLOOR of its magnitude
+sum has no known sign, so roots that rounding cannot resolve are not
+reported.  When every axis term is c s^2 with the same c the surface is a
+sphere, an umbilic continuum, reported as one record.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -48,8 +39,6 @@ from . import forms as fm
 from . import surface as sf
 from .errors import NotApplicable
 
-log = logging.getLogger(__name__)
-
 ISOLATED = "isolated"
 NON_ISOLATED = "non_isolated"
 
@@ -57,7 +46,7 @@ NON_ISOLATED = "non_isolated"
 @dataclass(frozen=True)
 class UmbilicRecord:
     ambient: tuple            # (x, y, z)
-    chart: sf.ChartId         # chart the point was refined in
+    chart: sf.ChartId         # home chart: the axis of largest |dF/dx_i|, signed
     uv: tuple                 # chart coordinates there
     residual: float
     kind: str = ISOLATED
@@ -92,10 +81,12 @@ class ThresholdReport:
         }
 
 
-CELLS = 63                           # scan cells per chart axis (odd)
-EDGE_DEPTH = 30                      # bisection levels of a scan-cell edge
-DEDUP_REL = 1e-6                     # dedup radius over the surface diameter
-MAX_NEWTON = 100
+DEDUP_REL = 1e-6                     # points closer than this over the surface diameter are one
+FACE_SAMPLES = 2000                  # linear samples of a face curve's parameter
+END_SAMPLES = 600                    # log-spaced samples toward each end, down to 1e-300
+# A face sample whose value is at most this fraction of its magnitude sum has no known sign.
+ROUNDING_FLOOR = 64.0 * float(np.finfo(float).eps)
+MAX_FALSI = 100                      # regula falsi steps; brackets collapse in far fewer
 
 
 def scaled_residual(E, F, G, e, f, g):
@@ -104,12 +95,28 @@ def scaled_residual(E, F, G, e, f, g):
     Norm of the line-quadratic coefficients (A, B, C) over
     (EG - F^2)(1 + |e| + |f| + |g|).  Squares by multiplying, as numpy's
     array ``** 2`` does (libm ``pow(x, 2)`` is not always correctly
-    rounded), so float and array inputs give the same bits.
+    rounded), so float and array inputs give the same bits.  Where the sum
+    of squares overflows, the norm is taken of (A, B, C) over its largest
+    magnitude, times that magnitude.
     """
     A, B, C = fm.line_quadratic(E, F, G, e, f, g)
-    s2 = C * C + A * A + B * B
-    s = math.sqrt(s2) if isinstance(s2, float) else np.sqrt(s2)
-    return s / ((E * G - F * F) * (1.0 + abs(e) + abs(f) + abs(g)))
+    den = (E * G - F * F) * (1.0 + abs(e) + abs(f) + abs(g))
+    if isinstance(A, float):
+        s2 = C * C + A * A + B * B
+        m = max(abs(A), abs(B), abs(C)) if s2 == math.inf else math.inf
+        if m < math.inf:
+            A, B, C = A / m, B / m, C / m
+            return m * math.sqrt(C * C + A * A + B * B) / den
+        return math.sqrt(s2) / den
+    with np.errstate(over="ignore"):
+        s2 = C * C + A * A + B * B
+    if np.isinf(s2).any():
+        m = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
+        over = np.isinf(s2) & np.isfinite(m)
+        m = np.where(over, m, 1.0)               # x / 1.0 and 1.0 * x keep x's bits
+        A, B, C = A / m, B / m, C / m
+        return m * np.sqrt(np.where(over, C * C + A * A + B * B, s2)) / den
+    return np.sqrt(s2) / den
 
 
 def umbilic_residual(spec, cp) -> float:
@@ -119,242 +126,194 @@ def umbilic_residual(spec, cp) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Newton refinement
+# Stratified finder
 
 
-_SIDES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])   # u+h, u-h, v+h, v-h
+def _at_zero(term):
+    """T''(0) of an axis term: 2c where m = 2, else 0."""
+    return term.scales[2][0] if term.m == 2 else 0.0
 
 
-def _norm(a):
-    return np.linalg.norm(a, axis=-1)
+def _slope_rise(term, s):
+    """T'(s) and the curvature's rise T''(s) - T''(0) at s >= 0, both sums
+    of nonnegative monomials: the rise taken from its monomials stays exact
+    where s is small, where T''(s) - T''(0) would cancel."""
+    _, first, second = term.jet(s)
+    if term.m > 2:
+        return first, second
+    d2 = term.scales[2][1]
+    return first, 0.0 if d2 is None else d2 * (s * s)
 
 
-def _system(spec, lane, X):
-    """Unscaled umbilic system (C, B) at the rows (u, v) of X, row i taken in
-    chart ``surface.ATLAS[lane[i]]``, and the mask of valid rows (the other
-    rows are NaN).  One radicand call and one kernel call."""
-    out = np.full(X.shape, np.nan)
-    ok = sf.chart_valid(spec, sf.ChartLane(spec, lane), X[:, 0], X[:, 1])
-    if ok.any():
-        forms = fm.closed_forms_arrays(spec, sf.ChartLane(spec, lane[ok]), X[ok, 0], X[ok, 1])
-        _, out[ok, 1], out[ok, 0] = fm.line_quadratic(*forms)
-    return out, ok
+def _face_values(spec, lane, ti, tj):
+    """Face function of the face x_k = 0 at T_i(x_i) = ti, T_j(x_j) = tj.
 
-
-def _newton_refine(spec, lane, seeds):
-    """Damped Newton with geometric-step extrapolation from (n, 2) seeds,
-    seed i in chart ``surface.ATLAS[lane[i]]``.
-
-    The seeds run in lockstep as independent lanes, the active lanes'
-    evaluations batched into one kernel call.  A lane stops when a
-    Jacobian side point leaves the chart, its Jacobian is singular, seven
-    halvings fail to lower |(C, B)|, or its step falls below 1e-14 relative.  Flat umbilics
-    make Newton converge only linearly (ratio (m-1)/m for a root of
-    multiplicity m); when three consecutive undamped steps decay
-    geometrically the remaining tail is summed in one jump.  Returns the best
-    point each lane reached; acceptance is the caller's degeneracy test.
+    Row r lies on the face of the height axis k of the ChartLane ``lane``'s
+    chart, whose u and v slots are i and j.  Returns the face function
+    (d_i - d_k) g_j^2 + (d_j - d_k) g_i^2, its magnitude sum (every
+    curvature at 0 and rise counted positive) and x_i, x_j.
     """
-    x = np.array(seeds, float).reshape(-1, 2)
-    fx, active = _system(spec, lane, x)
-    steps = np.zeros((len(x), 3, 2))      # a lane's last undamped steps, newest last
-    nsteps = np.zeros(len(x), int)
-    for _ in range(MAX_NEWTON):
-        lanes = np.flatnonzero(active)
-        if lanes.size == 0:
+    tu, tv, th = lane.terms(spec)
+    xi, xj = tu.root(ti), tv.root(tj)
+    (gi, ei), (gj, ej) = _slope_rise(tu, xi), _slope_rise(tv, xj)
+    ci, cj, ck = _at_zero(tu), _at_zero(tv), _at_zero(th)
+    gi, gj = gi * gi, gj * gj
+    phi = ((ci - ck) + ei) * gj + ((cj - ck) + ej) * gi
+    mag = (ci + ck + ei) * gj + (cj + ck + ej) * gi
+    return phi, mag, xi, xj
+
+
+def _falsi(spec, lane, a, b, fa, fb):
+    """Illinois regula falsi on face brackets.
+
+    Row r brackets a sign change of the face function of the face of chart
+    ``surface.ATLAS[lane[r]]``'s height axis between the face parameters
+    a[r] and b[r], rows (ti, tj), where it takes the values fa[r] and fb[r].
+    The rows run in lockstep, one face evaluation per step over all of
+    them, and do not interact.  A row stops where the face function is 0
+    or the new point is an end of its bracket.  Returns x_i and x_j at each
+    row's last point.
+    """
+    lane = sf.ChartLane(spec, lane)
+    side = np.zeros(len(a), int)             # end replaced last: -1 for a, +1 for b
+    active = np.ones(len(a), bool)
+    for _ in range(MAX_FALSI):
+        x = a + (fa / (fa - fb))[:, None] * (b - a)
+        phi, _, xi, xj = _face_values(spec, lane, x[:, 0], x[:, 1])
+        active &= (phi != 0.0) & (x != a).any(axis=1) & (x != b).any(axis=1)
+        if not active.any():
             break
-        xa = x[lanes]
-        h = 1e-7 * (1.0 + np.abs(xa[:, 0]) + np.abs(xa[:, 1]))
-        side = xa[:, None, :] + h[:, None, None] * _SIDES
-        fs, ok = _system(spec, np.repeat(lane[lanes], 4), side.reshape(-1, 2))
-        jac = np.stack([fs[0::4] - fs[1::4], fs[2::4] - fs[3::4]], axis=-1) / (2.0 * h)[:, None, None]
-        ok = ok.reshape(-1, 4).all(axis=1)
-        # np.linalg.solve raises for the whole stack if one matrix is
-        # singular; det comes from the same LU and is zero where a pivot is.
-        ok[ok] = np.linalg.det(jac[ok]) != 0.0
-        active[lanes[~ok]] = False
-        lanes, jac = lanes[ok], jac[ok]
-        step = np.linalg.solve(jac, -fx[lanes][:, :, None])[:, :, 0]
-        nf = _norm(fx[lanes])
-        lam = np.ones(lanes.size)
-        searching = np.ones(lanes.size, bool)
-        for _ in range(7):
-            s = np.flatnonzero(searching)
-            if s.size == 0:
-                break
-            xt = x[lanes[s]] + lam[s, None] * step[s]
-            ft, ok = _system(spec, lane[lanes[s]], xt)
-            ok &= (_norm(ft) < nf[s]) | (_norm(lam[s, None] * step[s]) < 1e-15)
-            x[lanes[s[ok]]], fx[lanes[s[ok]]] = xt[ok], ft[ok]
-            searching[s[ok]] = False
-            lam[s[~ok]] *= 0.5
-        active[lanes[searching]] = False
-        lanes, lam, step = lanes[~searching], lam[~searching], step[~searching]
-        full = lam == 1.0
-        steps[lanes[full]] = np.concatenate([steps[lanes[full], 1:], step[full, None]], axis=1)
-        nsteps[lanes] = np.where(full, np.minimum(nsteps[lanes] + 1, 3), 0)
-        c = lanes[full & (nsteps[lanes] == 3)]
-        n1, n2, n3 = _norm(steps[c]).T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1, r2 = n2 / n1, n3 / n2
-        cos = np.sum(steps[c, 1] * steps[c, 2], axis=1) / np.maximum(n2 * n3, 1e-300)
-        go = (n1 > 0) & (n2 > 0) & (0.2 < r2) & (r2 < 0.98) & (abs(r1 - r2) < 0.1) & (cos > 0.99)
-        if go.any():
-            c, r2 = c[go], r2[go]
-            xe = x[c] + steps[c, 2] * (r2 / (1.0 - r2))[:, None]
-            fe, ok = _system(spec, lane[c], xe)
-            ok &= _norm(fe) <= _norm(fx[c])
-            x[c[ok]], fx[c[ok]] = xe[ok], fe[ok]
-            nsteps[c[ok]] = 0
-        done = _norm(lam[:, None] * step) < 1e-14 * (1.0 + _norm(x[lanes]))
-        active[lanes[done]] = False
-    return x
+        to_a = active & ((phi > 0.0) == (fa > 0.0))
+        to_b = active & ~to_a
+        # Illinois: an end kept twice in a row has its value halved.
+        fb = np.where(to_a & (side < 0), 0.5 * fb, fb)
+        fa = np.where(to_b & (side > 0), 0.5 * fa, fa)
+        a, fa = np.where(to_a[:, None], x, a), np.where(to_a, phi, fa)
+        b, fb = np.where(to_b[:, None], x, b), np.where(to_b, phi, fb)
+        side = np.where(to_a, -1, np.where(to_b, 1, side))
+    return xi, xj
 
 
-def _snap_symmetry(spec, lane, x):
-    """Try exact symmetry-line representatives of the (n, 2) roots ``x``,
-    root i in chart ``surface.ATLAS[lane[i]]``; keep whichever residual wins.
+def _face_grid():
+    """Face parameters (ti, tj), ti + tj = 1, ascending in ti: FACE_SAMPLES
+    linear steps and END_SAMPLES log-spaced ones toward each end, the
+    smaller parameter of each pair exact.  A read-only (2, n) array."""
+    lin = np.linspace(0.0, 0.5, FACE_SAMPLES // 2 + 1)[1:]
+    low = np.concatenate([np.logspace(-300.0, math.log10(lin[0]), END_SAMPLES, endpoint=False), lin])
+    high = low[-2::-1]
+    grid = np.stack([np.concatenate([low, 1.0 - high]), np.concatenate([1.0 - low, high])])
+    grid.flags.writeable = False
+    return grid
 
-    The families are mirror-symmetric in each chart coordinate and, when the
-    in-plane coefficients coincide, under u <-> v; converged points that are
-    numerically on a symmetry locus are replaced by the exact one.  A later
-    candidate wins a tie, and the centre (0, 0) comes last: next to a flat
-    axis point the forms can underflow to a residual of exactly 0 along a
-    whole symmetry line.  The roots and their candidates are the rows of
-    one ChartLane: one radicand call and one kernel call.  Returns the kept
-    points, their residuals and whether the line field is degenerate there.
+
+FACE_GRID = _face_grid()
+# Ambient slots (u, v, height) of the + chart of each axis, surface.ATLAS[2 k]:
+# the face x_k = 0 is sampled as that chart's (u, v) slots.
+_PLACE = np.array([sf.placement(sf.ATLAS[2 * k]) for k in range(3)])
+_PLACE.flags.writeable = False
+
+
+def _face_umbilics(spec):
+    """Umbilics on the open quarter arcs x_k = 0 < x_i, x_j, as (n, 3) rows.
+
+    Where both curvature differences at 0, d_i - d_k and d_j - d_k, are
+    nonnegative, the face function is positive (the rises are
+    nonnegative) and the face is skipped.  The other faces are sampled on
+    FACE_GRID in one pass.  A sample within ROUNDING_FLOOR of its magnitude
+    sum has no known sign; every sign change between consecutive samples of
+    known sign is refined by :func:`_falsi`.
     """
-    u, v = x.T
-    near = 1e-5 * np.array([sum(sf.chart_bounds(spec, chart)) / 2.0 for chart in sf.ATLAS])[lane]
-    m, n, zero = 0.5 * (u + v), 0.5 * (u - v), np.zeros_like(u)
-    cu = np.concatenate([u, zero, u, m, n, zero])
-    cv = np.concatenate([v, v, zero, m, 0.0 - n, zero])   # not -n: (0, -0.0) would print as -0.0
-    on_u, on_v = np.abs(u) < near, np.abs(v) < near
-    tried = np.concatenate([np.ones_like(on_u), on_u, on_v, np.abs(u - v) < near, np.abs(u + v) < near,
-                            on_u & on_v])
-    lanes = np.tile(lane, 6)
-    tried[tried] = sf.chart_valid(spec, sf.ChartLane(spec, lanes[tried]), cu[tried], cv[tried])
-    forms = fm.closed_forms_arrays(spec, sf.ChartLane(spec, lanes[tried]), cu[tried], cv[tried])
-    res, umbilic = np.full(cu.shape, np.nan), np.zeros(cu.shape, bool)
-    res[tried], umbilic[tried] = scaled_residual(*forms), np.isnan(fm.line_angle(*forms))
-    rows = np.arange(len(x))
-    best = rows.copy()                   # row of the kept point; NaN never wins
-    for k in range(1, 6):
-        best = np.where(res[k * len(x) + rows] <= res[best], k * len(x) + rows, best)
-    return np.column_stack([cu[best], cv[best]]), res[best], umbilic[best]
+    c0 = [_at_zero(term) for term in spec.terms]
+    lane = np.array([2 * k for k in range(3) if min(c0[i] for i in _PLACE[k, :2]) < c0[k]], int)
+    if not lane.size:
+        return np.empty((0, 3))
+    phi, mag, _, _ = _face_values(spec, sf.ChartLane(spec, lane[:, None]), *FACE_GRID)
+    sign = np.where(np.abs(phi) > ROUNDING_FLOOR * mag, np.sign(phi), 0.0)
+    row, col = np.nonzero(sign)
+    known = sign[row, col]
+    cut = np.flatnonzero((row[1:] == row[:-1]) & (known[1:] != known[:-1]))
+    if not cut.size:
+        return np.empty((0, 3))
+    row, lo, hi = row[cut], col[cut], col[cut + 1]
+    xi, xj = _falsi(spec, lane[row], FACE_GRID[:, lo].T, FACE_GRID[:, hi].T, phi[row, lo], phi[row, hi])
+    place, rows = _PLACE[lane[row] // 2], np.arange(row.size)
+    out = np.zeros((row.size, 3))
+    out[rows, place[:, 0]], out[rows, place[:, 1]] = xi, xj
+    return out
 
 
-def _cell_seeds(spec, charts):
-    """Centres of the scan cells with u, v >= 0 that may hold an umbilic,
-    one (n, 2) array per chart in grid order; None when a chart is an
-    umbilic continuum.
+def _interior_umbilic(spec):
+    """The umbilic off the coordinate planes in the octant x, y, z > 0, as a
+    (0 or 1, 3) array: d_x = d_y = d_z = lambda.
 
-    Each chart rectangle is cut into CELLS x CELLS cells.  A cell is a seed
-    when the line angle lifted around it (:func:`umbilics.forms.lift_lines`)
-    turns by 2 pi times a nonzero index sum, or when an edge of it is
-    unresolved.  The forms are taken in one kernel call per chart, at the
-    32 x 32 vertices with u, v > 0, and mirrored (F and f negated) onto the
-    vertices just across the axes; the edges of the cells i, j >= CELLS // 2
-    of all charts are lifted together.  The other cells are their mirror
-    images, which hold the mirror images of their umbilics.
+    A term c s^2 with no quartic part is free: its curvature is 2c
+    everywhere, which fixes lambda, and its coordinate follows from
+    F = 0.  A term c s^2 + d s^4 takes s^2 = (lambda - 2c) / 12d, and a
+    monomial c s^m, m > 2, s = (lambda / c_2)^(1/(m-2)) with
+    c_2 = m (m - 1) c.  With no free term every term is such a monomial,
+    s_i = w_i r with w_i = c_2i^(-1/(m-2)), and F = 0 gives
+    r = (sum_i T_i(w_i))^(-1/m).  With several free terms there is a
+    continuum (equal curvatures, a sphere) or no interior point.
     """
-    n, h = CELLS, CELLS // 2                 # cell h straddles both axes
-    fold = np.r_[0, 0:h + 1]                 # block vertex -> quadrant vertex
-    sign = np.r_[-1.0, np.ones(h + 1)]       # block vertex 0 lies across the axis
-    offsets = np.arange(h, n + 1) - 0.5 * n  # block vertices: h..n of the whole grid
-    shape = (len(charts), h + 2, h + 2)
-    uu, vv, psi, valid = np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, bool)
-    for i, chart in enumerate(charts):
-        umax, vmax = sf.chart_bounds(spec, chart)
-        uu[i], vv[i] = np.meshgrid(offsets * (2.0 * umax / n), offsets * (2.0 * vmax / n), indexing="ij")
-        quad = sf.chart_valid(spec, chart, uu[i, 1:, 1:], vv[i, 1:, 1:])
-        forms = np.full((6,) + quad.shape, np.nan)
-        forms[:, quad] = fm.closed_forms_arrays(spec, chart, uu[i, 1:, 1:][quad], vv[i, 1:, 1:][quad])
-        forms = forms[:, fold][:, :, fold]
-        forms[[1, 4]] *= np.multiply.outer(sign, sign)
-        valid[i], psi[i] = quad[fold][:, fold], fm.line_angle(*forms)
-        if np.all(np.isnan(psi[i][valid[i]])):
-            return None
-    # Edges along u, from block vertex (i, j) to (i + 1, j), then along v,
-    # from (i, j) to (i, j + 1), as flat vertex indices over all blocks.
-    k = np.arange(uu.size).reshape(shape)
-    starts = np.concatenate([k[:, :-1].ravel(), k[:, :, :-1].ravel()])
-    ends = np.concatenate([k[:, 1:].ravel(), k[:, :, 1:].ravel()])
-    uu, vv, valid, psi = uu.ravel(), vv.ravel(), valid.ravel(), psi.ravel()
-    live = np.flatnonzero(valid[starts] & valid[ends])
-    a, b = starts[live], ends[live]
-    u0, v0, du, dv = uu[a], vv[a], uu[b] - uu[a], vv[b] - vv[a]
-    change, _, resolved = fm.lift_lines(
-        spec, np.array([sf.ATLAS.index(chart) for chart in charts])[a // k[0].size],
-        np.arange(live.size), np.tile([0.0, 1.0], (live.size, 1)), np.stack([psi[a], psi[b]], axis=1),
-        lambda i, t: (u0[i] + t * du[i], v0[i] + t * dv[i]), EDGE_DEPTH,
-    )
-    total = np.full(starts.size, np.nan)            # NaN: unresolved, or an end invalid
-    total[live] = np.where(resolved, change, np.nan)
-    c = h + 1                                       # block cells per axis
-    tu = total[: total.size // 2].reshape(-1, c, c + 1)
-    tv = total[total.size // 2:].reshape(-1, c + 1, c)
-    # Counter-clockwise around cell (i, j): bottom, right, top, left.
-    winding = tu[:, :, :-1] + tv[:, 1:, :] - tu[:, :, 1:] - tv[:, :-1, :]
-    corners = valid.reshape(shape)
-    inside = corners[:, :-1, :-1] & corners[:, 1:, :-1] & corners[:, :-1, 1:] & corners[:, 1:, 1:]
-    seeds = []
-    for chart, quad in zip(charts, inside & ~(np.abs(winding) < 0.5 * math.pi)):   # nonzero or NaN
-        umax, vmax = sf.chart_bounds(spec, chart)
-        seeds.append(np.argwhere(quad) * (2.0 * umax / n, 2.0 * vmax / n))   # block cell 0 is cell h
-    return seeds
+    terms = spec.terms
+    free = [i for i, term in enumerate(terms) if term.m == 2 and not term.d]
+    if not free:
+        w = [term.scales[2][0] ** (-1.0 / (term.m - 2)) for term in terms]
+        r = sum(term(wi) for term, wi in zip(terms, w)) ** (-1.0 / terms[0].m)
+        return np.array([[wi * r for wi in w]])
+    if len(free) > 1:
+        return np.empty((0, 3))
+    [f] = free
+    lam, point = _at_zero(terms[f]), [0.0, 0.0, 0.0]
+    for i in (f - 2, f - 1):
+        c2, d2 = terms[i].scales[2]
+        s2 = (lam - c2) / d2 if terms[i].m == 2 else (lam / c2) ** (2.0 / (terms[i].m - 2))
+        if not s2 > 0.0:
+            return np.empty((0, 3))
+        point[i] = math.sqrt(s2)
+    rest = 1.0 - terms[f - 2](point[f - 2]) - terms[f - 1](point[f - 1])
+    if not rest > 0.0:
+        return np.empty((0, 3))
+    point[f] = terms[f].root(rest)
+    return np.array([point])
 
 
 def find_umbilics(spec):
     """Locate umbilic points across the whole atlas.
 
-    Returns deduplicated :class:`UmbilicRecord` entries sorted by rounded
-    ambient coordinates.  An umbilic continuum (a sphere) gives a single
-    record flagged ``non_isolated``, at the centre of the X+ chart.
+    Returns :class:`UmbilicRecord` entries sorted by rounded ambient
+    coordinates, each point in its home chart.  An umbilic continuum (a
+    sphere) gives a single record flagged ``non_isolated``, at the centre
+    of the X+ chart.
     """
-    pluses = [chart for chart in sf.ATLAS if chart.sign > 0]
-    seeds = _cell_seeds(spec, pluses)
-    if seeds is None:                         # a sphere: every chart is a continuum
-        plus = pluses[0]
-        res = float(scaled_residual(*fm.closed_forms_arrays(spec, plus, 0.0, 0.0)))
-        point = tuple(float(c) for c in sf.chart_points(spec, plus, 0.0, 0.0))
-        return [UmbilicRecord(point, plus, (0.0, 0.0), res, NON_ISOLATED)]
-    lane = np.repeat([sf.ATLAS.index(plus) for plus in pluses], [len(cells) for cells in seeds])
-    seeds = np.concatenate(seeds)
-    if not len(seeds):
+    terms = spec.terms
+    c0 = [_at_zero(term) for term in terms]
+    continuum = all(term.m == 2 and not term.d for term in terms) and len(set(c0)) == 1
+    if continuum:
+        points = np.array([[terms[0].root(1.0), 0.0, 0.0]])
+    else:
+        axes = np.array([i for i in range(3) if c0[i - 2] == c0[i - 1]], int)    # T_j''(0) = T_k''(0)
+        points = np.zeros((axes.size, 3))
+        points[np.arange(axes.size), axes] = [terms[i].root(1.0) for i in axes]
+        points = np.concatenate([points, _face_umbilics(spec), _interior_umbilic(spec)])
+    if not len(points):
         return []
-    # Snap first: a flat axis point is degenerate only where exactly symmetric.
-    roots, residual, umbilic = _snap_symmetry(spec, lane, _newton_refine(spec, lane, seeds))
-    for i, (u, v), res in zip(lane[~umbilic], seeds[~umbilic], residual[~umbilic]):
-        log.debug("seed (%.3f, %.3f) on %s: line field not degenerate at the kept point"
-                  " (residual %.2e)", u, v, sf.ATLAS[i].label, res)
+    # Home chart: the axis of largest |dF/dx_i| (every point is in its + chart).
+    axis = np.argmax(sf.implicit_gradient(spec, points), axis=1)
+    place = _PLACE[axis]
+    rows = np.arange(len(points))
+    u, v = points[rows, place[:, 0]], points[rows, place[:, 1]]
+    residual = scaled_residual(*fm.closed_forms_arrays(spec, sf.ChartLane(spec, 2 * axis), u, v)).tolist()
+    if continuum:
+        return [UmbilicRecord(tuple(points[0].tolist()), sf.ATLAS[0], (0.0, 0.0), residual[0], NON_ISOLATED)]
 
-    # Greedy dedup of the roots folded onto u, v >= 0 (so into the octant
-    # x, y, z >= 0), in residual order: a root is kept unless it lies within
-    # the dedup radius of one kept before it.  Folded points are the closest
-    # of their mirror images, and a root's own images are distinct points.
-    order = np.flatnonzero(umbilic)[np.argsort(residual[umbilic], kind="stable")]
-    lane, roots, residual = lane[order], np.abs(roots[order]), residual[order].tolist()
-    # One scalar chart_points call per root (numpy's scalar and array powers
-    # may round apart); each image's ambient point is a sign flip of it.
-    pts = np.array([sf.chart_points(spec, sf.ATLAS[i], u, v)
-                    for i, (u, v) in zip(lane.tolist(), roots.tolist())]).reshape(-1, 3)
-    far = _norm(pts[:, None, :] - pts[None, :, :]) >= DEDUP_REL * sf.surface_diameter(spec)
-    kept = []
-    for i in range(len(order)):
-        if far[i, kept].all():
-            kept.append(i)
-
-    # Record each kept root's distinct images (+-u, +-v) in both charts of
-    # its axis: the forms, and so the residual, are the same bits at all.
+    # Each point at its distinct mirror images: the forms, and so the
+    # residual, are the same bits at all of them.
     found = []
-    for i in kept:
-        plus, (u, v) = sf.ATLAS[lane[i]], roots[i].tolist()
-        signs = [(1.0, -1.0) if c else (1.0,) for c in (u, v)]
-        for sign, su, sv in itertools.product((1, -1), *signs):
-            flip = np.empty(3)
-            flip[list(sf.placement(plus))] = su, sv, sign
-            point = tuple((pts[i] * flip).tolist())
-            found.append(UmbilicRecord(point, sf.ChartId(plus.axis, sign), (su * u, sv * v), residual[i]))
+    for p, i, (iu, iv, _), res in zip(points.tolist(), axis.tolist(), place.tolist(), residual):
+        for signs in itertools.product(*[(1.0, -1.0) if c else (1.0,) for c in p]):
+            q = tuple(c * s for c, s in zip(p, signs))
+            found.append(UmbilicRecord(q, sf.ATLAS[2 * i + (signs[i] < 0)], (q[iu], q[iv]), res))
     return sorted(found, key=lambda r: tuple(round(c, 9) for c in r.ambient))
 
 

@@ -345,10 +345,11 @@ def test_verify_fails_on_index_zero_umbilic(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_fails_on_flat_equal_superquadric(capsys, tmp_path):
-    """sq(1, 1, 1, k = 12) lies past the envelope: the finder reports
-    spurious roots near its very flat axis points.  verify must not pass,
-    and no continuum record may hide the failure.  A ring the line field
-    leaves unresolved is a failed index_sum check, reported in the JSON."""
+    """sq(1, 1, 1, k = 12) lies past the envelope: the finder gives its 14
+    points, but the index ring around a very flat axis point leaves the
+    line field unresolved.  verify must not pass, and no continuum record
+    may hide the failure.  The unresolved ring is a failed index_sum check,
+    reported in the JSON."""
     path = tmp_path / "sq_k12.json"
     path.write_text(json.dumps(SurfaceSpec.superquadric(1, 1, 1, 12).to_json()))
     code, out, _ = run(capsys, "verify", "--spec", str(path))

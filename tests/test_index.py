@@ -163,8 +163,9 @@ def test_shrunk_ring_never_grows(monkeypatch):
 
 @pytest.mark.parametrize("name", ["sq_c100", "pe_lt"])
 def test_one_chart_margin(name, monkeypatch):
-    """The cell scan, the Newton refiner and the index ring all test chart
-    validity with the one margin DELTA_VALID."""
+    """The index ring tests chart validity with the one margin DELTA_VALID
+    (the finder tests none: its points are on the surface and each sits in
+    its home chart)."""
     spec, valid, margins = BUNDLED[name], sf.chart_valid, set()
 
     def recorded(spec, chart, u, v, margin=sf.DELTA_VALID):
