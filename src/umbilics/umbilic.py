@@ -103,10 +103,11 @@ def scaled_residual(E, F, G, e, f, g):
     den = (E * G - F * F) * (1.0 + abs(e) + abs(f) + abs(g))
     if isinstance(A, float):
         s2 = C * C + A * A + B * B
-        m = max(abs(A), abs(B), abs(C)) if s2 == math.inf else math.inf
-        if m < math.inf:
-            A, B, C = A / m, B / m, C / m
-            return m * math.sqrt(C * C + A * A + B * B) / den
+        if s2 == math.inf:
+            m = max(abs(A), abs(B), abs(C))
+            if m < math.inf:
+                A, B, C = A / m, B / m, C / m
+                return m * math.sqrt(C * C + A * A + B * B) / den
         return math.sqrt(s2) / den
     with np.errstate(over="ignore"):
         s2 = C * C + A * A + B * B
