@@ -211,24 +211,25 @@ def _bidirectional(spec, start, branch, arclen) -> fl.CurveTrace:
 _PORTRAIT_KINDS = ("pole", "axis", "diag", "equator")
 
 
-def _select_umbilic(spec, records, name):
+def _select_umbilic(records, name):
     """Pick a portrait target: pole | axis | diag | equator or a list index."""
     if name.isdigit():
         i = int(name)
         if i >= len(records):
             raise SpecError(f"umbilic index {i} out of range ({len(records)} found)")
         return records[i]
-    tol = um.DEDUP_REL * sf.surface_diameter(spec)
+    # The finder writes exact zeros off its strata, and equal axis terms
+    # give bit-equal coordinates.
     for rec in records:
         x, y, z = rec.ambient
-        nz = sum(1 for c in rec.ambient if abs(c) > tol)
-        if name == "pole" and abs(x) <= tol and abs(y) <= tol:
+        nz = sum(1 for c in rec.ambient if c != 0.0)
+        if name == "pole" and x == 0.0 and y == 0.0:
             return rec
         if name == "axis" and nz == 1:
             return rec
-        if name == "diag" and nz == 3 and abs(abs(x) - abs(y)) <= tol:
+        if name == "diag" and nz == 3 and abs(x) == abs(y):
             return rec
-        if name == "equator" and abs(z) <= tol and nz >= 2:
+        if name == "equator" and z == 0.0 and nz >= 2:
             return rec
     raise SpecError(f"no umbilic matches {name!r}; use one of {_PORTRAIT_KINDS} or an index")
 
@@ -244,7 +245,7 @@ def cmd_trace(args) -> int:
     markers = []
     if args.portrait:
         records = um.find_umbilics(spec)
-        target = _select_umbilic(spec, records, args.portrait)
+        target = _select_umbilic(records, args.portrait)
         chart = target.chart
         cu, cv = target.uv
         radius = args.portrait_radius

@@ -18,7 +18,7 @@ plain uniform sampling:
   narrower than any fixed sample count resolves;
 * a sample where hypot(A - C, B) (k1 - k2 in a principal orthonormal frame)
   is within a couple of decades of the rounding scale of A, B and C fails
-  the lift, and the ring is redrawn at twice the radius.
+  the lift, and the ring is redrawn at twice the radius, up to its cap.
 
 The ring's own samples decide whether it fits in the chart: each must keep
 the radicand margin DELTA_VALID that every other chart-validity test of
@@ -26,9 +26,10 @@ the finder and the index uses, or the ring is redrawn at half the radius.
 
 :func:`attach_indices` draws each distinct ring once: the records of a root
 in both charts of an axis, and of its mirror images (+-u, +-v) in them,
-share one ring.  All rings are drawn together, round by round, in one
-radicand call, one kernel call and one lift; :func:`umbilic_index` is that
-pass on one ring.
+share one ring.  All rings are drawn together, round by round: the
+(rings, samples) array takes one radicand call and one kernel call on a
+ChartLane of shape (rings, 1), and one lift; the caps of all rings are one
+array step.  :func:`umbilic_index` is that pass on one ring.
 
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
@@ -58,45 +59,36 @@ class WindingResult:
     radius: float             # chart-coordinate circle radius
 
 
-def _radius_clip(spec, rec, records):
-    """Largest admissible circle: half the gap to other umbilic preimages
-    in this chart, and well inside the chart rectangle.
-
-    A record within DEDUP_REL of the surface diameter of ``rec`` is the
-    same point.
-    Each half of these even, convex surfaces is a graph over its chart, so
-    the preimages are the records on the chart's side over valid (u, v).
-    """
-    chart = rec.chart
-    umax, vmax = sf.chart_bounds(spec, chart)
-    clip = 0.5 * min(umax, vmax)
-    pts = np.array([other.ambient for other in records or []], dtype=float).reshape(-1, 3)
-    pts = pts[np.linalg.norm(pts - rec.ambient, axis=1) >= um.DEDUP_REL * sf.surface_diameter(spec)]
-    iu, iv, ih = sf.placement(chart)
-    pts = pts[pts[:, ih] * chart.sign >= 0.0]
-    pts = pts[sf.chart_valid(spec, chart, pts[:, iu], pts[:, iv])]
-    if pts.size:
-        clip = min(clip, 0.5 * float(np.hypot(pts[:, iu] - rec.uv[0], pts[:, iv] - rec.uv[1]).min()))
-    return clip
-
-
 def _windings(spec, rings, records):
     """Winding of each record in ``rings``, all drawn together: a WindingResult
     or the error its ring raised; each ring's radii are as in umbilic_index.
+
+    Each ring's cap is the largest admissible circle: half the smallest
+    nonzero gap to the umbilic preimages in its chart, and half the smaller
+    half-width of the chart rectangle.  Each half of these even, convex
+    surfaces is a graph over its chart, so the preimages are the records
+    on the chart's side over valid (u, v).  A preimage at zero gap is the
+    ring's own point: the finder writes each point once.
     """
     out = [None if rec.kind == um.ISOLATED
            else NotIsolated("index is defined for isolated umbilics only") for rec in rings]
     centre = np.array([rec.uv for rec in rings], float).reshape(-1, 2)
     lane = np.array([sf.ATLAS.index(rec.chart) for rec in rings], int)
-    cap = np.array([_radius_clip(spec, rec, records) for rec in rings], float)
+    charts = sf.ChartLane(spec, lane[:, None])
+    place = np.array([sf.placement(rec.chart) for rec in rings], int).reshape(-1, 3)
+    pts = np.array([other.ambient for other in records or []], float).reshape(-1, 3)
+    pu, pv, ph = pts.T[place].transpose(1, 0, 2)      # (rings, records) each
+    gap = np.hypot(pu - centre[:, :1], pv - centre[:, 1:])
+    seen = (ph * charts.sign >= 0.0) & sf.chart_valid(spec, charts, pu, pv) & (gap > 0.0)
+    half = np.array([min(sf.chart_bounds(spec, chart)) for chart in sf.ATLAS])[lane]
+    cap = 0.5 * np.minimum(half, np.where(seen, gap, np.inf).min(axis=1, initial=np.inf))
     radius = np.minimum(RING_RADIUS, cap)
     ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 2.0 * math.pi)
     pending = np.flatnonzero([res is None for res in out])
     while pending.size:
         cu, cv, r = centre[pending, :1], centre[pending, 1:], radius[pending, None]
         uu, vv = cu + r * np.cos(ts), cv + r * np.sin(ts)
-        fits = sf.chart_valid(spec, sf.ChartLane(spec, np.repeat(lane[pending], ts.size)),
-                              uu.ravel(), vv.ravel()).reshape(uu.shape).all(axis=1)
+        fits = sf.chart_valid(spec, sf.ChartLane(spec, lane[pending, None]), uu, vv).all(axis=1)
         for i in pending[~fits]:
             if radius[i] <= 1e-9:
                 rec = rings[i]
@@ -105,21 +97,18 @@ def _windings(spec, rings, records):
         live = pending[fits]
         if live.size:
             cu, cv, r = cu[fits, 0], cv[fits, 0], r[fits, 0]
-            rows = sf.ChartLane(spec, np.repeat(lane[live], ts.size))
-            psi = fm.line_angle(*fm.closed_forms_arrays(spec, rows, uu[fits].ravel(), vv[fits].ravel()))
-            psi = psi.reshape(live.size, ts.size)
+            rows = sf.ChartLane(spec, lane[live, None])
+            psi = fm.line_angle(*fm.closed_forms_arrays(spec, rows, uu[fits], vv[fits]))
             total, mids, resolved = fm.lift_lines(
-                spec, lane[live], np.repeat(np.arange(live.size), RING_SAMPLES),
-                np.tile(np.stack([ts[:-1], ts[1:]], axis=1), (live.size, 1)),
-                np.stack([psi[:, :-1], psi[:, 1:]], axis=2).reshape(-1, 2),
+                spec, lane[live], np.broadcast_to(ts, psi.shape), psi,
                 lambda j, t: (cu[j] + r[j] * np.cos(t), cv[j] + r[j] * np.sin(t)), RING_DEPTH,
             )
             for j, i in enumerate(live):
                 if not resolved[j]:
-                    if 2.0 * radius[i] > cap[i]:
+                    if radius[i] >= cap[i]:
                         out[i] = NonConvergentLift(
                             f"line field unresolved on the ring of radius {radius[i]:.3e}")
-                    radius[i] *= 2.0
+                    radius[i] = min(2.0 * radius[i], cap[i])
                     continue
                 index = float(total[j]) / (2.0 * math.pi)
                 doubled = round(2.0 * index)
@@ -133,11 +122,13 @@ def _windings(spec, rings, records):
 def umbilic_index(spec, rec, records=None) -> WindingResult:
     """Winding index of one isolated umbilic record.
 
-    The circle radius adapts.  It starts at RING_RADIUS, clipped to stay
-    clear of other umbilics and inside the chart rectangle.  It halves while
-    a ring sample leaves the chart (CircleInvalid once it is 1e-9 or less),
-    and doubles up to the clip while :func:`umbilics.forms.lift_lines`
-    leaves the ring unresolved (NonConvergentLift past the clip) -- the
+    The circle radius adapts.  It starts at RING_RADIUS, capped to stay
+    clear of the other umbilics in ``records`` and inside the chart
+    rectangle; a record at the ring's centre is the ring's own point.  It
+    halves while a ring sample leaves the chart (CircleInvalid once it is
+    1e-9 or less), and doubles, but never past the cap, while
+    :func:`umbilics.forms.lift_lines` leaves the ring unresolved
+    (NonConvergentLift once the ring at the cap is unresolved) -- the
     situation at nearly planar umbilics of high-power surfaces.  A ring that
     has shrunk never grows again: doubling would only return to a radius
     that left the chart.

@@ -476,7 +476,3 @@ def ambient_to_chart(spec: SurfaceSpec, chart: ChartId, p):
         return None
     return u, v, r
 
-
-def surface_diameter(spec: SurfaceSpec) -> float:
-    """Cheap overestimate of the surface diameter (axis extents)."""
-    return 2.0 * max(float(term.root(1.0)) for term in spec.terms)

@@ -81,7 +81,6 @@ class ThresholdReport:
         }
 
 
-DEDUP_REL = 1e-6                     # points closer than this over the surface diameter are one
 FACE_SAMPLES = 2000                  # linear samples of a face curve's parameter
 END_SAMPLES = 600                    # log-spaced samples toward each end, down to 1e-300
 # A face sample whose value is at most this fraction of its magnitude sum has no known sign.

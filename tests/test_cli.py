@@ -345,17 +345,20 @@ def test_verify_fails_on_index_zero_umbilic(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_fails_on_flat_equal_superquadric(capsys, tmp_path):
-    """sq(1, 1, 1, k = 12) lies past the envelope: the finder gives its 14
+    """sq(1, 1, 1, k = 15) lies past the envelope: the finder gives its 14
     points, but the index ring around a very flat axis point leaves the
-    line field unresolved.  verify must not pass, and no continuum record
-    may hide the failure.  The unresolved ring is a failed index_sum check,
-    reported in the JSON."""
-    path = tmp_path / "sq_k12.json"
-    path.write_text(json.dumps(SurfaceSpec.superquadric(1, 1, 1, 12).to_json()))
+    line field unresolved even at its cap (the line angle's step there is
+    narrower than the ring's bisection floor; up to k = 14 the ring at the
+    cap resolves).  verify must not pass, and no continuum record may hide
+    the failure.  The unresolved ring is a failed index_sum check, reported
+    in the JSON."""
+    spec = SurfaceSpec.superquadric(1, 1, 1, 15)
+    path = tmp_path / "sq_k15.json"
+    path.write_text(json.dumps(spec.to_json()))
     code, out, _ = run(capsys, "verify", "--spec", str(path))
     assert code == 2
     doc = json.loads(out)
     assert not doc["pass"]
     [check] = [c for c in doc["checks"] if c["name"] == "index_sum"]
     assert not check["pass"] and "unresolved" in check["error"]
-    assert all(r.kind == um.ISOLATED for r in um.find_umbilics(SurfaceSpec.superquadric(1, 1, 1, 12)))
+    assert all(r.kind == um.ISOLATED for r in um.find_umbilics(spec))

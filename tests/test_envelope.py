@@ -25,10 +25,13 @@ just above eps_c are strict expected failures (see ``NEAR_EPS_C``).
 ``SUPERQUADRIC_SETS`` pins the finder alone on the grid at k = 2..16 and on
 a high-k set: (1, 1, 1), (1, 2, 3) and (2, 1, 1) at k = 10..16, plus twenty
 superquadrics drawn with ``random.Random(7)`` (three coefficients
-``10 ** uniform(0, 2)``, then ``randint(9, 16)``).  Their flattest index
-rings do not resolve yet, so only the count and the closed-form match are
-judged.  ``HIGH_K_SPECS`` are superquadrics at k = 11 to 14 where earlier
-finders reported 18 to 486 records, judged the same way.
+``10 ** uniform(0, 2)``, then ``randint(9, 16)``): the count and the
+closed-form match.  ``HIGH_K_SET`` judges the high-k set in full, indices
+included: every spec at k <= 12 is right, and the 14 whose flattest index
+ring stays unresolved at its cap (1 of 6 specs at k = 13, 4 of 5 at
+k = 14 and all 9 at k = 15 and 16) are strict expected failures.  ``HIGH_K_SPECS`` are
+superquadrics at k = 11 to 14 where earlier finders reported 18 to 486
+records, judged by the finder alone.
 """
 
 import json
@@ -40,6 +43,7 @@ import pytest
 from umbilics import index as ix
 from umbilics import surface as sf
 from umbilics import umbilic as um
+from umbilics.errors import NonConvergentLift
 from umbilics.surface import SurfaceSpec
 
 from conftest import EPS_C_PLUS
@@ -155,3 +159,24 @@ def test_superquadric_sets_finder_only(a, b, c, k):
     assert len(records) == 14
     assert all(r.kind == um.ISOLATED for r in records)
     assert_closed_form_both_ways(spec, records)
+
+
+UNRESOLVED_AT_CAP = pytest.mark.xfail(strict=True, raises=NonConvergentLift, reason=(
+    "the line angle's step next to a flat axis point is narrower than the ring's bisection floor"
+    " (ROADMAP item 4), so the ring stays unresolved at its cap"))
+HIGH_K_SET = [
+    pytest.param(*p.values, id=p.id, marks=[UNRESOLVED_AT_CAP] if p.id in {
+        "high-k-111-k15", "high-k-111-k16", "high-k-123-k14", "high-k-123-k15", "high-k-123-k16",
+        "high-k-211-k14", "high-k-211-k15", "high-k-211-k16", "high-k-random4", "high-k-random9",
+        "high-k-random11", "high-k-random15", "high-k-random16", "high-k-random18",
+    } else [])
+    for p in SUPERQUADRIC_SETS if p.id.startswith("high-k")
+]
+
+
+@pytest.mark.parametrize("a, b, c, k", HIGH_K_SET)
+def test_high_k_set_judged_correct(a, b, c, k):
+    """The high-k set, indices included: an unresolved ring is redrawn at
+    twice the radius up to its cap, and fails only once the ring at the cap
+    is unresolved."""
+    assert_judged_correct(SurfaceSpec.superquadric(a, b, c, k))

@@ -153,14 +153,16 @@ def test_chart_lane_rows_bit_exact(spec):
     rows = sf.ChartLane(spec, lane)
     got = [*fm.closed_forms_arrays(spec, rows, uu, vv), *sf.height_jet(spec, rows, uu, vv)]
     outside = 1.5 * np.array([max(sf.chart_bounds(spec, chart)) for chart in sf.ATLAS])[lane]
-    radicands = [sf.radicand(spec, rows, x * uu, vv) for x in (1.0, outside)]
+    with np.errstate(over="ignore"):      # out of the chart a term may overflow (pe_b_tiny)
+        radicands = [sf.radicand(spec, rows, x * uu, vv) for x in (1.0, outside)]
     for i, chart in enumerate(sf.ATLAS):
         u, v = uu[lane == i], vv[lane == i]
         want = [*fm.closed_forms_arrays(spec, chart, u, v), *sf.height_jet(spec, chart, u, v)]
         for a, b in zip(got, want):
             assert a[lane == i].tobytes() == b.tobytes(), chart
         for x, r in zip((1.0, outside[lane == i]), radicands):
-            assert r[lane == i].tobytes() == sf.radicand(spec, chart, x * u, v).tobytes(), chart
+            with np.errstate(over="ignore"):
+                assert r[lane == i].tobytes() == sf.radicand(spec, chart, x * u, v).tobytes(), chart
 
 
 SCALAR_SPECS = pytest.mark.parametrize(

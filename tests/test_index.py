@@ -14,7 +14,7 @@ from umbilics.errors import CircleInvalid, MissingIndex, NonConvergentLift, NotI
 from umbilics.surface import ChartId, SurfaceSpec
 
 from conftest import (
-    BUNDLED, PE_GT, PE_LT, SPHERE, SQ_1112, random_valid_chart_points, weingarten_eig,
+    BUNDLED, EPS_C_PLUS, PE_GT, PE_LT, SPHERE, SQ_1112, random_valid_chart_points, weingarten_eig,
 )
 
 
@@ -202,27 +202,56 @@ def _ring_key(rec):
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_attach_indices_draws_each_ring_once(name, results, monkeypatch):
-    """Mirrored records share one ring per (axis, |u|, |v|, kind) key, each
-    ring clips its radius once (pe_lt's 18 records need 4 rings, and each
-    superquadric's 14 need 4 where the signed uv would need 7), and the
-    shared results equal each record's own umbilic_index."""
+    """Mirrored records share one ring per (axis, |u|, |v|, kind) key: the
+    first ring round's kernel call takes RING_SAMPLES + 1 rows per key
+    (pe_lt's 18 records need 4 rings, and each superquadric's 14 need 4
+    where the signed uv would need 7), and the shared results equal each
+    record's own umbilic_index."""
     spec = BUNDLED[name]
     records, windings = results.records(spec), results.windings(spec)
     rings = {_ring_key(r) for r in records}
-    clip, clips = ix._radius_clip, []
+    kernel, rows = fm.closed_forms_arrays, []
 
-    def counted_clip(*args):
-        clips.append(args)
-        return clip(*args)
+    def counted(spec, chart, u, v):
+        rows.append(np.size(u))
+        return kernel(spec, chart, u, v)
 
-    monkeypatch.setattr(ix, "_radius_clip", counted_clip)
+    monkeypatch.setattr(fm, "closed_forms_arrays", counted)
     indexed = ix.attach_indices(spec, records)
-    assert len(clips) == len(rings)
+    assert rows[0] == len(rings) * (ix.RING_SAMPLES + 1)
     if name == "pe_lt":
         assert (len(records), len(rings)) == (18, 4)
     if spec.family == sf.SUPERQUADRIC:
         assert (len({(r.chart.axis, r.uv, r.kind) for r in records}), len(rings)) == (7, 4)
     assert [r.index for r in indexed] == [w.index for w in windings]
+
+
+@pytest.mark.parametrize("spec, rounds", [(PE_LT, 1), (SurfaceSpec.superquadric(1, 2, 3, 11), 2)],
+                         ids=["pe_lt", "sq_123_k11"])
+def test_ring_rounds_broadcast_lanes(spec, rounds, monkeypatch):
+    """Each ring round evaluates its (rings, samples) arrays on a ChartLane
+    of shape (rings, 1), whose coefficients broadcast against the samples
+    rather than being gathered for every sample: the radius caps (against
+    every record), the fit test and the kernel call alike.  sq(1, 2, 3, 11)
+    redraws rings at larger radii, so it takes at least two rounds."""
+    records = um.find_umbilics(spec)
+    valid, kernel, calls = sf.chart_valid, fm.closed_forms_arrays, []
+
+    def valid_seen(spec, chart, u, v, margin=sf.DELTA_VALID):
+        calls.append((np.shape(chart.sign), np.shape(u)))
+        return valid(spec, chart, u, v, margin)
+
+    def kernel_seen(spec, chart, u, v):
+        calls.append((np.shape(chart.sign), np.shape(u)))
+        return kernel(spec, chart, u, v)
+
+    monkeypatch.setattr(sf, "chart_valid", valid_seen)
+    monkeypatch.setattr(fm, "closed_forms_arrays", kernel_seen)
+    ix.attach_indices(spec, records)
+    calls_2d = [(lane, shape) for lane, shape in calls if len(shape) == 2]
+    assert all(lane == (shape[0], 1) for lane, shape in calls_2d)
+    widths = [shape[1] for _, shape in calls_2d]
+    assert widths[0] == len(records) and widths.count(ix.RING_SAMPLES + 1) >= 2 * rounds
 
 
 def test_attach_indices_lifts_rings_together(results, monkeypatch):
@@ -249,20 +278,28 @@ def test_attach_indices_lifts_rings_together(results, monkeypatch):
     assert 0 < together < len(calls)
 
 
-def test_radius_clip_keeps_records_beyond_dedup_radius(results):
-    """A record 5e-6 from a diagonal umbilic in chart coordinates (7.1e-6
-    in space, past sq_1112's 2e-6 dedup radius) is another point, so the
-    diagonal ring clips to half that gap."""
+def test_ring_cap_counts_every_other_record(results):
+    """A record 5e-6 from a diagonal umbilic in chart coordinates is another
+    point, so the diagonal ring clips to half that gap; a second record at
+    the ring's centre (zero gap) is the ring's own point and clips nothing."""
     recs = results.records(SQ_1112)
     diag = next(r for r in recs if _classify(r) == "diag")
     u, v = diag.uv[0] + 5e-6, diag.uv[1]
     near = um.UmbilicRecord(
         tuple(float(c) for c in sf.chart_points(SQ_1112, diag.chart, u, v)), diag.chart, (u, v), 0.0
     )
-    gap = np.linalg.norm(np.subtract(near.ambient, diag.ambient))
-    assert gap > um.DEDUP_REL * sf.surface_diameter(SQ_1112)
-    assert ix._radius_clip(SQ_1112, diag, recs + [near]) == pytest.approx(2.5e-6, rel=1e-6)
-    assert ix._radius_clip(SQ_1112, diag, recs) > ix.RING_RADIUS
+    assert ix.umbilic_index(SQ_1112, diag, recs + [near]).radius == pytest.approx(2.5e-6, rel=1e-6)
+    assert ix.umbilic_index(SQ_1112, diag, recs + [diag]).radius == ix.RING_RADIUS
+
+
+def test_ring_clips_to_mirror_image_one_ulp_above_eps_c():
+    """One ulp above eps_c with a < b the 8 interior points sit at
+    z = +-4.9e-9, 9.8e-9 from their mirror images.  Each ring clips to half
+    that gap, where the line field is unresolved, so attach_indices raises
+    rather than enclose the mirror image and report index 0."""
+    spec = EPS_C_PLUS["a_less_b"]
+    with pytest.raises(NonConvergentLift, match="radius 4.88"):
+        ix.attach_indices(spec, um.find_umbilics(spec))
 
 
 def test_ring_angle_bisects_principal_frame():
