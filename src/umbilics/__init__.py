@@ -6,7 +6,6 @@ from .surface import (
     ChartId,
     ChartPoint,
     SurfaceSpec,
-    chart_atlas,
     chart_to_ambient,
     implicit_gradient,
     implicit_value,

@@ -319,9 +319,17 @@ def curvature_summary(spec, cp) -> CurvatureSummary:
 
 
 def gaussian_curvature_arrays(spec, chart, u, v):
-    """Vectorized Gaussian curvature at valid (u, v) arrays."""
+    """Vectorized Gaussian curvature at valid (u, v) arrays.
+
+    Where E G - F^2 overflows (the Z charts of pe(1, 1e-200, 0.1), where E,
+    F and G reach 1e203), it is taken as E + G - 1, equal to it for these
+    Monge forms (both are 1 + hu^2 + hv^2); every other point keeps the
+    plain quotient, bit for bit.
+    """
     E, F, G, e, f, g = closed_forms_arrays(spec, chart, u, v)
-    return (e * g - f * f) / (E * G - F * F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = E * G - F * F
+    return (e * g - f * f) / np.where(np.isfinite(det), det, E + G - 1.0)
 
 
 @dataclass(frozen=True)
@@ -359,9 +367,6 @@ def convexity_scan(spec, n_samples, seed=0) -> ConvexityReport:
     if not lane.size:
         return ConvexityReport(math.inf, charts[0].label, (0.0, 0.0), 0, True)
     K = gaussian_curvature_arrays(spec, sf.ChartLane(spec, lane), u, v)
-    # K is NaN where E G - F^2 overflows (the Z charts of pe(1, 1e-200, 0.1)):
-    # such samples are not judged.
-    K = np.where(np.isnan(K), math.inf, K)
     i = int(np.argmin(K))
     best = float(K[i])
     return ConvexityReport(best, charts[lane[i]].label, (float(u[i]), float(v[i])), lane.size,

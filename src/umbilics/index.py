@@ -8,28 +8,28 @@ modulo pi (a line field has no orientation), lifted continuously by nearest
 representative; closing the loop then yields an integer multiple of pi,
 i.e. a half-integer index.
 
-The ring is lifted by :func:`umbilics.forms.lift_lines`, a level-wise
-bisection of every ring together.  Two robustness measures beyond
-plain uniform sampling:
+Each ring is drawn at its cap, the largest admissible circle
+(:func:`umbilic_index`).  The ring's own samples decide whether it fits in
+the chart: each must keep the radicand margin DELTA_VALID that every other
+chart-validity test of the finder and the index uses, or the ring is
+redrawn at half the radius.
 
-* segments whose hop (the mod-pi distance between their endpoint angles)
-  reaches pi/4 are bisected until none does -- near planar (flat) umbilics
-  the principal directions swing by ~pi/2 inside angular windows far
-  narrower than any fixed sample count resolves;
-* a sample where hypot(A - C, B) (k1 - k2 in a principal orthonormal frame)
-  is within a couple of decades of the rounding scale of A, B and C fails
-  the lift, and the ring is redrawn at twice the radius, up to its cap.
-
-The ring's own samples decide whether it fits in the chart: each must keep
-the radicand margin DELTA_VALID that every other chart-validity test of
-the finder and the index uses, or the ring is redrawn at half the radius.
+The fitted ring is then lifted once by :func:`umbilics.forms.lift_lines`,
+a level-wise bisection of every ring together.  Segments whose hop (the
+mod-pi distance between their endpoint angles) reaches pi/4 are bisected
+until none does -- near planar (flat) umbilics the principal directions
+swing by ~pi/2 inside angular windows far narrower than any fixed sample
+count resolves.  A sample where hypot(A - C, B) (k1 - k2 in a principal
+orthonormal frame) is within a couple of decades of the rounding scale of
+A, B and C, or a segment still hopping at the bisection floor, leaves the
+ring unresolved, and its index raises NonConvergentLift.
 
 :func:`attach_indices` draws each distinct ring once: the records of a root
 in both charts of an axis, and of its mirror images (+-u, +-v) in them,
-share one ring.  All rings are drawn together, round by round: the
-(rings, samples) array takes one radicand call and one kernel call on a
-ChartLane of shape (rings, 1), and one lift; the caps of all rings are one
-array step.  :func:`umbilic_index` is that pass on one ring.
+share one ring.  All rings are drawn together: the caps of all rings are
+one array step, each fit pass takes one radicand call, and the fitted
+(rings, samples) array takes one kernel call on a ChartLane of shape
+(rings, 1) and one lift.  :func:`umbilic_index` is that pass on one ring.
 
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
@@ -47,7 +47,6 @@ from . import surface as sf
 from . import umbilic as um
 from .errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 
-RING_RADIUS = 0.01       # before clipping
 RING_SAMPLES = 720
 RING_DEPTH = 37          # bisection levels: 2 pi / 720 / 2^37 = 6.3e-14 rad, the first width below 1e-13
 
@@ -61,7 +60,7 @@ class WindingResult:
 
 def _windings(spec, rings, records):
     """Winding of each record in ``rings``, all drawn together: a WindingResult
-    or the error its ring raised; each ring's radii are as in umbilic_index.
+    or the error its ring raised; each ring's radius is as in umbilic_index.
 
     Each ring's cap is the largest admissible circle: half the smallest
     nonzero gap to the umbilic preimages in its chart, and half the smaller
@@ -76,62 +75,59 @@ def _windings(spec, rings, records):
     lane = np.array([sf.ATLAS.index(rec.chart) for rec in rings], int)
     charts = sf.ChartLane(spec, lane[:, None])
     place = np.array([sf.placement(rec.chart) for rec in rings], int).reshape(-1, 3)
-    pts = np.array([other.ambient for other in records or []], float).reshape(-1, 3)
+    pts = np.array([other.ambient for other in records], float).reshape(-1, 3)
     pu, pv, ph = pts.T[place].transpose(1, 0, 2)      # (rings, records) each
     gap = np.hypot(pu - centre[:, :1], pv - centre[:, 1:])
     seen = (ph * charts.sign >= 0.0) & sf.chart_valid(spec, charts, pu, pv) & (gap > 0.0)
     half = np.array([min(sf.chart_bounds(spec, chart)) for chart in sf.ATLAS])[lane]
-    cap = 0.5 * np.minimum(half, np.where(seen, gap, np.inf).min(axis=1, initial=np.inf))
-    radius = np.minimum(RING_RADIUS, cap)
+    radius = 0.5 * np.minimum(half, np.where(seen, gap, np.inf).min(axis=1, initial=np.inf))
     ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 2.0 * math.pi)
-    pending = np.flatnonzero([res is None for res in out])
-    while pending.size:
-        cu, cv, r = centre[pending, :1], centre[pending, 1:], radius[pending, None]
-        uu, vv = cu + r * np.cos(ts), cv + r * np.sin(ts)
-        fits = sf.chart_valid(spec, sf.ChartLane(spec, lane[pending, None]), uu, vv).all(axis=1)
-        for i in pending[~fits]:
+
+    def ring(ids, t):
+        return centre[ids, 0] + radius[ids] * np.cos(t), centre[ids, 1] + radius[ids] * np.sin(t)
+
+    test = np.flatnonzero([res is None for res in out])
+    while test.size:                           # halve each ring that leaves its chart
+        fits = sf.chart_valid(spec, sf.ChartLane(spec, lane[test, None]), *ring(test[:, None], ts))
+        test = test[~fits.all(axis=1)]
+        for i in test:
             if radius[i] <= 1e-9:
                 rec = rings[i]
                 out[i] = CircleInvalid(f"no valid sampling circle around {rec.uv} on {rec.chart.label}")
-            radius[i] = cap[i] = 0.5 * radius[i]      # a ring that has shrunk never grows again
-        live = pending[fits]
-        if live.size:
-            cu, cv, r = cu[fits, 0], cv[fits, 0], r[fits, 0]
-            rows = sf.ChartLane(spec, lane[live, None])
-            psi = fm.line_angle(*fm.closed_forms_arrays(spec, rows, uu[fits], vv[fits]))
-            total, mids, resolved = fm.lift_lines(
-                spec, lane[live], np.broadcast_to(ts, psi.shape), psi,
-                lambda j, t: (cu[j] + r[j] * np.cos(t), cv[j] + r[j] * np.sin(t)), RING_DEPTH,
-            )
-            for j, i in enumerate(live):
-                if not resolved[j]:
-                    if radius[i] >= cap[i]:
-                        out[i] = NonConvergentLift(
-                            f"line field unresolved on the ring of radius {radius[i]:.3e}")
-                    radius[i] = min(2.0 * radius[i], cap[i])
-                    continue
-                index = float(total[j]) / (2.0 * math.pi)
-                doubled = round(2.0 * index)
-                out[i] = (WindingResult(doubled / 2.0, ts.size + int(mids[j]), float(radius[i]))
-                          if abs(2.0 * index - doubled) <= 1e-3 else NonConvergentLift(
-                              f"winding {index:.6f} is not a half-integer; radius {radius[i]:.3e}"))
-        pending = np.array([i for i in pending if out[i] is None], int)
+            radius[i] *= 0.5
+        test = np.array([i for i in test if out[i] is None], int)
+    live = np.flatnonzero([res is None for res in out])
+    if not live.size:
+        return out
+    rows = sf.ChartLane(spec, lane[live, None])
+    psi = fm.line_angle(*fm.closed_forms_arrays(spec, rows, *ring(live[:, None], ts)))
+    total, mids, resolved = fm.lift_lines(spec, lane[live], np.broadcast_to(ts, psi.shape), psi,
+                                          lambda j, t: ring(live[j], t), RING_DEPTH)
+    for j, i in enumerate(live):
+        if not resolved[j]:
+            out[i] = NonConvergentLift(f"line field unresolved on the ring of radius {radius[i]:.3e}")
+            continue
+        index = float(total[j]) / (2.0 * math.pi)
+        doubled = round(2.0 * index)
+        out[i] = (WindingResult(doubled / 2.0, ts.size + int(mids[j]), float(radius[i]))
+                  if abs(2.0 * index - doubled) <= 1e-3 else NonConvergentLift(
+                      f"winding {index:.6f} is not a half-integer; radius {radius[i]:.3e}"))
     return out
 
 
-def umbilic_index(spec, rec, records=None) -> WindingResult:
+def umbilic_index(spec, rec, records) -> WindingResult:
     """Winding index of one isolated umbilic record.
 
-    The circle radius adapts.  It starts at RING_RADIUS, capped to stay
-    clear of the other umbilics in ``records`` and inside the chart
-    rectangle; a record at the ring's centre is the ring's own point.  It
-    halves while a ring sample leaves the chart (CircleInvalid once it is
-    1e-9 or less), and doubles, but never past the cap, while
-    :func:`umbilics.forms.lift_lines` leaves the ring unresolved
-    (NonConvergentLift once the ring at the cap is unresolved) -- the
-    situation at nearly planar umbilics of high-power surfaces.  A ring that
-    has shrunk never grows again: doubling would only return to a radius
-    that left the chart.
+    The circle starts at its cap, the largest admissible radius: half the
+    smallest chart gap to another umbilic of ``records`` and at most half
+    the smaller chart half-width; a record at the ring's centre is the
+    ring's own point.  ``records`` should hold every umbilic of the surface
+    (the finder's output): the cap keeps the ring clear only of the points
+    it lists.  The radius halves while a ring sample leaves the chart
+    (CircleInvalid once it is 1e-9 or less); the ring is then lifted once
+    by :func:`umbilics.forms.lift_lines`, and an unresolved lift -- the
+    situation at nearly planar umbilics of high-power surfaces -- raises
+    NonConvergentLift.
     """
     [res] = _windings(spec, [rec], records)
     if isinstance(res, Exception):
@@ -147,8 +143,8 @@ def attach_indices(spec, records):
     axis share their forms, the forms at (+-u, +-v) are mirror images and
     the finder's records are mirror-symmetric, so the records of one
     ``(axis, |u|, |v|, kind)`` key share one ring, drawn for the first of
-    them.  All rings are drawn together (one pass per round); when rings
-    fail, the error of the first record's ring is raised.
+    them.  All rings are drawn together and lifted once; when rings fail,
+    the error of the first record's ring is raised.
     """
     keys = [(rec.chart.axis, abs(rec.uv[0]), abs(rec.uv[1]), rec.kind) for rec in records]
     rings = {}

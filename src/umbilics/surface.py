@@ -349,11 +349,6 @@ def implicit_gradient(spec: SurfaceSpec, p):
     return np.stack([term.jet(p[..., i])[1] for i, term in enumerate(spec.terms)], axis=-1)
 
 
-def chart_atlas(spec: SurfaceSpec):
-    """Charts jointly covering the surface with margin DELTA_COVER: ATLAS."""
-    return list(ATLAS)
-
-
 def _as_float(x):
     """A Python float or int, or an np.float64 (a float subclass), as a
     Python float; anything else as a float array.

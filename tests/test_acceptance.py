@@ -136,7 +136,7 @@ def test_c6_forms_oracle_equivalence():
     totals = {}
     for name in ("sq_1112", "pe_lt", "ellipsoid_123"):
         spec = BUNDLED[name]
-        charts = sf.chart_atlas(spec)
+        charts = sf.ATLAS
         n = math.ceil(500 / len(charts))
         for chart in charts:
             check_forms_agreement(

@@ -212,6 +212,17 @@ def test_verify_just_above_critical_epsilon(capsys, tmp_path, regime):
     assert agree["closed_count"] == 10
 
 
+def test_verify_overflowing_first_form_is_quiet(capsys, tmp_path):
+    """pe(1, 1e-200, 0.1): E G - F^2 overflows on the Z charts, yet verify
+    judges their samples and prints nothing to stderr."""
+    path = tmp_path / "pe_flat.json"
+    path.write_text(json.dumps(SurfaceSpec.perturbed_ellipsoid(1.0, 1e-200, 0.1).to_json()))
+    code, out, err = run(capsys, "verify", "--spec", str(path))
+    assert (code, err) == (0, "")
+    [check] = [c for c in json.loads(out)["checks"] if c["name"] == "convexity"]
+    assert check["pass"] and check["min_K"] > 0.0
+
+
 def test_verify_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "--spec", "ellipsoid_123", "--seed", "42")
     _, out2, _ = run(capsys, "verify", "--spec", "ellipsoid_123", "--seed", "42")

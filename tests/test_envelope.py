@@ -89,8 +89,9 @@ def test_envelope_spec_judged_correct(fields):
 
 NEAR_EPS_C = {
     6: pytest.mark.xfail(strict=True, reason=(
-        "the 8 newborn points are found, but their index rings (radius 2.7e-4 to 4.6e-4, 5e-4 to 1e-3"
-        " from the pole) raise NonConvergentLift")),
+        "the 8 newborn points are found, but their index rings and the pole's, at their caps (radius"
+        " 2.7e-4 to 4.6e-4, half the 5e-4 to 9e-4 gap between the pole and the newborn points), raise"
+        " NonConvergentLift")),
     8: pytest.mark.xfail(strict=True, reason=(
         "the face function next to the newborn points lies below the rounding floor, so only the 2"
         " poles are found")),
@@ -176,7 +177,7 @@ HIGH_K_SET = [
 
 @pytest.mark.parametrize("a, b, c, k", HIGH_K_SET)
 def test_high_k_set_judged_correct(a, b, c, k):
-    """The high-k set, indices included: an unresolved ring is redrawn at
-    twice the radius up to its cap, and fails only once the ring at the cap
-    is unresolved."""
+    """The high-k set, indices included: every ring is lifted once, at its
+    cap (halved only while it leaves its chart), and an unresolved ring
+    fails."""
     assert_judged_correct(SurfaceSpec.superquadric(a, b, c, k))

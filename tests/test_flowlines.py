@@ -50,7 +50,7 @@ def test_direction_pair_invariants():
     A du^2 + B du dv + C dv^2 that the step residual evaluates."""
     rng = np.random.default_rng(7)
     for spec in (SQ_1112, PE_LT):
-        chart = sf.chart_atlas(spec)[0]
+        chart = sf.ATLAS[0]
         us, vs = random_valid_chart_points(spec, chart, 120, rng)
         for u, v in zip(us, vs):
             ff = fm.forms_closed(spec, ChartPoint(chart, float(u), float(v)))

@@ -44,7 +44,7 @@ def agreement_specs():
     pairs = []
     for name in ("sq_1112", "sq_2352", "sq_k4", "pe_gt", "pe_lt", "ellipsoid_123"):
         spec = BUNDLED[name]
-        for chart in sf.chart_atlas(spec):
+        for chart in sf.ATLAS:
             pairs.append((name, spec, chart))
     return pairs
 
@@ -115,7 +115,7 @@ def test_in_chart_reflections_bit_exact(name):
     array and the Python-float paths."""
     spec = BUNDLED[name]
     rng = np.random.default_rng(37)
-    for chart in sf.chart_atlas(spec):
+    for chart in sf.ATLAS:
         us, vs = random_valid_chart_points(spec, chart, 100, rng, margin=sf.DELTA_VALID)
         for uu, vv in ((us, vs), (float(us[0]), float(vs[0]))):
             want = fm.closed_forms_arrays(spec, chart, uu, vv)
@@ -186,7 +186,7 @@ def test_scalar_kernel_path(spec):
         return [*fm.closed_forms_arrays(spec, chart, u, v), sf.radicand(spec, chart, u, v),
                 *sf.height_jet(spec, chart, u, v)]
 
-    for chart in sf.chart_atlas(spec)[::2]:
+    for chart in sf.ATLAS[::2]:
         us, vs = random_valid_chart_points(spec, chart, 40, rng, margin=sf.DELTA_VALID)
         for u, v in zip(us, vs):
             want = kernel(chart, [u], [v])
@@ -205,7 +205,7 @@ def test_scalar_kernel_float_clean(spec):
     square by multiplying and take a correctly rounded square root (libm
     ``pow(x, 2)`` is not always the correctly rounded x * x)."""
     rng = np.random.default_rng(41)
-    for chart in sf.chart_atlas(spec):
+    for chart in sf.ATLAS:
         us, vs = random_valid_chart_points(spec, chart, 200, rng, margin=sf.DELTA_VALID)
         for u, v in zip(us, vs):
             forms = fm.closed_forms_arrays(spec, chart, float(u), float(v))
@@ -217,7 +217,7 @@ def test_scalar_kernel_float_clean(spec):
 def test_symmetry_locus_exact_zeros():
     rng = np.random.default_rng(3)
     for spec in (SQ_1112, BUNDLED["sq_2352"], PE_LT):
-        for chart in sf.chart_atlas(spec)[:6]:
+        for chart in sf.ATLAS[:6]:
             umax, vmax = sf.chart_bounds(spec, chart)
             for v in rng.uniform(-0.7 * vmax, 0.7 * vmax, size=5):
                 ff = fm.forms_closed(spec, ChartPoint(chart, 0.0, float(v)))
@@ -267,7 +267,7 @@ def test_shape_operator_consistency(name):
     """k1 + k2 = 2H and k1 k2 = K = (eg - f^2)/(EG - F^2)."""
     spec = BUNDLED[name]
     rng = np.random.default_rng(17)
-    chart = sf.chart_atlas(spec)[0]
+    chart = sf.ATLAS[0]
     us, vs = random_valid_chart_points(spec, chart, 200, rng)
     for u, v in zip(us, vs):
         cp = ChartPoint(chart, float(u), float(v))
@@ -289,7 +289,7 @@ def test_principal_directions_match_weingarten_eig(name):
     spec = BUNDLED[name]
     rng = np.random.default_rng(29)
     checked = 0
-    for chart in sf.chart_atlas(spec):
+    for chart in sf.ATLAS:
         us, vs = random_valid_chart_points(spec, chart, 200, rng)
         for u, v in zip(us, vs):
             cp = ChartPoint(chart, float(u), float(v))
@@ -315,7 +315,7 @@ def test_principal_directions_first_form_orthogonal():
     rng = np.random.default_rng(23)
     for name in ("sq_2352", "pe_gt", "ellipsoid_123"):
         spec = BUNDLED[name]
-        chart = sf.chart_atlas(spec)[0]
+        chart = sf.ATLAS[0]
         us, vs = random_valid_chart_points(spec, chart, 150, rng)
         for u, v in zip(us, vs):
             cs = fm.curvature_summary(spec, ChartPoint(chart, float(u), float(v)))
@@ -334,7 +334,7 @@ def test_eigenvalues_chart_independent():
     p = sf.chart_to_ambient(spec, ChartPoint(Z_PLUS, 0.55, 0.35))
     seen = 0
     vals = []
-    for chart in sf.chart_atlas(spec):
+    for chart in sf.ATLAS:
         pre = sf.ambient_to_chart(spec, chart, p)
         if pre is None or pre[2] < sf.DELTA_COVER:
             continue
@@ -351,12 +351,29 @@ def test_eigenvalues_chart_independent():
 def test_superquadric_kurvature_nonnegative_sample():
     rng = np.random.default_rng(41)
     total = 0
-    for chart in sf.chart_atlas(SQ_1112):
+    for chart in sf.ATLAS:
         us, vs = random_valid_chart_points(SQ_1112, chart, 350, rng, margin=sf.DELTA_COVER)
         K = fm.gaussian_curvature_arrays(SQ_1112, chart, us, vs)
         assert np.all(K >= -1e-10)
         total += us.size
     assert total >= 2000
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_convexity_scan_judges_overflowing_first_form():
+    """On pe(1, 1e-200, 0.1) E G - F^2 overflows on every Z+ and Z- sample
+    (E, F and G reach 1e203); K there comes from E + G - 1 instead, so each
+    such sample is judged, finite and positive, without a RuntimeWarning."""
+    spec = SurfaceSpec.perturbed_ellipsoid(1.0, 1e-200, 0.1)
+    rng = np.random.default_rng(47)
+    for chart in sf.ATLAS[4:]:
+        us, vs = random_valid_chart_points(spec, chart, 500, rng)
+        E, F, G, *_ = fm.closed_forms_arrays(spec, chart, us, vs)
+        assert np.all(np.minimum(E, G) > 1e100)
+        K = fm.gaussian_curvature_arrays(spec, chart, us, vs)
+        assert np.all(np.isfinite(K) & (K > 0.0))
+    rep = fm.convexity_scan(spec, 10_000)
+    assert rep.passed and rep.min_K > 0.0
 
 
 def test_convexity_scan_examples():

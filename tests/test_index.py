@@ -17,6 +17,8 @@ from conftest import (
     BUNDLED, EPS_C_PLUS, PE_GT, PE_LT, SPHERE, SQ_1112, random_valid_chart_points, weingarten_eig,
 )
 
+SQ_123_K11 = SurfaceSpec.superquadric(1, 2, 3, 11)
+
 
 def test_ellipsoid_indices(results):
     recs = results.indexed(BUNDLED["ellipsoid_123"])
@@ -62,12 +64,24 @@ def test_index_sampling_oracle(results, monkeypatch):
         assert dense.index == co360.index == default.index
 
 
-def test_index_radius_stability(results, monkeypatch):
+def _record_beside(spec, rec, du):
+    """A record du from rec along its chart's u axis, in rec's chart."""
+    u, v = rec.uv[0] + du, rec.uv[1]
+    return um.UmbilicRecord(
+        tuple(float(c) for c in sf.chart_points(spec, rec.chart, u, v)), rec.chart, (u, v), 0.0
+    )
+
+
+def test_index_radius_stability(results):
+    """An extra record 0.02 or 0.04 away caps the diagonal ring at 0.01 or
+    0.02, inside the radius 0.0625 it takes among the 14 points (its cap of
+    0.5, halved three times to fit in the chart): the index stays."""
     recs = results.records(SQ_1112)
     diag = next(r for r in recs if _classify(r) == "diag")
-    r1 = _index_with(monkeypatch, "RING_RADIUS", 0.02, diag, recs)
-    r2 = _index_with(monkeypatch, "RING_RADIUS", 0.01, diag, recs)
-    assert r1.index == r2.index
+    r1, r2 = (ix.umbilic_index(SQ_1112, diag, recs + [_record_beside(SQ_1112, diag, du)])
+              for du in (0.04, 0.02))
+    assert (r1.radius, r2.radius) == pytest.approx((0.02, 0.01), rel=1e-12)
+    assert r1.index == r2.index == ix.umbilic_index(SQ_1112, diag, recs).index
     assert 2.0 * r1.index == round(2.0 * r1.index)
 
 
@@ -76,7 +90,7 @@ def test_index_chart_independent(results):
     recs = results.records(SQ_1112)
     diag = next(r for r in recs if _classify(r) == "diag")
     got = {}
-    for chart in sf.chart_atlas(SQ_1112):
+    for chart in sf.ATLAS:
         pre = sf.ambient_to_chart(SQ_1112, chart, np.array(diag.ambient))
         if pre is None or pre[2] < 0.05:
             continue
@@ -92,7 +106,7 @@ def test_equator_index_in_rotated_chart(results):
     eq = next(r for r in recs if abs(r.ambient[2]) < 1e-9 and r.ambient[1] > 0)
     base = ix.umbilic_index(PE_LT, eq, recs).index
     chart, pre = next(
-        (c, pre) for c in sf.chart_atlas(PE_LT)
+        (c, pre) for c in sf.ATLAS
         if c != eq.chart
         and (pre := sf.ambient_to_chart(PE_LT, c, np.array(eq.ambient))) is not None
     )
@@ -122,14 +136,16 @@ def _sq_c100_diagonal_from_z_minus():
     return spec, um.UmbilicRecord(tuple(p), chart, (u, v), 0.0)
 
 
-def test_ring_leaving_chart_is_circle_invalid(monkeypatch):
+def test_ring_leaving_chart_is_circle_invalid(results, monkeypatch):
     """A ring with samples past the chart edge is halved: the sq_c100
-    diagonal point seen from Z- needs radius 0.00125, three halvings down
-    from RING_RADIUS.  A ring that never fits is CircleInvalid once the
-    radius is 1e-9 or less (24 halvings), without a lift."""
+    diagonal point seen from Z- needs radius 2^-10, nine halvings down from
+    its cap of 0.5, half the chart half-width.  A ring that never fits is
+    CircleInvalid once the radius is 1e-9 or less (29 halvings), without a
+    lift."""
     spec, rec = _sq_c100_diagonal_from_z_minus()
-    res = ix.umbilic_index(spec, rec)
-    assert (res.index, res.radius) == (-0.5, 0.00125)
+    records = results.records(spec)
+    res = ix.umbilic_index(spec, rec, records)
+    assert (res.index, res.radius) == (-0.5, 2.0 ** -10)
 
     rings = []
 
@@ -140,13 +156,13 @@ def test_ring_leaving_chart_is_circle_invalid(monkeypatch):
     monkeypatch.setattr(sf, "chart_valid", nowhere)
     monkeypatch.setattr(fm, "lift_lines", None)
     with pytest.raises(CircleInvalid):
-        ix.umbilic_index(spec, rec)
-    assert rings.count(ix.RING_SAMPLES + 1) == 25
+        ix.umbilic_index(spec, rec, records)
+    assert rings.count(ix.RING_SAMPLES + 1) == 30
 
 
-def test_shrunk_ring_never_grows(monkeypatch):
-    """An unresolved lift after a halving raises at once: doubling would
-    only return to a radius that left the chart."""
+def test_unresolved_ring_raises_after_one_lift(results, monkeypatch):
+    """An unresolved lift raises at once: the ring is lifted once, at the
+    radius that fits in its chart, and never redrawn."""
     spec, rec = _sq_c100_diagonal_from_z_minus()
     lift, lifts = fm.lift_lines, []
 
@@ -157,7 +173,7 @@ def test_shrunk_ring_never_grows(monkeypatch):
 
     monkeypatch.setattr(fm, "lift_lines", unresolved)
     with pytest.raises(NonConvergentLift):
-        ix.umbilic_index(spec, rec)
+        ix.umbilic_index(spec, rec, results.records(spec))
     assert len(lifts) == 1
 
 
@@ -179,9 +195,11 @@ def test_one_chart_margin(name, monkeypatch):
 
 def test_bisection_one_kernel_call_per_level(results, monkeypatch):
     """All midpoints of one bisection level take their forms in one kernel
-    call: sq_k4's X- axis ring (radius 0.04) holds 114 bisection samples."""
-    spec = BUNDLED["sq_k4"]
-    [rec] = [r for r in results.records(spec)
+    call: sq_c100's X- axis ring (radius 0.158, its cap: half the smaller
+    chart half-width) holds 40 bisection samples, 4 on each of 10 levels."""
+    spec = BUNDLED["sq_c100"]
+    records = results.records(spec)
+    [rec] = [r for r in records
              if r.ambient[0] < 0.0 and abs(r.ambient[1]) < 1e-9 and abs(r.ambient[2]) < 1e-9]
     kernel, calls = fm.closed_forms_arrays, []
 
@@ -190,10 +208,10 @@ def test_bisection_one_kernel_call_per_level(results, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(fm, "closed_forms_arrays", counted)
-    monkeypatch.setattr(ix, "RING_RADIUS", 0.04)
-    res = ix.umbilic_index(spec, rec, results.records(spec))
-    assert (res.index, res.radius, res.samples) == (1.0, 0.04, 835)
-    assert len(calls) < res.samples - (ix.RING_SAMPLES + 1)
+    res = ix.umbilic_index(spec, rec, records)
+    assert (res.index, res.samples) == (1.0, 761)
+    assert res.radius == pytest.approx(0.158113883, rel=1e-9)
+    assert len(calls) == 11 < res.samples - (ix.RING_SAMPLES + 1)
 
 
 def _ring_key(rec):
@@ -226,14 +244,12 @@ def test_attach_indices_draws_each_ring_once(name, results, monkeypatch):
     assert [r.index for r in indexed] == [w.index for w in windings]
 
 
-@pytest.mark.parametrize("spec, rounds", [(PE_LT, 1), (SurfaceSpec.superquadric(1, 2, 3, 11), 2)],
-                         ids=["pe_lt", "sq_123_k11"])
-def test_ring_rounds_broadcast_lanes(spec, rounds, monkeypatch):
-    """Each ring round evaluates its (rings, samples) arrays on a ChartLane
-    of shape (rings, 1), whose coefficients broadcast against the samples
+@pytest.mark.parametrize("spec", [PE_LT, SQ_123_K11], ids=["pe_lt", "sq_123_k11"])
+def test_ring_rounds_broadcast_lanes(spec, monkeypatch):
+    """The rings evaluate their (rings, samples) arrays on a ChartLane of
+    shape (rings, 1), whose coefficients broadcast against the samples
     rather than being gathered for every sample: the radius caps (against
-    every record), the fit test and the kernel call alike.  sq(1, 2, 3, 11)
-    redraws rings at larger radii, so it takes at least two rounds."""
+    every record), each fit pass and the one kernel call alike."""
     records = um.find_umbilics(spec)
     valid, kernel, calls = sf.chart_valid, fm.closed_forms_arrays, []
 
@@ -251,7 +267,7 @@ def test_ring_rounds_broadcast_lanes(spec, rounds, monkeypatch):
     calls_2d = [(lane, shape) for lane, shape in calls if len(shape) == 2]
     assert all(lane == (shape[0], 1) for lane, shape in calls_2d)
     widths = [shape[1] for _, shape in calls_2d]
-    assert widths[0] == len(records) and widths.count(ix.RING_SAMPLES + 1) >= 2 * rounds
+    assert widths[0] == len(records) and widths.count(ix.RING_SAMPLES + 1) >= 2
 
 
 def test_attach_indices_lifts_rings_together(results, monkeypatch):
@@ -281,15 +297,44 @@ def test_attach_indices_lifts_rings_together(results, monkeypatch):
 def test_ring_cap_counts_every_other_record(results):
     """A record 5e-6 from a diagonal umbilic in chart coordinates is another
     point, so the diagonal ring clips to half that gap; a second record at
-    the ring's centre (zero gap) is the ring's own point and clips nothing."""
+    the ring's centre (zero gap) is the ring's own point and leaves the
+    ring at its cap."""
     recs = results.records(SQ_1112)
     diag = next(r for r in recs if _classify(r) == "diag")
-    u, v = diag.uv[0] + 5e-6, diag.uv[1]
-    near = um.UmbilicRecord(
-        tuple(float(c) for c in sf.chart_points(SQ_1112, diag.chart, u, v)), diag.chart, (u, v), 0.0
-    )
+    near = _record_beside(SQ_1112, diag, 5e-6)
     assert ix.umbilic_index(SQ_1112, diag, recs + [near]).radius == pytest.approx(2.5e-6, rel=1e-6)
-    assert ix.umbilic_index(SQ_1112, diag, recs + [diag]).radius == ix.RING_RADIUS
+    own = ix.umbilic_index(SQ_1112, diag, recs + [diag]).radius
+    assert own == ix.umbilic_index(SQ_1112, diag, recs).radius == _cap(SQ_1112, diag, recs) / 8.0
+
+
+def _cap(spec, rec, records):
+    """Half the smallest nonzero chart gap to another record on rec's side
+    of its chart, and at most half the smaller chart half-width."""
+    iu, iv, ih = sf.placement(rec.chart)
+    gaps = [math.hypot(p[iu] - rec.uv[0], p[iv] - rec.uv[1]) for p in (r.ambient for r in records)
+            if p[ih] * rec.chart.sign >= 0.0 and sf.chart_valid(spec, rec.chart, p[iu], p[iv])]
+    return 0.5 * min([g for g in gaps if g > 0.0] + list(sf.chart_bounds(spec, rec.chart)))
+
+
+def test_ring_radius_is_cap_halved_and_lifted_once(monkeypatch):
+    """Every ring of sq(1, 2, 3, 11) is drawn at its cap, halved only while
+    it leaves its chart (radius = cap / 2^n), and attach_indices lifts all
+    rings in one lift_lines call."""
+    spec = SQ_123_K11
+    records = um.find_umbilics(spec)
+    for rec in records:
+        res = ix.umbilic_index(spec, rec, records)
+        halvings = math.log2(_cap(spec, rec, records) / res.radius)
+        assert halvings == round(halvings) >= 0
+    lift, lifts = fm.lift_lines, []
+
+    def counted(*args):
+        lifts.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(fm, "lift_lines", counted)
+    ix.attach_indices(spec, records)
+    assert len(lifts) == 1
 
 
 def test_ring_clips_to_mirror_image_one_ulp_above_eps_c():
@@ -309,7 +354,7 @@ def test_ring_angle_bisects_principal_frame():
     rng = np.random.default_rng(10)
     checked = 0
     for spec in BUNDLED.values():
-        for chart in sf.chart_atlas(spec):
+        for chart in sf.ATLAS:
             uu, vv = random_valid_chart_points(spec, chart, 200, rng)
             psi = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu, vv))
             forms = zip(*(a.tolist() for a in fm.closed_forms_arrays(spec, chart, uu, vv)))

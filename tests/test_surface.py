@@ -94,9 +94,10 @@ def test_chart_to_ambient_invalid():
 
 
 def test_atlas_counts():
-    assert len(sf.chart_atlas(SQ_1112)) == 6
-    assert len(sf.chart_atlas(PE_LT)) == 6
-    assert len(sf.chart_atlas(BUNDLED["ellipsoid_123"])) == 6
+    """One chart per axis and side: the same six for every spec."""
+    assert len(set(sf.ATLAS)) == 6
+    assert {(chart.axis, chart.sign) for chart in sf.ATLAS} == {
+        (axis, sign) for axis in "xyz" for sign in (1, -1)}
 
 
 @pytest.mark.parametrize("name", ["sq_1112", "sq_c100", "pe_lt", "pe_gt", "ellipsoid_123"])
@@ -104,7 +105,7 @@ def test_atlas_coverage(name):
     spec = BUNDLED[name]
     rng = np.random.default_rng(5)
     pts = random_surface_points(spec, 10_000, rng)
-    charts = sf.chart_atlas(spec)
+    charts = sf.ATLAS
     covered = np.zeros(len(pts), dtype=bool)
     for chart in charts:
         iu, iv, ih = sf.placement(chart)
@@ -136,7 +137,7 @@ def _spec_strategy():
 )
 @settings(max_examples=60, deadline=None)
 def test_chart_roundtrip_property(spec, chart_i, fu, fv):
-    charts = sf.chart_atlas(spec)
+    charts = sf.ATLAS
     chart = charts[chart_i % len(charts)]
     umax, vmax = sf.chart_bounds(spec, chart)
     u, v = fu * umax, fv * vmax
@@ -158,7 +159,7 @@ def test_chart_roundtrip_property(spec, chart_i, fu, fv):
 @settings(max_examples=60, deadline=None)
 def test_symmetry_orbit(spec, chart_i, fu, fv):
     """Negating (u, v) reflects the ambient point through the chart axis."""
-    chart = sf.chart_atlas(spec)[chart_i % 6]
+    chart = sf.ATLAS[chart_i % 6]
     umax, vmax = sf.chart_bounds(spec, chart)
     u, v = fu * umax, fv * vmax
     if not sf.chart_valid(spec, chart, u, v, margin=1e-9):
@@ -257,7 +258,7 @@ def test_epsilon_zero_radicand_is_squared_height():
     """At eps = 0 the X/Y radicand is still the resolved squared height t / a."""
     spec = SurfaceSpec.perturbed_ellipsoid(0.5, 0.2, 0.0)
     rng = np.random.default_rng(23)
-    for chart in sf.chart_atlas(spec):
+    for chart in sf.ATLAS:
         if chart.axis == "z":
             continue
         umax, vmax = sf.chart_bounds(spec, chart)
@@ -277,7 +278,7 @@ def test_epsilon_zero_height_jet_continuous():
     rng = np.random.default_rng(29)
     zero = SurfaceSpec.perturbed_ellipsoid(0.5, 0.2, 0.0)
     tiny = SurfaceSpec.perturbed_ellipsoid(0.5, 0.2, 1e-14)
-    for chart in sf.chart_atlas(zero):
+    for chart in sf.ATLAS:
         u, v = random_valid_chart_points(zero, chart, 200, rng, margin=0.25)
         for x, y in zip(sf.height_jet(zero, chart, u, v), sf.height_jet(tiny, chart, u, v)):
             assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(np.abs(x), 1.0))

@@ -55,7 +55,7 @@ def test_scaled_residual_rescales_only_where_squares_overflow():
 
 def _chart_preimage(spec, p):
     best = None
-    for chart in sf.chart_atlas(spec):
+    for chart in sf.ATLAS:
         pre = sf.ambient_to_chart(spec, chart, p)
         if pre is not None and (best is None or pre[2] > best[1][2]):
             best = (chart, pre)
