@@ -86,9 +86,11 @@ def _windings(spec, rings, records):
     def ring(ids, t):
         return centre[ids, 0] + radius[ids] * np.cos(t), centre[ids, 1] + radius[ids] * np.sin(t)
 
+    uu, vv = np.empty((2, len(rings), ts.size))
     test = np.flatnonzero([res is None for res in out])
     while test.size:                           # halve each ring that leaves its chart
-        fits = sf.chart_valid(spec, sf.ChartLane(spec, lane[test, None]), *ring(test[:, None], ts))
+        uu[test], vv[test] = ring(test[:, None], ts)
+        fits = sf.chart_valid(spec, sf.ChartLane(spec, lane[test, None]), uu[test], vv[test])
         test = test[~fits.all(axis=1)]
         for i in test:
             if radius[i] <= 1e-9:
@@ -100,7 +102,7 @@ def _windings(spec, rings, records):
     if not live.size:
         return out
     rows = sf.ChartLane(spec, lane[live, None])
-    psi = fm.line_angle(*fm.closed_forms_arrays(spec, rows, *ring(live[:, None], ts)))
+    psi = fm.line_angle(*fm.closed_forms_arrays(spec, rows, uu[live], vv[live]))
     total, mids, resolved = fm.lift_lines(spec, lane[live], np.broadcast_to(ts, psi.shape), psi,
                                           lambda j, t: ring(live[j], t), RING_DEPTH)
     for j, i in enumerate(live):
