@@ -13,6 +13,10 @@ smallest surface angle to the previous direction (largest first-form
 residual: the same quadratic evaluated on the cubic-Hermite midpoint
 derivative of the step, i.e. a measure of how well the numerical curve
 satisfies the defining equation between nodes.
+
+Every field evaluation is one scalar :func:`umbilics.forms.closed_forms_arrays`
+call with a radicand margin, so one pass of the axis-term jets gives both
+the covered-zone test and the forms.
 """
 
 from __future__ import annotations
@@ -60,12 +64,12 @@ class CurveTrace:
 
 def _field_direction(spec, chart, u, v, prev):
     """Principal direction at (u, v) continuing prev (unit in first form),
-    and the forms there; (None, None) outside the covered zone.  A chart
-    dot product would pick the other family's axis where the first form is
-    anisotropic."""
-    if not sf.radicand(spec, chart, u, v) >= sf.DELTA_COVER:
+    and the forms there; (None, None) outside the covered zone, which the
+    kernel call itself tests.  A chart dot product would pick the other
+    family's axis where the first form is anisotropic."""
+    forms = fm.closed_forms_arrays(spec, chart, u, v, sf.DELTA_COVER)
+    if forms is None:
         return None, None
-    forms = fm.closed_forms_arrays(spec, chart, u, v)
     E, F, G = forms[:3]
     (au, av), (bu, bv) = fm.principal_directions(*forms)
     pu, pv = prev
@@ -205,14 +209,17 @@ def _step_residual(spec, chart, x0, x1, f0, f1, h):
     """Defining-quadratic residual of the step's Hermite midpoint derivative.
 
     Scale-free: normalized by the coefficient magnitudes and the squared
-    derivative, so a perfectly integrated step scores ~ solver error.
+    derivative, so a perfectly integrated step scores ~ solver error.  The
+    forms come from the midpoint, or from the chord midpoint where the
+    Hermite one is not usable.
     """
     chord = [0.5 * (a + b) for a, b in zip(x0, x1)]
     mid = [c + (h / 8.0) * (a - b) for c, a, b in zip(chord, f0, f1)]
     du, dv = (1.5 * (b - a) / h - 0.25 * (p + q) for a, b, p, q in zip(x0, x1, f0, f1))
-    if not sf.radicand(spec, chart, *mid) >= sf.DELTA_VALID:
-        mid = chord
-    A, B, C = fm.line_quadratic(*fm.closed_forms_arrays(spec, chart, *mid))
+    forms = fm.closed_forms_arrays(spec, chart, *mid, sf.DELTA_VALID)
+    if forms is None:
+        forms = fm.closed_forms_arrays(spec, chart, *chord)
+    A, B, C = fm.line_quadratic(*forms)
     q = A * du * du + B * du * dv + C * dv * dv
     scale = (abs(A) + abs(B) + abs(C)) * (du * du + dv * dv) + 1e-300
     return abs(q) / scale

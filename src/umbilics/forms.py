@@ -89,7 +89,7 @@ def _assemble(su, sv, suu, suv, svv, grad):
     return E, F, G, e, f, g
 
 
-def closed_forms_arrays(spec, chart, u, v):
+def closed_forms_arrays(spec, chart, u, v, margin=None):
     """Vectorized closed-form coefficients (E, F, G, e, f, g) at (u, v).
 
     Uses the Monge-patch identities E = 1 + hu^2, F = hu hv, G = 1 + hv^2
@@ -97,9 +97,16 @@ def closed_forms_arrays(spec, chart, u, v):
     Hessian over that norm, signed by the chart sign so it is positive
     definite on convex surfaces (the outward normal's height component has
     the sign of the height).  ``chart`` may be a ChartLane (rows in several
-    charts).  Caller guarantees validity; no checks.
+    charts).  Caller guarantees validity; no checks, except that a
+    Python-float (u, v) may come with a radicand ``margin``: the result is
+    None where the radicand is below it, and the validity test and the
+    forms come from one pass of the height jet
+    (:func:`umbilics.surface.height_jet`).
     """
-    _, hu, hv, huu, huv, hvv = sf.height_jet(spec, chart, u, v)
+    jet = sf.height_jet(spec, chart, u, v, margin)
+    if jet is None:
+        return None
+    _, hu, hv, huu, huv, hvv = jet
     E = 1.0 + hu * hu
     F = hu * hv
     G = 1.0 + hv * hv
@@ -208,14 +215,20 @@ def principal_directions(E, F, G, e, f, g):
     Scalars in.  At (near-)umbilic points the pair is arbitrary: callers
     apply their own degeneracy rule.
     """
-    A, B, C = line_quadratic(E, F, G, e, f, g)
+    # The arithmetic of line_quadratic and of first_form_unit on both roots,
+    # written out: the tracer calls this once per field evaluation.
+    A, B, C = f * E - e * F, g * E - e * G, g * F - f * G
     psi = 0.5 * math.atan2(B, A - C)
-    delta = 0.5 * math.atan2(math.sqrt(max(B * B - 4.0 * A * C, 0.0)), -(A + C))
+    disc = B * B - 4.0 * A * C
+    delta = 0.5 * math.atan2(math.sqrt(0.0 if disc < 0.0 else disc), -(A + C))
     t0, t1 = (psi - delta) % math.pi, (psi + delta) % math.pi
     if t1 < t0:
         t0, t1 = t1, t0
-    return (first_form_unit(E, F, G, math.cos(t0), math.sin(t0)),
-            first_form_unit(E, F, G, math.cos(t1), math.sin(t1)))
+    c0, s0 = math.cos(t0), math.sin(t0)
+    c1, s1 = math.cos(t1), math.sin(t1)
+    n0 = math.sqrt(E * c0 * c0 + 2.0 * F * c0 * s0 + G * s0 * s0)
+    n1 = math.sqrt(E * c1 * c1 + 2.0 * F * c1 * s1 + G * s1 * s1)
+    return (c0 / n0, s0 / n0), (c1 / n1, s1 / n1)
 
 
 def line_angle(E, F, G, e, f, g):

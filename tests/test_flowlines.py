@@ -1,6 +1,7 @@
 """Principal directions and curvature-line tracing."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -131,9 +132,10 @@ def test_trace_invalid_start():
     ids=["sq_1112", "pe_lt"],
 )
 def test_trace_kernel_call_count(monkeypatch, spec, start, branch, length, sign, calls):
-    """A fixed trace makes a pinned number of form-kernel and radicand
-    calls, so a faster tracer must owe its speed to cheaper calls, not to
-    skipped evaluations.  The start takes one call of each."""
+    """A fixed trace makes a pinned number of form-kernel calls, so a faster
+    tracer must owe its speed to cheaper calls, not to skipped evaluations.
+    The start takes one call of each; every later evaluation reads its
+    validity off its kernel call and calls no radicand."""
     count = {"forms": 0, "radicand": 0}
 
     def counted(key, fn):
@@ -145,7 +147,7 @@ def test_trace_kernel_call_count(monkeypatch, spec, start, branch, length, sign,
     monkeypatch.setattr(fm, "closed_forms_arrays", counted("forms", fm.closed_forms_arrays))
     monkeypatch.setattr(sf, "radicand", counted("radicand", sf.radicand))
     fl.trace_line(spec, start, branch, length, sign=sign)
-    assert count == {"forms": calls, "radicand": calls}
+    assert count == {"forms": calls, "radicand": 1}
 
 
 def test_quartic_chart_trace_returns_floats():
@@ -346,6 +348,46 @@ def test_traces_match_pinned(name, u, v):
         assert dev < NODE_TOL, key
 
 
+# Exact pins: the paths the Z+ ring above never reaches, each start traced
+# on both branches and both senses and pinned bit for bit.  sq_1112 from
+# (0.8, 0.8) stops near an umbilic and at the chart boundary, pe_lt's X+
+# chart has a quartic height term and stops at its boundary, and
+# ellipsoid_123 from (0.4, 0.2) stops on step underflow.  A line is stored
+# as its stop reason, node count, last node and final arclength in
+# float.hex, and the SHA-256 of the float.hex of every point, arclength and
+# residual in that order.  Regenerated together with TRACE_GOLDEN.
+TRACE_EXACT = Path(__file__).parent / "data" / "trace_exact.json"
+EXACT_STARTS = (  # (bundled spec, chart, u, v, line length)
+    ("sq_1112", "Z+", 0.8, 0.8, 2.0),
+    ("pe_lt", "X+", 0.3, 0.2, 3.0),
+    ("ellipsoid_123", "Z+", 0.4, 0.2, 3.0),
+)
+
+
+def _exact_lines(name, label, u, v, length):
+    """Bit-exact summaries of the four traces from one start, keyed as in
+    :func:`_pinned_lines`."""
+    start = ChartPoint(ChartId.from_label(label), u, v)
+    out = {}
+    for branch in (0, 1):
+        for sign in (1, -1):
+            tr = fl.trace_line(BUNDLED[name], start, branch, length, sign=sign)
+            values = [*(x for p in tr.points for x in p), *tr.arclengths, *tr.residuals]
+            out[f"b{branch}{'+' if sign > 0 else '-'}"] = {
+                "stop": tr.stop_reason,
+                "nodes": len(tr.points),
+                "last": [float.hex(x) for x in (*tr.points[-1], tr.arclengths[-1])],
+                "sha256": hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest(),
+            }
+    return out
+
+
+@pytest.mark.parametrize("name, label, u, v, length", EXACT_STARTS, ids=[s[0] for s in EXACT_STARTS])
+def test_traces_match_exact_pins(name, label, u, v, length):
+    want = json.loads(TRACE_EXACT.read_text())[f"{name} {label} {u!r},{v!r}"]
+    assert _exact_lines(name, label, u, v, length) == want
+
+
 if __name__ == "__main__":
     data = {
         f"{name} {u!r},{v!r}": {
@@ -357,3 +399,6 @@ if __name__ == "__main__":
     }
     rows = (f"{json.dumps(k)}: {json.dumps(data[k], sort_keys=True)}" for k in sorted(data))
     TRACE_GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n")
+    exact = {f"{name} {label} {u!r},{v!r}": _exact_lines(name, label, u, v, length)
+             for name, label, u, v, length in EXACT_STARTS}
+    TRACE_EXACT.write_text(json.dumps(exact, indent=1, sort_keys=True) + "\n")

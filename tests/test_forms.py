@@ -214,6 +214,52 @@ def test_scalar_kernel_float_clean(spec):
             assert res == um.scaled_residual(*(np.array([x]) for x in forms))[0]
 
 
+def _crossing(spec, chart, v, margin):
+    """Adjacent u (inside, outside) at row v of the chart between which the
+    scalar radicand falls below ``margin``, by bisection from the chart
+    centre outwards."""
+    inside, outside = 0.0, 1.01 * sf.chart_bounds(spec, chart)[0]
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            return inside, outside
+        if sf.radicand(spec, chart, mid, v) >= margin:
+            inside = mid
+        else:
+            outside = mid
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_margin_gated_kernel(name):
+    """With a radicand margin, the scalar form kernel returns None exactly
+    where the radicand of the same point is below it (-inf included, where
+    a quartic height term has no real root) and elsewhere the ungated
+    call's bits.  Random float points over each chart's bounding rectangle
+    and up to three times beyond it, on all six charts, and the two floats
+    either side of DELTA_COVER on two rows of each chart."""
+    spec = BUNDLED[name]
+    rng = np.random.default_rng(crc32(name.encode()))
+    no_root = 0
+    for chart in sf.ATLAS:
+        umax, vmax = sf.chart_bounds(spec, chart)
+        points = [(float(u), float(v)) for x, n in ((1.1, 300), (3.0, 60)) for u, v in
+                  zip(rng.uniform(-x * umax, x * umax, n), rng.uniform(-x * vmax, x * vmax, n))]
+        for v in (0.0, 0.5 * vmax):
+            points += [(u, v) for u in _crossing(spec, chart, v, sf.DELTA_COVER)]
+        for u, v in points:
+            r = sf.radicand(spec, chart, u, v)
+            no_root += r == -math.inf
+            for margin in (sf.DELTA_COVER, sf.DELTA_VALID):
+                gated = fm.closed_forms_arrays(spec, chart, u, v, margin)
+                if r < margin:
+                    assert gated is None, (chart, u, v, margin)
+                else:
+                    want = fm.closed_forms_arrays(spec, chart, u, v)
+                    assert [x.hex() for x in gated] == [x.hex() for x in want], (chart, u, v)
+    # Only the perturbed ellipsoids' X and Y charts have a quartic height term.
+    assert (no_root > 0) == (spec.family == sf.PERTURBED_ELLIPSOID and spec.epsilon > 0.0)
+
+
 def test_symmetry_locus_exact_zeros():
     rng = np.random.default_rng(3)
     for spec in (SQ_1112, BUNDLED["sq_2352"], PE_LT):
