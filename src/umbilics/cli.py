@@ -67,6 +67,12 @@ def canonical_json(obj) -> str:
     return _fmt(obj) + "\n"
 
 
+def _finite(x):
+    """A check's number as written: null where it is NaN or infinite, which
+    canonical JSON cannot hold.  The check's pass reads the number itself."""
+    return x if math.isfinite(x) else None
+
+
 # ---------------------------------------------------------------------------
 # Spec resolution
 
@@ -83,9 +89,7 @@ def resolve_spec(token: str) -> sf.SurfaceSpec:
         return sf.load_spec(path)
     candidate = resources.files("umbilics").joinpath(f"specs/{token}.json")
     if candidate.is_file():
-        import json
-
-        return sf.SurfaceSpec.from_json(json.loads(candidate.read_text()))
+        return sf.load_spec(candidate)
     raise SpecError(
         f"spec {token!r} is neither a file nor a bundled name "
         f"(bundled: {', '.join(bundled_spec_names())})"
@@ -133,7 +137,7 @@ def cmd_forms(args) -> int:
     if args.convexity:
         rep = fm.convexity_scan(spec, args.convexity, seed=args.seed)
         out["convexity"] = {
-            "min_K": rep.min_K,
+            "min_K": _finite(rep.min_K),
             "argmin_chart": rep.argmin_chart,
             "argmin_uv": list(rep.argmin_uv),
             "samples": rep.samples,
@@ -167,7 +171,7 @@ def cmd_umbilics(args) -> int:
             ok = dist < CLOSED_FORM_TOL
             out["closed_form"] = {
                 "count": len(closed),
-                "directed_hausdorff": dist,
+                "directed_hausdorff": _finite(dist),
                 "tolerance": CLOSED_FORM_TOL,
                 "pass": ok,
             }
@@ -178,8 +182,8 @@ def cmd_umbilics(args) -> int:
         if spec.family != sf.PERTURBED_ELLIPSOID:
             raise NotApplicable("threshold report applies to perturbed ellipsoids")
         thr = um.critical_epsilon(spec.a, spec.b)
-        out["threshold"] = thr.to_json()
         eps_c = thr.epsilon_critical
+        out["threshold"] = {**thr.to_json(), "epsilon_critical": _finite(eps_c)}
         if abs(spec.epsilon - eps_c) < THRESHOLD_WARN_REL * eps_c:
             print(
                 f"warning: epsilon {spec.epsilon} is within {THRESHOLD_WARN_REL:g} "
@@ -316,7 +320,7 @@ def cmd_verify(args) -> int:
         {
             "name": "convexity",
             "pass": rep.passed,
-            "min_K": rep.min_K,
+            "min_K": _finite(rep.min_K),
             "samples": rep.samples,
         }
     )
@@ -343,7 +347,7 @@ def cmd_verify(args) -> int:
             {
                 "name": "closed_form_agreement",
                 "pass": bool(dist < CLOSED_FORM_TOL),
-                "directed_hausdorff": dist,
+                "directed_hausdorff": _finite(dist),
                 "closed_count": len(closed),
             }
         )
@@ -360,7 +364,7 @@ def cmd_verify(args) -> int:
                 "name": "threshold",
                 "pass": True,
                 "regime": thr.regime,
-                "epsilon_critical": thr.epsilon_critical,
+                "epsilon_critical": _finite(thr.epsilon_critical),
                 "side": side,
             }
         )

@@ -29,7 +29,7 @@ import numpy as np
 from . import forms as fm
 from . import surface as sf
 from . import umbilic as um
-from .errors import StartsAtUmbilic
+from .errors import InvalidChartPoint, StartsAtUmbilic
 
 LENGTH_REACHED = "length_reached"
 NEAR_UMBILIC = "near_umbilic"
@@ -65,13 +65,17 @@ class CurveTrace:
 def _field_direction(spec, chart, u, v, prev):
     """Principal direction at (u, v) continuing prev (unit in first form),
     and the forms there; (None, None) outside the covered zone, which the
-    kernel call itself tests.  A chart dot product would pick the other
-    family's axis where the first form is anisotropic."""
+    kernel call itself tests, and where the first form is singular.  A
+    chart dot product would pick the other family's axis where the first
+    form is anisotropic."""
     forms = fm.closed_forms_arrays(spec, chart, u, v, sf.DELTA_COVER)
     if forms is None:
         return None, None
     E, F, G = forms[:3]
-    (au, av), (bu, bv) = fm.principal_directions(*forms)
+    try:
+        (au, av), (bu, bv) = fm.principal_directions(*forms)
+    except InvalidChartPoint:
+        return None, None
     pu, pv = prev
     da = E * au * pu + F * (au * pv + av * pu) + G * av * pv
     db = E * bu * pu + F * (bu * pv + bv * pu) + G * bv * pv
@@ -114,6 +118,8 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     the field directions are (u, v) pairs of Python floats, so the scalar
     kernel calls each step makes run without numpy dispatch.
     """
+    if branch not in (0, 1):
+        raise ValueError("branch must be 0 or 1")
     chart = start.chart
     # check_valid raises InvalidChartPoint outside the chart; a start inside
     # the umbilic stop radius would stop before its first step.
@@ -124,9 +130,6 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
         raise StartsAtUmbilic(
             f"({start.u}, {start.v}) on {chart.label} is an umbilic point"
         )
-
-    if branch not in (0, 1):
-        raise ValueError("branch must be 0 or 1")
 
     # Direction (None: start outside the covered zone) and umbilic residual
     # of the current node, each evaluated once; a rejected step reuses both.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surface as sf
-from .errors import MarginTooSmall
+from .errors import InvalidChartPoint, MarginTooSmall
 
 # Step for 4th-order difference stencils, scaled by (1 + |u| + |v|).
 H_FD = float(np.finfo(float).eps) ** 0.2
@@ -213,7 +213,9 @@ def principal_directions(E, F, G, e, f, g):
     with 2R = hypot(A - C, B), so its roots sit at psi -+ delta with
     cos 2 delta = -(A + C) / 2R and sin 2 delta = sqrt(B^2 - 4AC) / 2R.
     Scalars in.  At (near-)umbilic points the pair is arbitrary: callers
-    apply their own degeneracy rule.
+    apply their own degeneracy rule.  Raises InvalidChartPoint where a
+    root's first-form norm^2 is not positive (or NaN): a first form so
+    singular that E G - F^2 overflows or cancels.
     """
     # The arithmetic of line_quadratic and of first_form_unit on both roots,
     # written out: the tracer calls this once per field evaluation.
@@ -226,8 +228,11 @@ def principal_directions(E, F, G, e, f, g):
         t0, t1 = t1, t0
     c0, s0 = math.cos(t0), math.sin(t0)
     c1, s1 = math.cos(t1), math.sin(t1)
-    n0 = math.sqrt(E * c0 * c0 + 2.0 * F * c0 * s0 + G * s0 * s0)
-    n1 = math.sqrt(E * c1 * c1 + 2.0 * F * c1 * s1 + G * s1 * s1)
+    n0 = E * c0 * c0 + 2.0 * F * c0 * s0 + G * s0 * s0
+    n1 = E * c1 * c1 + 2.0 * F * c1 * s1 + G * s1 * s1
+    if not n0 > 0.0 < n1:
+        raise InvalidChartPoint(f"first form not positive definite (E, F, G = {E:.3g}, {F:.3g}, {G:.3g})")
+    n0, n1 = math.sqrt(n0), math.sqrt(n1)
     return (c0 / n0, s0 / n0), (c1 / n1, s1 / n1)
 
 
@@ -316,6 +321,9 @@ def curvature_summary(spec, cp) -> CurvatureSummary:
     ff = forms_closed(spec, cp)
     E, F, G, e, f, g = ff.E, ff.F, ff.G, ff.e, ff.f, ff.g
     det = ff.det_first
+    if not det > 0.0:
+        raise InvalidChartPoint(f"first form singular at ({cp.u}, {cp.v}) on {cp.chart.label}: "
+                                f"E G - F^2 = {det:.3g}")
     K = (e * g - f * f) / det
     H = (e * G - 2.0 * f * F + g * E) / (2.0 * det)
     # k1 >= k2: the normal curvatures along the unit principal directions

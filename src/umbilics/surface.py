@@ -33,7 +33,14 @@ from .errors import InvalidChartPoint, SpecError
 SUPERQUADRIC = "superquadric"
 PERTURBED_ELLIPSOID = "perturbed_ellipsoid"
 ELLIPSOID = "ellipsoid"
-FAMILIES = (SUPERQUADRIC, PERTURBED_ELLIPSOID, ELLIPSOID)
+# Each family's fields after ``family``, in constructor order; the spec
+# leaves every other field None.
+_FIELDS = {
+    SUPERQUADRIC: ("a", "b", "c", "k"),
+    PERTURBED_ELLIPSOID: ("a", "b", "epsilon"),
+    ELLIPSOID: ("a", "b", "c"),
+}
+FAMILIES = tuple(_FIELDS)
 
 # Radicand thresholds: a chart point is usable above DELTA_VALID, and the
 # atlas guarantees every surface point clears DELTA_COVER in some chart.
@@ -129,7 +136,10 @@ class AxisTerm:
 
 @dataclass(frozen=True)
 class SurfaceSpec:
-    """Which family plus its coefficients. Unused fields are None.
+    """Which family plus its coefficients, as floats (k as an int).  The
+    family's fields are those ``_FIELDS`` lists; the others are None.  The
+    constructor is the one place that checks them: every route to a spec,
+    JSON or Python, takes the same checks and coerces nothing.
 
     ``terms`` holds the (x, y, z) axis terms derived from the other fields,
     and ``lanes``, built on first use, their :class:`ChartLane` table.
@@ -144,102 +154,77 @@ class SurfaceSpec:
     terms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # A tuple test, so an unhashable family is a SpecError too.
         if self.family not in FAMILIES:
             raise SpecError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        fields = _FIELDS[self.family]
         for name in ("a", "b", "c", "k", "epsilon"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, Real) and math.isfinite(value)):
-                raise SpecError(f"{name} must be a finite number, got {value!r}")
-        if not (self.a > 0 and self.b > 0):
-            raise SpecError("coefficients a, b must be positive")
-        if self.family == SUPERQUADRIC:
-            if self.c is None or not self.c > 0:
-                raise SpecError("superquadric requires c > 0")
-            if self.k is None or self.k != int(self.k) or self.k < 2:
+            if (value is None) == (name in fields):
+                raise SpecError(f"{self.family} {'requires' if value is None else 'takes no'} {name}")
+            if value is None:
+                continue
+            try:    # float() of an int beyond the float range overflows
+                x = float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+            except OverflowError:
+                x = math.inf
+            if not math.isfinite(x):
+                raise SpecError(f"{name} must be a finite real number, got {value!r}")
+            if name in ("a", "b", "c") and not x > 0:
+                raise SpecError(f"coefficient {name} must be positive, got {value!r}")
+            if name != "k":
+                object.__setattr__(self, name, x)
+        if self.k is not None:
+            if self.k != int(self.k) or self.k < 2:
                 raise SpecError(
                     "superquadric requires integer k >= 2; "
                     "for k = 1 use the ellipsoid family"
                 )
-            if self.epsilon is not None:
-                raise SpecError("superquadric takes no epsilon")
-            object.__setattr__(self, "k", int(self.k))   # 2.0 -> 2, validated above
-            m = 2 * self.k
-            terms = (AxisTerm(self.a, m), AxisTerm(self.b, m), AxisTerm(self.c, m))
-        elif self.family == PERTURBED_ELLIPSOID:
-            if self.epsilon is None or self.epsilon < 0:
-                raise SpecError("perturbed_ellipsoid requires epsilon >= 0")
-            if self.c is not None or self.k is not None:
-                raise SpecError("perturbed_ellipsoid takes only a, b, epsilon")
-            quartic = AxisTerm(self.a, 2, self.epsilon)
-            terms = (quartic, quartic, AxisTerm(self.b, 2))
-        else:
-            if self.c is None or not self.c > 0:
-                raise SpecError("ellipsoid requires c > 0")
-            if self.k is not None or self.epsilon is not None:
-                raise SpecError("ellipsoid takes only a, b, c")
-            terms = (AxisTerm(self.a, 2), AxisTerm(self.b, 2), AxisTerm(self.c, 2))
+            object.__setattr__(self, "k", int(self.k))
+        if self.epsilon is not None and self.epsilon < 0:
+            raise SpecError("perturbed_ellipsoid requires epsilon >= 0")
+        try:    # a huge k overflows the falling-factorial scales
+            if self.epsilon is None:
+                terms = tuple(AxisTerm(x, 2 * (self.k or 1)) for x in (self.a, self.b, self.c))
+            else:
+                quartic = AxisTerm(self.a, 2, self.epsilon)
+                terms = (quartic, quartic, AxisTerm(self.b, 2))
+        except OverflowError as exc:
+            raise SpecError(f"spec out of range: {exc}") from exc
         object.__setattr__(self, "terms", terms)
 
     lanes = functools.cached_property(lambda self: _lane_table(self.terms))
 
     @classmethod
     def superquadric(cls, a, b, c, k):
-        return cls(SUPERQUADRIC, float(a), float(b), float(c), k)
+        return cls(SUPERQUADRIC, a, b, c, k)
 
     @classmethod
     def perturbed_ellipsoid(cls, a, b, epsilon):
-        return cls(PERTURBED_ELLIPSOID, float(a), float(b), epsilon=float(epsilon))
+        return cls(PERTURBED_ELLIPSOID, a, b, epsilon=epsilon)
 
     @classmethod
     def ellipsoid(cls, a, b, c):
-        return cls(ELLIPSOID, float(a), float(b), float(c))
+        return cls(ELLIPSOID, a, b, c)
 
     def to_json(self) -> dict:
-        d = {"family": self.family, "a": self.a, "b": self.b}
-        if self.family == SUPERQUADRIC:
-            d["c"] = self.c
-            d["k"] = self.k
-        elif self.family == PERTURBED_ELLIPSOID:
-            d["epsilon"] = self.epsilon
-        else:
-            d["c"] = self.c
-        return d
+        return {"family": self.family, **{name: getattr(self, name) for name in _FIELDS[self.family]}}
 
     @classmethod
     def from_json(cls, obj) -> "SurfaceSpec":
+        """The spec of a JSON object whose keys are exactly the family's
+        fields; the constructor checks their values."""
         if not isinstance(obj, dict):
             raise SpecError("surface spec must be a JSON object")
         family = obj.get("family")
-        required = {
-            SUPERQUADRIC: {"family", "a", "b", "c", "k"},
-            PERTURBED_ELLIPSOID: {"family", "a", "b", "epsilon"},
-            ELLIPSOID: {"family", "a", "b", "c"},
-        }
-        if family not in required:
+        if family not in FAMILIES:
             raise SpecError(f"unknown or missing family: {family!r}")
-        keys = set(obj)
-        if keys != required[family]:
-            missing = required[family] - keys
-            extra = keys - required[family]
-            parts = []
-            if missing:
-                parts.append(f"missing {sorted(missing)}")
-            if extra:
-                parts.append(f"unexpected {sorted(extra)}")
+        keys, required = set(obj), {"family", *_FIELDS[family]}
+        if keys != required:
+            parts = (f"{word} {sorted(names)}"
+                     for word, names in (("missing", required - keys), ("unexpected", keys - required)) if names)
             raise SpecError(f"bad fields for family {family!r}: " + ", ".join(parts))
-        for name in sorted(keys - {"family"}):
-            value = obj[name]
-            # The constructors below call float(), which would accept "1" and true.
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise SpecError(f"{name} must be a JSON number, got {value!r}")
-        try:
-            if family == SUPERQUADRIC:
-                return cls.superquadric(obj["a"], obj["b"], obj["c"], obj["k"])
-            if family == PERTURBED_ELLIPSOID:
-                return cls.perturbed_ellipsoid(obj["a"], obj["b"], obj["epsilon"])
-            return cls.ellipsoid(obj["a"], obj["b"], obj["c"])
-        except OverflowError as exc:
-            raise SpecError(f"bad numeric field in spec: {exc}") from exc
+        return cls(**obj)
 
 
 def load_spec(path) -> SurfaceSpec:

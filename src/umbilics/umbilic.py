@@ -94,20 +94,22 @@ def scaled_residual(E, F, G, e, f, g):
     Norm of the line-quadratic coefficients (A, B, C) over
     (EG - F^2)(1 + |e| + |f| + |g|).  Squares by multiplying, as numpy's
     array ``** 2`` does (libm ``pow(x, 2)`` is not always correctly
-    rounded), so float and array inputs give the same bits.  Where the sum
-    of squares overflows, the norm is taken of (A, B, C) over its largest
-    magnitude, times that magnitude.
+    rounded), so float and array inputs give the same bits, and a float
+    quotient over 0 (a first form so singular that E G - F^2 cancels to 0)
+    is numpy's inf or NaN.  Where the sum of squares overflows, the norm is
+    taken of (A, B, C) over its largest magnitude, times that magnitude.
     """
     A, B, C = fm.line_quadratic(E, F, G, e, f, g)
     den = (E * G - F * F) * (1.0 + abs(e) + abs(f) + abs(g))
     if isinstance(A, float):
         s2 = C * C + A * A + B * B
+        norm = math.sqrt(s2)
         if s2 == math.inf:
             m = max(abs(A), abs(B), abs(C))
             if m < math.inf:
                 A, B, C = A / m, B / m, C / m
-                return m * math.sqrt(C * C + A * A + B * B) / den
-        return math.sqrt(s2) / den
+                norm = m * math.sqrt(C * C + A * A + B * B)
+        return norm / den if den else (math.inf if norm > 0.0 else math.nan)
     with np.errstate(over="ignore"):
         s2 = C * C + A * A + B * B
     if np.isinf(s2).any():

@@ -1,15 +1,20 @@
 """CLI subcommands, exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from umbilics import cli
 from umbilics import umbilic as um
+from umbilics.errors import SpecError
 from umbilics.surface import ChartId, ChartPoint, SurfaceSpec, chart_to_ambient
 
-from conftest import EPS_C_PLUS
+from conftest import EPS_C_PLUS, PE_LT, SQ_1112
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -276,6 +281,100 @@ def test_portrait_by_record_index(capsys, tmp_path):
     )
     assert code == 0
     assert svg.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, name, expected",
+    [
+        (SQ_1112, "pole", (0.0, 0.0, -1.0)),
+        (SQ_1112, "axis", (-1.0, 0.0, 0.0)),
+        (SQ_1112, "equator", None),
+        (SQ_1112, "14", None),
+        (SQ_1112, "nothing", None),
+        (PE_LT, "equator", "z = 0"),
+    ],
+    ids=["pole", "axis", "no_equator", "index_out_of_range", "no_match", "pe_lt_equator"],
+)
+def test_select_umbilic(results, spec, name, expected):
+    """Each portrait name picks the first record on its stratum; a name or
+    index that picks nothing is a SpecError."""
+    records = results.records(spec)
+    if expected is None:
+        with pytest.raises(SpecError):
+            cli._select_umbilic(records, name)
+        return
+    x, y, z = cli._select_umbilic(records, name).ambient
+    if expected == "z = 0":
+        assert z == 0.0 and x != 0.0 and y != 0.0
+    else:
+        assert (x, y, z) == expected
+
+
+# Spec files for the exit-code contract.  The first three give a check value
+# that is NaN or infinite, written as null: the finder finds no point on a
+# near-spheroid (match distance inf), eps_c overflows, and min K is NaN.
+CONTRACT_SPECS = {
+    "near_spheroid": {"family": "ellipsoid", "a": 1, "b": 1.0000000000000002, "c": 2},
+    "huge_b": {"family": "perturbed_ellipsoid", "a": 1, "b": 1e200, "epsilon": 0.1},
+    "tiny_a": {"family": "ellipsoid", "a": 1e-300, "b": 1, "c": 2},
+    "flat": SurfaceSpec.perturbed_ellipsoid(1.0, 1e-200, 0.1).to_json(),
+    "bool_field": {"family": "ellipsoid", "a": True, "b": 2, "c": 3},
+    "list_family": {"family": ["superquadric"], "a": 1, "b": 1, "c": 1, "k": 2},
+    "huge_k": {"family": "superquadric", "a": 1, "b": 1, "c": 1, "k": 1e200},
+}
+
+
+def _null_keys(doc):
+    """The keys whose value is null, anywhere in a JSON document."""
+    if isinstance(doc, dict):
+        return {k for k, v in doc.items() if v is None} | {k for v in doc.values() for k in _null_keys(v)}
+    if isinstance(doc, list):
+        return {k for v in doc for k in _null_keys(v)}
+    return set()
+
+
+CONTRACT = [
+    ("near_spheroid", ["verify"], 2, {"directed_hausdorff"}),
+    ("near_spheroid", ["umbilics", "--compare-closed-form"], 2, {"directed_hausdorff"}),
+    ("huge_b", ["verify"], 0, {"epsilon_critical"}),
+    ("huge_b", ["umbilics", "--threshold"], 0, {"epsilon_critical"}),
+    # Kernel overflow RuntimeWarnings, which pytest makes errors: run apart.
+    ("tiny_a", ["verify"], 2, {"min_K", "directed_hausdorff"}),
+    ("tiny_a", ["forms", "--convexity", "1000"], 2, {"min_K"}),
+    ("flat", ["forms", "--at", "0.5,0.5", "--chart", "Z+"], 1, set()),
+    ("flat", ["forms", "--at", "0.1,0.1", "--chart", "Z+"], 1, set()),
+    ("flat", ["forms", "--at", "0.3,0.2", "--chart", "Z+"], 1, set()),     # E G - F^2 is NaN
+    ("flat", ["forms", "--at", "0.5,1e-90", "--chart", "Z+"], 1, set()),   # E G - F^2 is 0
+    ("flat", ["trace", "--start", "0.5,0", "--chart", "Z+", "--len", "0.01"], 0, set()),
+    ("bool_field", ["verify"], 1, set()),
+    ("list_family", ["verify"], 1, set()),
+    ("huge_k", ["verify"], 1, set()),
+]
+
+
+@pytest.mark.parametrize("spec, argv, code, nulls", CONTRACT,
+                         ids=[f"{spec}-{' '.join(argv)}" for spec, argv, _, _ in CONTRACT])
+def test_exit_code_contract(capsys, tmp_path, spec, argv, code, nulls):
+    """No exception escapes the CLI: each command gives its exit code, an
+    error line where it exits 1, and canonical JSON wherever it writes to
+    stdout, with each NaN or infinite check value as null."""
+    path = tmp_path / f"{spec}.json"
+    path.write_text(json.dumps(CONTRACT_SPECS[spec]))
+    argv = [argv[0], "--spec", str(path), *argv[1:], "--out", str(tmp_path / "out")]
+    if spec == "tiny_a":
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "umbilics", *argv], capture_output=True, text=True,
+                              env=env, timeout=300)
+        got, out, err = proc.returncode, proc.stdout, proc.stderr
+        assert "Traceback" not in err
+    else:
+        got, out, err = run(capsys, *argv)
+    assert got == code
+    assert ("error:" in err) == (code == 1)
+    if out:
+        doc = json.loads(out)
+        assert out == cli.canonical_json(doc)
+        assert _null_keys(doc) == nulls
 
 
 def test_usage_error_exit_code(capsys):

@@ -123,6 +123,57 @@ def test_trace_invalid_start():
         fl.trace_line(SQ_1112, ChartPoint(Z_PLUS, 0.0, 1e200), 0, 1.0)
 
 
+def test_trace_start_outside_covered_zone():
+    """A start in the chart but below the covered-zone margin (radicand
+    1e-4 < DELTA_COVER) gives a one-point trace that stops at the chart
+    boundary."""
+    start = ChartPoint(Z_PLUS, 0.997943665926023, 0.3)
+    assert sf.DELTA_VALID < sf.radicand(SQ_1112, Z_PLUS, start.u, start.v) < sf.DELTA_COVER
+    trace = fl.trace_line(SQ_1112, start, 0, 1.0)
+    assert (trace.points, trace.stop_reason) == (((start.u, start.v),), fl.CHART_BOUNDARY)
+
+
+def test_trace_branch_checked_first():
+    """A bad branch is a ValueError before any evaluation, even at an
+    umbilic start."""
+    with pytest.raises(ValueError, match="branch"):
+        fl.trace_line(SPHERE, ChartPoint(Z_PLUS, 0.1, 0.0), 5, 1.0)
+
+
+PE_FLAT = sf.SurfaceSpec.perturbed_ellipsoid(1.0, 1e-200, 0.1)
+
+
+def test_singular_first_form_is_invalid_chart_point():
+    """On pe(1, 1e-200, 0.1), Z+, E G - F^2 overflows to inf - inf at
+    (0.5, 0.5), and a principal direction's first-form norm^2 there is not
+    positive: a start raises InvalidChartPoint, and the field direction is
+    None there, as outside the covered zone, so a line stops or halves its
+    step where it meets such a point."""
+    start = ChartPoint(Z_PLUS, 0.5, 0.5)
+    forms = fm.closed_forms_arrays(PE_FLAT, Z_PLUS, start.u, start.v)
+    with pytest.raises(InvalidChartPoint):
+        fm.principal_directions(*forms)
+    assert fl._field_direction(PE_FLAT, Z_PLUS, start.u, start.v, (1.0, 0.0)) == (None, None)
+    for branch in (0, 1):
+        with pytest.raises(InvalidChartPoint):
+            fl.trace_line(PE_FLAT, start, branch, 0.01)
+
+
+def test_trace_past_cancelled_first_form():
+    """From (0.5, 0) on pe(1, 1e-200, 0.1), Z+, branch 1 reaches nodes
+    where E G - F^2 cancels to 0; the scalar umbilic residual there is
+    numpy's x / 0 = inf, not a ZeroDivisionError, and the line runs to its
+    length."""
+    E, F, G, e, f, g = fm.closed_forms_arrays(PE_FLAT, Z_PLUS, 0.5, 1e-90)
+    assert E * G - F * F == 0.0
+    assert um.scaled_residual(E, F, G, e, f, g) == math.inf
+    with np.errstate(divide="ignore"):
+        assert um.scaled_residual(*(np.array([x]) for x in (E, F, G, e, f, g)))[0] == math.inf
+    for sign in (1, -1):
+        trace = fl.trace_line(PE_FLAT, ChartPoint(Z_PLUS, 0.5, 0.0), 1, 0.01, sign=sign)
+        assert trace.stop_reason == fl.LENGTH_REACHED
+
+
 @pytest.mark.parametrize(
     "spec, start, branch, length, sign, calls",
     [

@@ -199,12 +199,44 @@ def test_spec_json_roundtrip():
         {"family": "perturbed_ellipsoid", "a": 1, "b": 1, "epsilon": "0.1"},
         {"family": "ellipsoid", "a": 1, "b": True, "c": 3},
         {"family": "ellipsoid", "a": 10**400, "b": 2, "c": 3},             # float() overflows
+        {"family": "superquadric", "a": 1, "b": 1, "c": 1, "k": 1e200},    # the term scales overflow
+        {"family": ["superquadric"], "a": 1},                              # unhashable family
         "not an object",
     ],
 )
 def test_spec_json_rejected(obj):
     with pytest.raises(SpecError):
         SurfaceSpec.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SurfaceSpec("ellipsoid", True, 2, 3),
+        lambda: SurfaceSpec.ellipsoid("1", 2, 3),
+        lambda: SurfaceSpec.perturbed_ellipsoid(1, 1, True),
+        lambda: SurfaceSpec.superquadric(1, 1, 1, 10**200),
+        lambda: SurfaceSpec("superquadric", 1, 1, 1, 2, 0.1),
+        lambda: SurfaceSpec("ellipsoid", 1, 2),
+        lambda: SurfaceSpec(["ellipsoid"], 1, 2, 3),
+    ],
+    ids=["bool", "string", "bool_epsilon", "huge_k", "extra_field", "missing_field", "unhashable_family"],
+)
+def test_python_constructors_apply_json_checks(make):
+    """The constructor is where every field is checked, so the Python route
+    rejects what the JSON route rejects instead of coercing it."""
+    with pytest.raises(SpecError):
+        make()
+
+
+def test_spec_fields_stored_as_floats():
+    """Coefficients are stored as floats and k as an int, whichever real
+    type they came as, and the JSON route gives the same spec."""
+    spec = SurfaceSpec("superquadric", 1, np.float64(2.5), Fraction(3), 2.0)
+    assert [type(x) for x in (spec.a, spec.b, spec.c, spec.k)] == [float, float, float, int]
+    assert spec.to_json() == {"family": "superquadric", "a": 1.0, "b": 2.5, "c": 3.0, "k": 2}
+    assert SurfaceSpec.from_json({"family": "superquadric", "a": 1, "b": 2.5, "c": 3, "k": 2}) == spec
+    assert type(SurfaceSpec("perturbed_ellipsoid", 1, 2, epsilon=0).epsilon) is float
 
 
 @pytest.mark.parametrize(
