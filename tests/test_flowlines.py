@@ -361,7 +361,7 @@ def test_trace_stays_on_one_family(spec, start, branch, length, sign):
 # kernel calls may round differently in the last bit, which moves nodes by
 # far less.  The file stores nodes rounded to 12 decimals.  Regenerate
 # data/trace_lines.json (only when traces are meant to change) with
-# ``PYTHONPATH=src python tests/test_flowlines.py``.
+# ``PYTHONPATH=src python tests/test_flowlines.py lines``.
 TRACE_GOLDEN = Path(__file__).parent / "data" / "trace_lines.json"
 NODE_TOL = 1e-7
 PINNED_STARTS = {  # bundled spec: (line length, Z+ starts)
@@ -403,15 +403,21 @@ def test_traces_match_pinned(name, u, v):
 # on both branches and both senses and pinned bit for bit.  sq_1112 from
 # (0.8, 0.8) stops near an umbilic and at the chart boundary, pe_lt's X+
 # chart has a quartic height term and stops at its boundary, and
-# ellipsoid_123 from (0.4, 0.2) stops on step underflow.  A line is stored
+# ellipsoid_123 from (0.4, 0.2) stops on step underflow.  Two minus charts,
+# whose chart sign is -1, complete the set: sq_2352's Y- stops at all three
+# of the boundary, an umbilic and its length, and pe_lt's X- has a quartic
+# height term as its X+ does.  A line is stored
 # as its stop reason, node count, last node and final arclength in
 # float.hex, and the SHA-256 of the float.hex of every point, arclength and
-# residual in that order.  Regenerated together with TRACE_GOLDEN.
+# residual in that order.  Regenerate it with ``PYTHONPATH=src python
+# tests/test_flowlines.py exact``, which leaves TRACE_GOLDEN as it is.
 TRACE_EXACT = Path(__file__).parent / "data" / "trace_exact.json"
 EXACT_STARTS = (  # (bundled spec, chart, u, v, line length)
     ("sq_1112", "Z+", 0.8, 0.8, 2.0),
     ("pe_lt", "X+", 0.3, 0.2, 3.0),
     ("ellipsoid_123", "Z+", 0.4, 0.2, 3.0),
+    ("sq_2352", "Y-", 0.3, 0.2, 1.0),
+    ("pe_lt", "X-", 0.3, 0.2, 3.0),
 )
 
 
@@ -433,13 +439,14 @@ def _exact_lines(name, label, u, v, length):
     return out
 
 
-@pytest.mark.parametrize("name, label, u, v, length", EXACT_STARTS, ids=[s[0] for s in EXACT_STARTS])
+@pytest.mark.parametrize("name, label, u, v, length", EXACT_STARTS,
+                         ids=[name if label[1] == "+" else f"{name}-{label}" for name, label, *_ in EXACT_STARTS])
 def test_traces_match_exact_pins(name, label, u, v, length):
     want = json.loads(TRACE_EXACT.read_text())[f"{name} {label} {u!r},{v!r}"]
     assert _exact_lines(name, label, u, v, length) == want
 
 
-if __name__ == "__main__":
+def _write_lines():
     data = {
         f"{name} {u!r},{v!r}": {
             key: {"stop": tr.stop_reason, "nodes": [[round(a, 12), round(b, 12)] for a, b in tr.points]}
@@ -450,6 +457,18 @@ if __name__ == "__main__":
     }
     rows = (f"{json.dumps(k)}: {json.dumps(data[k], sort_keys=True)}" for k in sorted(data))
     TRACE_GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n")
+
+
+def _write_exact():
     exact = {f"{name} {label} {u!r},{v!r}": _exact_lines(name, label, u, v, length)
              for name, label, u, v, length in EXACT_STARTS}
     TRACE_EXACT.write_text(json.dumps(exact, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    import sys
+
+    writers = {"lines": _write_lines, "exact": _write_exact}
+    if len(sys.argv) != 2 or sys.argv[1] not in writers:
+        sys.exit("usage: test_flowlines.py lines|exact")
+    writers[sys.argv[1]]()
