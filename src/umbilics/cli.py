@@ -12,6 +12,7 @@ so identical runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from importlib import resources
@@ -455,7 +456,10 @@ def _positive(kind, zero=False):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and leaves it as it was, so every :func:`main` call shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--spec", required=True, help="spec JSON path or bundled name")
     common.add_argument("--out", default=None, help="directory for output artifacts")

@@ -14,9 +14,11 @@ residual: the same quadratic evaluated on the cubic-Hermite midpoint
 derivative of the step, i.e. a measure of how well the numerical curve
 satisfies the defining equation between nodes.
 
-Every field evaluation is one scalar :func:`umbilics.forms.closed_forms_arrays`
-call with a radicand margin, so one pass of the axis-term jets gives both
-the covered-zone test and the forms.
+Each line builds its chart's :func:`umbilics.forms.scalar_kernel` once.
+Every field evaluation is one call of it with a radicand margin, so one
+pass of the axis-term jets gives both the covered-zone test and the forms,
+bit for bit those of :func:`umbilics.forms.closed_forms_arrays`.  The
+Fehlberg stages and their sums are written out in one function per step.
 """
 
 from __future__ import annotations
@@ -62,18 +64,18 @@ class CurveTrace:
         return bad <= EXCURSION_FRAC * len(self.residuals)
 
 
-def _field_direction(spec, chart, u, v, prev):
+def _field_direction(kernel, u, v, prev):
     """Principal direction at (u, v) continuing prev (unit in first form),
-    and the forms there; (None, None) outside the covered zone, which the
-    kernel call itself tests, and where the first form is singular.  A
-    chart dot product would pick the other family's axis where the first
-    form is anisotropic."""
-    forms = fm.closed_forms_arrays(spec, chart, u, v, sf.DELTA_COVER)
+    and the forms there, from the chart's scalar form kernel; (None, None)
+    outside the covered zone, which the kernel call itself tests, and where
+    the first form is singular.  A chart dot product would pick the other
+    family's axis where the first form is anisotropic."""
+    forms = kernel(u, v, sf.DELTA_COVER)
     if forms is None:
         return None, None
-    E, F, G = forms[:3]
+    E, F, G, e, f, g = forms
     try:
-        (au, av), (bu, bv) = fm.principal_directions(*forms)
+        (au, av), (bu, bv) = fm.principal_directions(E, F, G, e, f, g)
     except InvalidChartPoint:
         return None, None
     pu, pv = prev
@@ -84,28 +86,55 @@ def _field_direction(spec, chart, u, v, prev):
     return ((au, av) if da > 0.0 else (-au, -av)), forms
 
 
-# Fehlberg 4(5) embedded pair; the line field is autonomous, so no stage
-# reads the nodes c_i.
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+def _fehlberg_step(kernel, xu, xv, h, f0):
+    """One step of the embedded Fehlberg 4(5) pair from the node (xu, xv)
+    with first stage slope f0: the fifth-order node and its distance to the
+    fourth-order one, or None where a stage leaves the covered zone.
 
-
-def _combine(x, h, weights, ks):
-    """The node x + h * sum(w_i k_i) of (u, v) float pairs, summed in
-    stage order."""
-    su = sv = 0.0
-    for w, (ku, kv) in zip(weights, ks):
-        su += w * ku
-        sv += w * kv
-    return x[0] + h * su, x[1] + h * sv
+    The line field is autonomous, so no stage reads the nodes c_i.  Each
+    slope sum runs in stage order from its first term, and the zero
+    weights of the fifth- and fourth-order sums are left out.  Such a sum
+    differs from a running sum from 0.0 only where it is -0.0 and that is
+    +0.0, which gives the same point from any node but -0.0;
+    :func:`trace_line` keeps its node off -0.0.
+    """
+    k0u, k0v = f0
+    k1, _ = _field_direction(kernel, xu + h * (1 / 4 * k0u), xv + h * (1 / 4 * k0v), f0)
+    if k1 is None:
+        return None
+    k1u, k1v = k1
+    k2, _ = _field_direction(kernel, xu + h * (3 / 32 * k0u + 9 / 32 * k1u),
+                             xv + h * (3 / 32 * k0v + 9 / 32 * k1v), f0)
+    if k2 is None:
+        return None
+    k2u, k2v = k2
+    k3, _ = _field_direction(
+        kernel, xu + h * (1932 / 2197 * k0u + -7200 / 2197 * k1u + 7296 / 2197 * k2u),
+        xv + h * (1932 / 2197 * k0v + -7200 / 2197 * k1v + 7296 / 2197 * k2v), f0)
+    if k3 is None:
+        return None
+    k3u, k3v = k3
+    k4, _ = _field_direction(
+        kernel, xu + h * (439 / 216 * k0u + -8.0 * k1u + 3680 / 513 * k2u + -845 / 4104 * k3u),
+        xv + h * (439 / 216 * k0v + -8.0 * k1v + 3680 / 513 * k2v + -845 / 4104 * k3v), f0)
+    if k4 is None:
+        return None
+    k4u, k4v = k4
+    k5, _ = _field_direction(
+        kernel,
+        xu + h * (-8 / 27 * k0u + 2.0 * k1u + -3544 / 2565 * k2u + 1859 / 4104 * k3u + -11 / 40 * k4u),
+        xv + h * (-8 / 27 * k0v + 2.0 * k1v + -3544 / 2565 * k2v + 1859 / 4104 * k3v + -11 / 40 * k4v),
+        f0)
+    if k5 is None:
+        return None
+    k5u, k5v = k5
+    x5u = xu + h * (16 / 135 * k0u + 6656 / 12825 * k2u + 28561 / 56430 * k3u + -9 / 50 * k4u
+                    + 2 / 55 * k5u)
+    x5v = xv + h * (16 / 135 * k0v + 6656 / 12825 * k2v + 28561 / 56430 * k3v + -9 / 50 * k4v
+                    + 2 / 55 * k5v)
+    x4u = xu + h * (25 / 216 * k0u + 1408 / 2565 * k2u + 2197 / 4104 * k3u + -1 / 5 * k4u)
+    x4v = xv + h * (25 / 216 * k0v + 1408 / 2565 * k2v + 2197 / 4104 * k3v + -1 / 5 * k4v)
+    return x5u, x5v, math.hypot(x5u - x4u, x5v - x4v)
 
 
 def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
@@ -115,8 +144,9 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     (ordered by angle); ``sign`` (+-1) flips the traversal sense.
     Stops at the requested arclength, near an umbilic, at the chart
     validity margin, or on step underflow.  The node, the stage slopes and
-    the field directions are (u, v) pairs of Python floats, so the scalar
-    kernel calls each step makes run without numpy dispatch.
+    the field directions are (u, v) pairs of Python floats, and every form
+    evaluation is a call of the chart's :func:`umbilics.forms.scalar_kernel`,
+    built once per line.
     """
     if branch not in (0, 1):
         raise ValueError("branch must be 0 or 1")
@@ -124,7 +154,8 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     # check_valid raises InvalidChartPoint outside the chart; a start inside
     # the umbilic stop radius would stop before its first step.
     margin = sf.check_valid(spec, start)
-    forms = fm.closed_forms_arrays(spec, chart, start.u, start.v)
+    kernel = fm.scalar_kernel(spec, chart)
+    forms = kernel(start.u, start.v)
     umb = um.scaled_residual(*forms)
     if umb < UMB_STOP:
         raise StartsAtUmbilic(
@@ -138,9 +169,12 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
         du, dv = fm.principal_directions(*forms)[branch]
         f0 = (sign * du, sign * dv)
     x = (float(start.u), float(start.v))
+    pts = [x]
+    # x + 0.0 turns a -0.0 start coordinate into +0.0 and keeps any other
+    # (see _fehlberg_step); no later node is -0.0.
+    x = (x[0] + 0.0, x[1] + 0.0)
     s = 0.0
     h = min(MAX_STEP, max(arclen_max / 16.0, 4.0 * MIN_STEP))
-    pts = [x]
     arcs = [0.0]
     residuals = []
     stop = LENGTH_REACHED
@@ -157,33 +191,25 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
             stop = CHART_BOUNDARY
             break
 
-        ks = [f0]
-        for i in range(1, 6):
-            y = _combine(x, h, _RKF_A[i], ks)
-            fi, _ = _field_direction(spec, chart, *y, f0)
-            if fi is None:
-                break
-            ks.append(fi)
-        if len(ks) < 6:
+        step = _fehlberg_step(kernel, *x, h, f0)
+        if step is None:
             h *= 0.5
             if h < MIN_STEP:
                 stop = CHART_BOUNDARY
                 break
             continue
 
-        x5 = _combine(x, h, _RKF_B5, ks)
-        x4 = _combine(x, h, _RKF_B4, ks)
-        err = math.hypot(x5[0] - x4[0], x5[1] - x4[1])
-        tol = ABS_TOL + REL_TOL * math.hypot(*x5)
+        x5u, x5v, err = step
+        tol = ABS_TOL + REL_TOL * math.hypot(x5u, x5v)
         if err > tol:
             h = max(MIN_STEP, 0.9 * h * (tol / err) ** 0.2)
             continue
 
-        f1, forms1 = _field_direction(spec, chart, *x5, f0)
+        f1, forms1 = _field_direction(kernel, x5u, x5v, f0)
         if f1 is None:
             stop = CHART_BOUNDARY
             break
-        res = _step_residual(spec, chart, x, x5, f0, f1, h)
+        res = _step_residual(kernel, *x, x5u, x5v, f0, f1, h)
         if res > RES_TARGET:
             if h > 4.0 * MIN_STEP:
                 # The (u, v) error estimate missed fast direction-field
@@ -195,7 +221,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
             stop = STEP_UNDERFLOW
             break
         residuals.append(res)
-        x, f0 = x5, f1
+        x, f0 = (x5u, x5v), f1
         umb = um.scaled_residual(*forms1)
         s += h
         pts.append(x)
@@ -208,7 +234,7 @@ def trace_line(spec, start: sf.ChartPoint, branch: int, arclen_max, sign=1):
     return CurveTrace(chart, tuple(pts), tuple(arcs), tuple(residuals), stop)
 
 
-def _step_residual(spec, chart, x0, x1, f0, f1, h):
+def _step_residual(kernel, u0, v0, u1, v1, f0, f1, h):
     """Defining-quadratic residual of the step's Hermite midpoint derivative.
 
     Scale-free: normalized by the coefficient magnitudes and the squared
@@ -216,12 +242,13 @@ def _step_residual(spec, chart, x0, x1, f0, f1, h):
     forms come from the midpoint, or from the chord midpoint where the
     Hermite one is not usable.
     """
-    chord = [0.5 * (a + b) for a, b in zip(x0, x1)]
-    mid = [c + (h / 8.0) * (a - b) for c, a, b in zip(chord, f0, f1)]
-    du, dv = (1.5 * (b - a) / h - 0.25 * (p + q) for a, b, p, q in zip(x0, x1, f0, f1))
-    forms = fm.closed_forms_arrays(spec, chart, *mid, sf.DELTA_VALID)
+    (pu, pv), (qu, qv) = f0, f1
+    cu, cv = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
+    du = 1.5 * (u1 - u0) / h - 0.25 * (pu + qu)
+    dv = 1.5 * (v1 - v0) / h - 0.25 * (pv + qv)
+    forms = kernel(cu + h / 8.0 * (pu - qu), cv + h / 8.0 * (pv - qv), sf.DELTA_VALID)
     if forms is None:
-        forms = fm.closed_forms_arrays(spec, chart, *chord)
+        forms = kernel(cu, cv)
     A, B, C = fm.line_quadratic(*forms)
     q = A * du * du + B * du * dv + C * dv * dv
     scale = (abs(A) + abs(B) + abs(C)) * (du * du + dv * dv) + 1e-300

@@ -89,7 +89,7 @@ def _assemble(su, sv, suu, suv, svv, grad):
     return E, F, G, e, f, g
 
 
-def closed_forms_arrays(spec, chart, u, v, margin=None):
+def closed_forms_arrays(spec, chart, u, v):
     """Vectorized closed-form coefficients (E, F, G, e, f, g) at (u, v).
 
     Uses the Monge-patch identities E = 1 + hu^2, F = hu hv, G = 1 + hv^2
@@ -97,16 +97,11 @@ def closed_forms_arrays(spec, chart, u, v, margin=None):
     Hessian over that norm, signed by the chart sign so it is positive
     definite on convex surfaces (the outward normal's height component has
     the sign of the height).  ``chart`` may be a ChartLane (rows in several
-    charts).  Caller guarantees validity; no checks, except that a
-    Python-float (u, v) may come with a radicand ``margin``: the result is
-    None where the radicand is below it, and the validity test and the
-    forms come from one pass of the height jet
-    (:func:`umbilics.surface.height_jet`).
+    charts).  Caller guarantees validity; no checks.  This is the one
+    general kernel, for arrays, lanes and scalars; :func:`scalar_kernel` is
+    the tracer's per-chart scalar form of it, equal to it bit for bit.
     """
-    jet = sf.height_jet(spec, chart, u, v, margin)
-    if jet is None:
-        return None
-    _, hu, hv, huu, huv, hvv = jet
+    _, hu, hv, huu, huv, hvv = sf.height_jet(spec, chart, u, v)
     E = 1.0 + hu * hu
     F = hu * hv
     G = 1.0 + hv * hv
@@ -117,6 +112,85 @@ def closed_forms_arrays(spec, chart, u, v, margin=None):
     f = -chart.sign * huv / w
     g = -chart.sign * hvv / w
     return E, F, G, e, f, g
+
+
+def scalar_kernel(spec, chart):
+    """The scalar form kernel of one chart: ``forms(u, v, margin=None)``.
+
+    It gives :func:`closed_forms_arrays`'s (E, F, G, e, f, g) at a scalar
+    (u, v), bit for bit, from the same operations in the same order,
+    written out on the chart's term scales and exponents bound once here.
+    Without a margin, (u, v) are taken as Python floats, as the general
+    kernel takes them (an np.float64 power may round differently).  With a
+    radicand ``margin`` the result is None wherever :func:`surface.radicand`
+    would fall below it, read off the same t and height term power that
+    give the height, so one pass gives the validity test and the forms.
+
+    Two exact rewrites drop sign flips.  The chart sign is left out: the
+    general kernel multiplies hu, hv and the height Hessian by it and the
+    second form once more, so each coefficient takes it an even number of
+    times.  The term slopes t_u = -T_u' and t_uu = -T_u'' are not negated:
+    t_u enters each coefficient twice, and h_t t_uu is added as h_t T_u''
+    subtracted.  A product with +-1 is exact, signed zeros included, and
+    a + (-b) is a - b, so the bits do not change.
+    """
+    tu, tv, th = chart.terms(spec)
+    mu, mv, mh, root = tu.m - 2, tv.m - 2, th.m - 2, 1.0 / th.m
+    (cu0, du0), (cu1, du1), (cu2, du2) = tu.scales
+    (cv0, dv0), (cv1, dv1), (cv2, dv2) = tv.scales
+    _, (ch1, dh1), (ch2, dh2) = th.scales
+    ch, dh = th.c, th.d
+    if dh is not None:
+        cc, d4 = ch * ch, 4.0 * dh
+    sqrt = math.sqrt
+
+    def forms(u, v, margin=None):
+        if margin is None:
+            u, v = float(u), float(v)
+        # The u and v term jets (AxisTerm.jet).
+        s2 = abs(u) ** mu
+        s1 = s2 * u
+        sm = s1 * u
+        Tu, Tu1, Tu2 = cu0 * sm, cu1 * s1, cu2 * s2
+        if du0 is not None:
+            Tu = Tu + du0 * (sm * sm)
+            Tu1 = Tu1 + du1 * (sm * s1)
+            Tu2 = Tu2 + du2 * (sm * s2)
+        s2 = abs(v) ** mv
+        s1 = s2 * v
+        sm = s1 * v
+        Tv, Tv1, Tv2 = cv0 * sm, cv1 * s1, cv2 * s2
+        if dv0 is not None:
+            Tv = Tv + dv0 * (sm * sm)
+            Tv1 = Tv1 + dv1 * (sm * s1)
+            Tv2 = Tv2 + dv2 * (sm * s2)
+        # The height term power (AxisTerm.power) and the radicand.
+        t = 1.0 - Tu - Tv
+        if dh is None:
+            p, r = t / ch, t
+        else:
+            disc = cc + d4 * t
+            p = r = 2.0 * t / (sqrt(disc) + ch) if disc >= 0.0 else -math.inf
+        if margin is not None and not r >= margin:
+            return None
+        # The height and its term jet, h >= 0.
+        h = p ** root
+        s2 = h ** mh
+        s1 = s2 * h
+        Th1, Th2 = ch1 * s1, ch2 * s2
+        if dh is not None:
+            sm = s1 * h
+            Th1 = Th1 + dh1 * (sm * s1)
+            Th2 = Th2 + dh2 * (sm * s2)
+        h_t = 1.0 / Th1
+        h_tt = -Th2 * h_t**3
+        hu, hv = h_t * Tu1, h_t * Tv1
+        E = 1.0 + hu * hu
+        w = sqrt(E + hv * hv)
+        return (E, hu * hv, 1.0 + hv * hv, -(h_tt * Tu1 * Tu1 - h_t * Tu2) / w,
+                -(h_tt * Tu1 * Tv1) / w, -(h_tt * Tv1 * Tv1 - h_t * Tv2) / w)
+
+    return forms
 
 
 def forms_closed(spec, cp) -> FundamentalForms:

@@ -381,27 +381,18 @@ def check_valid(spec, cp: ChartPoint):
     return r
 
 
-def height_jet(spec: SurfaceSpec, chart, u, v, margin=None):
+def height_jet(spec: SurfaceSpec, chart, u, v):
     """Height h and its derivatives (h, hu, hv, huu, huv, hvv), vectorized.
 
     Chain rule on the separable t = 1 - term_u(u) - term_v(v) (so t_uv = 0)
     through the inverse of the height term T: dh/dt = 1 / T'(h) and
     d2h/dt2 = -T''(h) / T'(h)^3.  One term jet per axis.  Inputs must
-    already be valid (radicand > 0); no checking here, unless (u, v) are
-    Python floats that come with a ``margin``: then the jet is None
-    wherever :func:`radicand` would fall below it, read off the same t and
-    height term power that give h, and otherwise the same bits as without
-    one.
+    already be valid (radicand > 0); no checking here.
     """
-    if margin is None:
-        u, v = _as_float(u), _as_float(v)
+    u, v = _as_float(u), _as_float(v)
     tu, tv, th = chart.terms(spec)
     (Tu, Tu1, Tu2), (Tv, Tv1, Tv2) = tu.jet(u), tv.jet(v)
-    t = 1.0 - Tu - Tv
-    p = th.power(t)
-    if margin is not None and not (t if th.d is None else p) >= margin:
-        return None
-    h = p ** (1.0 / th.m)     # th.root(t)
+    h = th.power(1.0 - Tu - Tv) ** (1.0 / th.m)     # th.root(t)
     _, Th1, Th2 = th.jet(h)
     h_t = 1.0 / Th1
     h_tt = -Th2 * h_t**3

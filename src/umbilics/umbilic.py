@@ -152,8 +152,11 @@ def _face_values(spec, lane, ti, tj):
 
     Row r lies on the face of the height axis k of the ChartLane ``lane``'s
     chart, whose u and v slots are i and j.  Returns the face function
-    (d_i - d_k) g_j^2 + (d_j - d_k) g_i^2, its magnitude sum (every
-    curvature at 0 and rise counted positive) and x_i, x_j.
+    (d_i - d_k) g_j^2 + (d_j - d_k) g_i^2, its magnitude sum (each
+    curvature difference at 0 and each rise counted positive) and x_i, x_j.
+    A difference at 0 that is exactly 0, as on the a > b faces of the
+    perturbed ellipsoids, adds nothing to the sum, so face values that
+    only the rise makes nonzero keep their sign.
     """
     tu, tv, th = lane.terms(spec)
     xi, xj = tu.root(ti), tv.root(tj)
@@ -161,7 +164,7 @@ def _face_values(spec, lane, ti, tj):
     ci, cj, ck = _at_zero(tu), _at_zero(tv), _at_zero(th)
     gi, gj = gi * gi, gj * gj
     phi = ((ci - ck) + ei) * gj + ((cj - ck) + ej) * gi
-    mag = (ci + ck + ei) * gj + (cj + ck + ej) * gi
+    mag = (abs(ci - ck) + ei) * gj + (abs(cj - ck) + ej) * gi
     return phi, mag, xi, xj
 
 

@@ -21,6 +21,8 @@ axis points.
 {1, 2, 3, 4, 6, 8}, for four (a, b) pairs and the (a, b) of the two specs
 one ulp above eps_c: 72 specs under the same judgement.  Six a > b specs
 just above eps_c are strict expected failures (see ``NEAR_EPS_C``).
+``FINDER_LADDER`` pins the finder alone on the a > b pairs closer still,
+at eps_c (1 + 10^-j), j in {10, 12}: the count and the closed-form match.
 
 ``SUPERQUADRIC_SETS`` pins the finder alone on the grid at k = 2..16 and on
 a high-k set: (1, 1, 1), (1, 2, 3) and (2, 1, 1) at k = 10..16, plus twenty
@@ -93,8 +95,8 @@ NEAR_EPS_C = {
         " 2.7e-4 to 4.6e-4, half the 5e-4 to 9e-4 gap between the pole and the newborn points), raise"
         " NonConvergentLift")),
     8: pytest.mark.xfail(strict=True, reason=(
-        "the face function next to the newborn points lies below the rounding floor, so only the 2"
-        " poles are found")),
+        "all 10 points are found, within 2.1e-12 of the closed form, but their index rings raise"
+        " NonConvergentLift")),
 }
 LADDER = [
     pytest.param(a, b, eps_c * (1.0 + side * 10.0 ** -j),
@@ -114,6 +116,28 @@ def test_eps_c_ladder(a, b, eps):
     1 + 1e-4.  The newborn points sit closest to each other, to their mirror
     images and to the pole or the equator here."""
     assert_judged_correct(SurfaceSpec.perturbed_ellipsoid(a, b, eps))
+
+
+FINDER_LADDER = [
+    pytest.param(a, b, eps_c * (1.0 + 10.0 ** -j), id=f"pe-{a:.4g}-{b:.4g}-above-1e-{j}")
+    for a, b in [(0.6, 0.25), (0.9, 0.3), *((s.a, s.b) for s in EPS_C_PLUS.values() if s.a > s.b)]
+    for eps_c in [um.critical_epsilon(a, b).epsilon_critical]
+    for j in (10, 12)
+]
+
+
+@pytest.mark.parametrize("a, b, eps", FINDER_LADDER)
+def test_eps_c_ladder_finder_only(a, b, eps):
+    """Down to eps_c (1 + 1e-12) with a > b the finder gives all 10 points,
+    isolated and on the closed form both ways.  Next to the pole the face
+    function is ~ y^2, and the faces' curvature difference at 0 is exactly
+    0, so it adds nothing to the rounding floor that would hide the
+    newborn points.  Their index rings stay unresolved (``NEAR_EPS_C``)."""
+    spec = SurfaceSpec.perturbed_ellipsoid(a, b, eps)
+    records = um.find_umbilics(spec)
+    assert len(records) == um.expected_count(spec) == 10
+    assert all(r.kind == um.ISOLATED for r in records)
+    assert_closed_form_both_ways(spec, records)
 
 
 HIGH_K_SPECS = [

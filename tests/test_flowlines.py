@@ -153,7 +153,8 @@ def test_singular_first_form_is_invalid_chart_point():
     forms = fm.closed_forms_arrays(PE_FLAT, Z_PLUS, start.u, start.v)
     with pytest.raises(InvalidChartPoint):
         fm.principal_directions(*forms)
-    assert fl._field_direction(PE_FLAT, Z_PLUS, start.u, start.v, (1.0, 0.0)) == (None, None)
+    kernel = fm.scalar_kernel(PE_FLAT, Z_PLUS)
+    assert fl._field_direction(kernel, start.u, start.v, (1.0, 0.0)) == (None, None)
     for branch in (0, 1):
         with pytest.raises(InvalidChartPoint):
             fl.trace_line(PE_FLAT, start, branch, 0.01)
@@ -183,11 +184,12 @@ def test_trace_past_cancelled_first_form():
     ids=["sq_1112", "pe_lt"],
 )
 def test_trace_kernel_call_count(monkeypatch, spec, start, branch, length, sign, calls):
-    """A fixed trace makes a pinned number of form-kernel calls, so a faster
+    """A fixed trace makes a pinned number of form evaluations, so a faster
     tracer must owe its speed to cheaper calls, not to skipped evaluations.
-    The start takes one call of each; every later evaluation reads its
-    validity off its kernel call and calls no radicand."""
-    count = {"forms": 0, "radicand": 0}
+    Every evaluation is a call of the one scalar kernel built for the line,
+    and the general kernel is not called.  The start takes one radicand
+    call; every later evaluation reads its validity off its kernel call."""
+    count = {"kernels": 0, "forms": 0, "arrays": 0, "radicand": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -195,10 +197,16 @@ def test_trace_kernel_call_count(monkeypatch, spec, start, branch, length, sign,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fm, "closed_forms_arrays", counted("forms", fm.closed_forms_arrays))
+    def scalar_kernel(*args):
+        count["kernels"] += 1
+        return counted("forms", build(*args))
+
+    build = fm.scalar_kernel
+    monkeypatch.setattr(fm, "scalar_kernel", scalar_kernel)
+    monkeypatch.setattr(fm, "closed_forms_arrays", counted("arrays", fm.closed_forms_arrays))
     monkeypatch.setattr(sf, "radicand", counted("radicand", sf.radicand))
     fl.trace_line(spec, start, branch, length, sign=sign)
-    assert count == {"forms": calls, "radicand": 1}
+    assert count == {"kernels": 1, "forms": calls, "arrays": 0, "radicand": 1}
 
 
 def test_quartic_chart_trace_returns_floats():
@@ -225,8 +233,9 @@ def test_field_direction_matches_eigenvector():
     tr = fl.trace_line(SQ_1112, ChartPoint(Z_PLUS, 0.7, 0.0), 1, 1.0)
     step = max(1, len(tr.points) // 25)
     prev = np.array([0.0, 1.0])
+    kernel = fm.scalar_kernel(SQ_1112, Z_PLUS)
     for u, v in tr.points[1:-1:step]:
-        d, _ = fl._field_direction(SQ_1112, Z_PLUS, u, v, prev)
+        d, _ = fl._field_direction(kernel, u, v, prev)
         prev = d
         ff = fm.forms_closed(SQ_1112, ChartPoint(Z_PLUS, u, v))
         k1, k2, t1, t2 = weingarten_eig(ff.E, ff.F, ff.G, ff.e, ff.f, ff.g)

@@ -231,16 +231,18 @@ def _crossing(spec, chart, v, margin):
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_margin_gated_kernel(name):
-    """With a radicand margin, the scalar form kernel returns None exactly
-    where the radicand of the same point is below it (-inf included, where
-    a quartic height term has no real root) and elsewhere the ungated
-    call's bits.  Random float points over each chart's bounding rectangle
-    and up to three times beyond it, on all six charts, and the two floats
-    either side of DELTA_COVER on two rows of each chart."""
+    """With a radicand margin, the per-chart scalar kernel returns None
+    exactly where the radicand of the same point is below it (-inf
+    included, where a quartic height term has no real root) and elsewhere
+    the bits of the general kernel, as it does without a margin, on Python
+    or numpy floats, as Python floats.  Random float points over each chart's bounding
+    rectangle and up to three times beyond it, on all six charts, and the
+    two floats either side of DELTA_COVER on two rows of each chart."""
     spec = BUNDLED[name]
     rng = np.random.default_rng(crc32(name.encode()))
     no_root = 0
     for chart in sf.ATLAS:
+        kernel = fm.scalar_kernel(spec, chart)
         umax, vmax = sf.chart_bounds(spec, chart)
         points = [(float(u), float(v)) for x, n in ((1.1, 300), (3.0, 60)) for u, v in
                   zip(rng.uniform(-x * umax, x * umax, n), rng.uniform(-x * vmax, x * vmax, n))]
@@ -249,13 +251,18 @@ def test_margin_gated_kernel(name):
         for u, v in points:
             r = sf.radicand(spec, chart, u, v)
             no_root += r == -math.inf
-            for margin in (sf.DELTA_COVER, sf.DELTA_VALID):
-                gated = fm.closed_forms_arrays(spec, chart, u, v, margin)
-                if r < margin:
-                    assert gated is None, (chart, u, v, margin)
+            if r < sf.DELTA_VALID:
+                assert kernel(u, v, sf.DELTA_COVER) is kernel(u, v, sf.DELTA_VALID) is None, (chart, u, v)
+                continue
+            want = [x.hex() for x in fm.closed_forms_arrays(spec, chart, u, v)]
+            for margin in (sf.DELTA_COVER, sf.DELTA_VALID, None):
+                got = kernel(u, v, margin)
+                if margin is not None and r < margin:
+                    assert got is None, (chart, u, v, margin)
                 else:
-                    want = fm.closed_forms_arrays(spec, chart, u, v)
-                    assert [x.hex() for x in gated] == [x.hex() for x in want], (chart, u, v)
+                    assert [x.hex() for x in got] == want, (chart, u, v, margin)
+            got = kernel(np.float64(u), np.float64(v))
+            assert [x.hex() for x in got] == want and {type(x) for x in got} == {float}, (chart, u, v)
     # Only the perturbed ellipsoids' X and Y charts have a quartic height term.
     assert (no_root > 0) == (spec.family == sf.PERTURBED_ELLIPSOID and spec.epsilon > 0.0)
 
