@@ -34,7 +34,8 @@ class CircleInvalid(UmbilicsError):
 
 
 class NonConvergentLift(UmbilicsError):
-    """Angle lift could not be continued within the jump bound."""
+    """The line field on an index ring is unresolved: a sample with both
+    signs of beta 0, or a hop of +-pi between samples."""
 
 
 class MissingIndex(UmbilicsError):

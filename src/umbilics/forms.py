@@ -30,9 +30,6 @@ H_FD = float(np.finfo(float).eps) ** 0.2
 
 CONVEXITY_TOL = 1e-10
 
-LINE_DEGENERATE = 1e3 * float(np.finfo(float).eps)   # line-quadratic separation at noise level
-MAX_JUMP = math.pi / 4.0       # a lifted hop at least this large splits its segment
-
 # R2 low-discrepancy sequence: n (1/g, 1/g^2) mod 1, g the plastic number
 # (the real root of x^3 = x + 1).
 _PLASTIC = 1.324717957244746
@@ -308,75 +305,6 @@ def principal_directions(E, F, G, e, f, g):
         raise InvalidChartPoint(f"first form not positive definite (E, F, G = {E:.3g}, {F:.3g}, {G:.3g})")
     n0, n1 = math.sqrt(n0), math.sqrt(n1)
     return (c0 / n0, s0 / n0), (c1 / n1, s1 / n1)
-
-
-def line_angle(E, F, G, e, f, g):
-    """Line angle psi = atan2(B, A - C) / 2 of the curvature-line quadratic
-    (A, B, C), as an array; NaN at degenerate points.
-
-    On the unit circle of chart directions the quadratic is
-    (A + C)/2 + |beta| cos(2 phi - arg beta), beta = ((A - C) + iB)/2, so its
-    roots lie symmetric about psi: psi bisects the principal directions and
-    winds as they do.  A point is degenerate when hypot(A - C, B) (k1 - k2
-    in a principal orthonormal frame) is within LINE_DEGENERATE of the
-    rounding scale of A, B and C, the sum of their products' magnitudes.
-    """
-    A, B, C = line_quadratic(E, F, G, e, f, g)
-    scale = sum(np.abs(x * y) for x, y in ((f, E), (e, F), (g, E), (e, G), (g, F), (f, G)))
-    return np.where(np.hypot(A - C, B) > LINE_DEGENERATE * scale, 0.5 * np.arctan2(B, A - C), np.nan)
-
-
-def lift_lines(spec, charts, ts, psi, points, max_depth):
-    """Lift the line angle continuously along polylines, each in its own chart.
-
-    The index rings are such polylines, all lifted together; the finder
-    does not lift (it solves the umbilic strata directly).  Polyline k lies
-    in chart ``surface.ATLAS[charts[k]]`` and runs through its samples:
-    row k of ``ts`` and ``psi``, of shape (polylines, samples), holds the
-    curve parameter and :func:`line_angle` at each.  Angles are taken
-    modulo pi (a line field has no orientation): a segment's hop is the
-    mod-pi distance from its first angle to the nearest representative of
-    its second.  Every segment whose hop reaches MAX_JUMP is split at its
-    midpoint, level by level: ``points(ids, ts)`` gives the (u, v) arrays of
-    a level's midpoints on polylines ``ids``, and they all take their forms
-    in one kernel call.  The split test reads only a segment's two end
-    angles, so the sample set is the one any splitting order would reach.
-
-    A polyline with a degenerate sample, or one still hopping over a
-    segment ``max_depth`` levels deep, is unresolved and split no further.
-    Returns per polyline (total lifted change, midpoints taken, resolved)
-    as arrays; every hop of a resolved polyline is below MAX_JUMP.
-    """
-    n, m = psi.shape
-    total = np.zeros(n)
-    mids_taken = np.zeros(n, int)
-    resolved = ~np.isnan(psi).any(axis=1)
-    # Segment j of polyline k joins its samples j and j + 1.
-    line = np.repeat(np.arange(n), m - 1)
-    ts = np.stack([ts[:, :-1], ts[:, 1:]], axis=2).reshape(-1, 2)
-    psi = np.stack([psi[:, :-1], psi[:, 1:]], axis=2).reshape(-1, 2)
-    for depth in range(max_depth + 1):
-        hops = psi[:, 1] - psi[:, 0]
-        hops -= math.pi * np.round(hops / math.pi)
-        split = np.abs(hops) >= MAX_JUMP
-        done = ~split
-        total += np.bincount(line[done], hops[done], n)
-        if depth == max_depth:
-            resolved[line[split]] = False
-        keep = split & resolved[line]
-        if not keep.any():
-            break
-        line, ts, psi = line[keep], ts[keep], psi[keep]
-        mid = 0.5 * (ts[:, 0] + ts[:, 1])
-        lane = sf.ChartLane(spec, charts[line])
-        mid_psi = line_angle(*closed_forms_arrays(spec, lane, *points(line, mid)))
-        resolved[line[np.isnan(mid_psi)]] = False
-        mids_taken += np.bincount(line, minlength=n)
-        # Each split segment becomes its two halves.
-        line = np.repeat(line, 2)
-        ts = np.stack([ts[:, 0], mid, mid, ts[:, 1]], axis=1).reshape(-1, 2)
-        psi = np.stack([psi[:, 0], mid_psi, mid_psi, psi[:, 1]], axis=1).reshape(-1, 2)
-    return total, mids_taken, resolved
 
 
 def first_form_unit(E, F, G, du, dv):

@@ -1,35 +1,34 @@
 """Winding index of isolated umbilics and the index-sum check.
 
 The index is the winding number of the principal line field around a small
-chart-coordinate circuit.  A sample's angle psi = atan2(B, A - C) / 2, from
-the curvature-line quadratic (A, B, C) (:func:`umbilics.forms.line_angle`),
-bisects the principal directions and winds as they do.  Angles are taken
-modulo pi (a line field has no orientation), lifted continuously by nearest
-representative; closing the loop then yields an integer multiple of pi,
-i.e. a half-integer index.
+chart-coordinate circuit.  With (A, B, C) the curvature-line quadratic
+(:func:`umbilics.forms.line_quadratic`), the angle psi = arg(beta) / 2 of
+beta = (A - C) + iB bisects the principal directions and winds as they do,
+so the index is the winding of beta over 4 pi.  That winding is counted
+from signs alone (Kearfott, Numer. Math. 1979): each sample's (sign(A - C),
+sign(B)) (:func:`beta_signs`) puts beta on one of the eight multiples of
+pi/4, and the hops between consecutive samples, each reduced to [-pi, pi),
+sum to the winding.  A sign needs no precision beyond its rounding scale,
+so a swing of psi across a window far narrower than the sample spacing --
+the principal directions next to the flat umbilics of high-power surfaces
+-- counts as long as no hop is ambiguous.
 
 Each ring is drawn at its cap, the largest admissible circle
 (:func:`umbilic_index`).  The ring's own samples decide whether it fits in
 the chart: each must keep the radicand margin DELTA_VALID that every other
 chart-validity test of the finder and the index uses, or the ring is
-redrawn at half the radius.
-
-The fitted ring is then lifted once by :func:`umbilics.forms.lift_lines`,
-a level-wise bisection of every ring together.  Segments whose hop (the
-mod-pi distance between their endpoint angles) reaches pi/4 are bisected
-until none does -- near planar (flat) umbilics the principal directions
-swing by ~pi/2 inside angular windows far narrower than any fixed sample
-count resolves.  A sample where hypot(A - C, B) (k1 - k2 in a principal
-orthonormal frame) is within a couple of decades of the rounding scale of
-A, B and C, or a segment still hopping at the bisection floor, leaves the
-ring unresolved, and its index raises NonConvergentLift.
+redrawn at half the radius.  The fitted ring's 720 samples, and its first
+sample again to close the circuit, take their signs once.  A sample where
+both signs are 0, or a hop of +-pi (beta crossing to the opposite octant,
+whose sense the signs cannot tell), leaves the ring unresolved, and its
+index raises NonConvergentLift.  There is no bisection.
 
 :func:`attach_indices` draws each distinct ring once: the records of a root
 in both charts of an axis, and of its mirror images (+-u, +-v) in them,
 share one ring.  All rings are drawn together: the caps of all rings are
 one array step, each fit pass takes one radicand call, and the fitted
 (rings, samples) array takes one kernel call on a ChartLane of shape
-(rings, 1) and one lift.  :func:`umbilic_index` is that pass on one ring.
+(rings, 1).  :func:`umbilic_index` is that pass on one ring.
 
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
@@ -48,7 +47,6 @@ from . import umbilic as um
 from .errors import CircleInvalid, MissingIndex, NonConvergentLift, NotIsolated
 
 RING_SAMPLES = 720
-RING_DEPTH = 37          # bisection levels: 2 pi / 720 / 2^37 = 6.3e-14 rad, the first width below 1e-13
 
 
 @dataclass(frozen=True)
@@ -56,6 +54,22 @@ class WindingResult:
     index: float              # half-integer
     samples: int              # total direction evaluations on the final ring
     radius: float             # chart-coordinate circle radius
+
+
+def beta_signs(E, F, G, e, f, g):
+    """Signs (sD, sB) of the real and imaginary parts of beta = (A - C) + iB,
+    (A, B, C) the curvature-line quadratic, as float arrays in {-1, 0, 1}.
+
+    Each part is judged against its own rounding scale, the sum of its
+    products' magnitudes: A - C against |fE| + |eF| + |gF| + |fG| and B
+    against |gE| + |eG|.  A part within ROUNDING_FLOOR of its scale (or
+    NaN) has sign 0.
+    """
+    A, B, C = fm.line_quadratic(E, F, G, e, f, g)
+    d_scale = np.abs(f * E) + np.abs(e * F) + np.abs(g * F) + np.abs(f * G)
+    b_scale = np.abs(g * E) + np.abs(e * G)
+    return (np.where(np.abs(A - C) > um.ROUNDING_FLOOR * d_scale, np.sign(A - C), 0.0),
+            np.where(np.abs(B) > um.ROUNDING_FLOOR * b_scale, np.sign(B), 0.0))
 
 
 def _windings(spec, rings, records):
@@ -81,15 +95,13 @@ def _windings(spec, rings, records):
     seen = (ph * charts.sign >= 0.0) & sf.chart_valid(spec, charts, pu, pv) & (gap > 0.0)
     half = np.array([min(sf.chart_bounds(spec, chart)) for chart in sf.ATLAS])[lane]
     radius = 0.5 * np.minimum(half, np.where(seen, gap, np.inf).min(axis=1, initial=np.inf))
-    ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 2.0 * math.pi)
-
-    def ring(ids, t):
-        return centre[ids, 0] + radius[ids] * np.cos(t), centre[ids, 1] + radius[ids] * np.sin(t)
-
+    # The 721st sample is the first again: the circuit closes exactly.
+    ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 0.0)
     uu, vv = np.empty((2, len(rings), ts.size))
     test = np.flatnonzero([res is None for res in out])
     while test.size:                           # halve each ring that leaves its chart
-        uu[test], vv[test] = ring(test[:, None], ts)
+        uu[test] = centre[test, :1] + radius[test, None] * np.cos(ts)
+        vv[test] = centre[test, 1:] + radius[test, None] * np.sin(ts)
         fits = sf.chart_valid(spec, sf.ChartLane(spec, lane[test, None]), uu[test], vv[test])
         test = test[~fits.all(axis=1)]
         for i in test:
@@ -102,18 +114,15 @@ def _windings(spec, rings, records):
     if not live.size:
         return out
     rows = sf.ChartLane(spec, lane[live, None])
-    psi = fm.line_angle(*fm.closed_forms_arrays(spec, rows, uu[live], vv[live]))
-    total, mids, resolved = fm.lift_lines(spec, lane[live], np.broadcast_to(ts, psi.shape), psi,
-                                          lambda j, t: ring(live[j], t), RING_DEPTH)
+    sd, sb = beta_signs(*fm.closed_forms_arrays(spec, rows, uu[live], vv[live]))
+    # theta = atan2(sB, sD) in units of pi/4, each hop reduced to [-4, 4): -4 is
+    # a hop of +-pi, whose sense the signs cannot tell.  The last sample is the
+    # first, so the hops sum to a multiple of 8 (2 pi).
+    hops = (np.diff(np.rint(np.arctan2(sb, sd) / (0.25 * math.pi)).astype(int), axis=1) + 4) % 8 - 4
+    resolved = (hops != -4).all(axis=1) & ((sd != 0.0) | (sb != 0.0)).all(axis=1)
     for j, i in enumerate(live):
-        if not resolved[j]:
-            out[i] = NonConvergentLift(f"line field unresolved on the ring of radius {radius[i]:.3e}")
-            continue
-        index = float(total[j]) / (2.0 * math.pi)
-        doubled = round(2.0 * index)
-        out[i] = (WindingResult(doubled / 2.0, ts.size + int(mids[j]), float(radius[i]))
-                  if abs(2.0 * index - doubled) <= 1e-3 else NonConvergentLift(
-                      f"winding {index:.6f} is not a half-integer; radius {radius[i]:.3e}"))
+        out[i] = (WindingResult(int(hops[j].sum()) / 16.0, ts.size, float(radius[i])) if resolved[j]
+                  else NonConvergentLift(f"line field unresolved on the ring of radius {radius[i]:.3e}"))
     return out
 
 
@@ -126,10 +135,8 @@ def umbilic_index(spec, rec, records) -> WindingResult:
     ring's own point.  ``records`` should hold every umbilic of the surface
     (the finder's output): the cap keeps the ring clear only of the points
     it lists.  The radius halves while a ring sample leaves the chart
-    (CircleInvalid once it is 1e-9 or less); the ring is then lifted once
-    by :func:`umbilics.forms.lift_lines`, and an unresolved lift -- the
-    situation at nearly planar umbilics of high-power surfaces -- raises
-    NonConvergentLift.
+    (CircleInvalid once it is 1e-9 or less); the ring's signs are then
+    counted once, and an unresolved ring raises NonConvergentLift.
     """
     [res] = _windings(spec, [rec], records)
     if isinstance(res, Exception):
@@ -145,7 +152,7 @@ def attach_indices(spec, records):
     axis share their forms, the forms at (+-u, +-v) are mirror images and
     the finder's records are mirror-symmetric, so the records of one
     ``(axis, |u|, |v|, kind)`` key share one ring, drawn for the first of
-    them.  All rings are drawn together and lifted once; when rings fail,
+    them.  All rings are drawn and counted together; when rings fail,
     the error of the first record's ring is raised.
     """
     keys = [(rec.chart.axis, abs(rec.uv[0]), abs(rec.uv[1]), rec.kind) for rec in records]

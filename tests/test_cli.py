@@ -498,21 +498,39 @@ def test_verify_fails_on_index_zero_umbilic(capsys, tmp_path, monkeypatch):
     assert check["sum"] == 2.0 and [0.0, 1] in check["multiset"]
 
 
-def test_verify_fails_on_flat_equal_superquadric(capsys, tmp_path):
-    """sq(1, 1, 1, k = 15) lies past the envelope: the finder gives its 14
-    points, but the index ring around a very flat axis point leaves the
-    line field unresolved even at its cap (the line angle's step there is
-    narrower than the ring's bisection floor; up to k = 14 the ring at the
-    cap resolves).  verify must not pass, and no continuum record may hide
-    the failure.  The unresolved ring is a failed index_sum check, reported
-    in the JSON."""
+def test_verify_passes_on_flat_equal_superquadric(capsys, tmp_path):
+    """sq(1, 1, 1, k = 15) has very flat axis points, where the line angle
+    on the index ring steps by about pi/2 across a window narrower than 37
+    bisection levels of it reached; counting the sign changes of beta needs
+    no resolution in angle, so verify passes with the superquadric
+    multiset."""
     spec = SurfaceSpec.superquadric(1, 1, 1, 15)
     path = tmp_path / "sq_k15.json"
+    path.write_text(json.dumps(spec.to_json()))
+    code, out, _ = run(capsys, "verify", "--spec", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"]
+    [check] = [c for c in doc["checks"] if c["name"] == "index_sum"]
+    assert check["pass"] and check["multiset"] == [[-0.5, 8], [1.0, 6]]
+
+
+def test_verify_fails_on_unresolved_ring(capsys, tmp_path):
+    """pe(0.6, 0.25) at eps_c (1 + 1e-8) lies past the envelope: the finder
+    gives its 10 points, but on their index rings B stays within the
+    rounding floor of its scale, so the rings are unresolved.  verify must
+    not pass, and no continuum record may hide the failure.  The unresolved
+    ring is a failed index_sum check, reported in the JSON, and the only
+    failed check."""
+    eps = um.critical_epsilon(0.6, 0.25).epsilon_critical * (1.0 + 1e-8)
+    spec = SurfaceSpec.perturbed_ellipsoid(0.6, 0.25, eps)
+    path = tmp_path / "pe_near_eps_c.json"
     path.write_text(json.dumps(spec.to_json()))
     code, out, _ = run(capsys, "verify", "--spec", str(path))
     assert code == 2
     doc = json.loads(out)
     assert not doc["pass"]
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["index_sum"]
     [check] = [c for c in doc["checks"] if c["name"] == "index_sum"]
-    assert not check["pass"] and "unresolved" in check["error"]
+    assert "unresolved" in check["error"]
     assert all(r.kind == um.ISOLATED for r in um.find_umbilics(spec))

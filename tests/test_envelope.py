@@ -19,8 +19,9 @@ axis points.
 
 ``LADDER`` holds perturbed ellipsoids at eps_c (1 +- 10^-j), j in
 {1, 2, 3, 4, 6, 8}, for four (a, b) pairs and the (a, b) of the two specs
-one ulp above eps_c: 72 specs under the same judgement.  Six a > b specs
-just above eps_c are strict expected failures (see ``NEAR_EPS_C``).
+one ulp above eps_c: 72 specs under the same judgement.  The three a > b
+specs at eps_c (1 + 1e-8) are strict expected failures (see
+``NEAR_EPS_C``).
 ``FINDER_LADDER`` pins the finder alone on the a > b pairs closer still,
 at eps_c (1 + 10^-j), j in {10, 12}: the count and the closed-form match.
 
@@ -29,11 +30,11 @@ a high-k set: (1, 1, 1), (1, 2, 3) and (2, 1, 1) at k = 10..16, plus twenty
 superquadrics drawn with ``random.Random(7)`` (three coefficients
 ``10 ** uniform(0, 2)``, then ``randint(9, 16)``): the count and the
 closed-form match.  ``HIGH_K_SET`` judges the high-k set in full, indices
-included: every spec at k <= 12 is right, and the 14 whose flattest index
-ring stays unresolved at its cap (1 of 6 specs at k = 13, 4 of 5 at
-k = 14 and all 9 at k = 15 and 16) are strict expected failures.  ``HIGH_K_SPECS`` are
-superquadrics at k = 11 to 14 where earlier finders reported 18 to 486
-records, judged by the finder alone.
+included, together with ``FLAT_K_SET``, (1, 1, 1), (1, 2, 3) and (2, 1, 1)
+at k = 20, 32 and 64: the rings count the sign changes of beta, so the
+swing of the line field next to a flat axis point needs no resolution in
+angle.  ``HIGH_K_SPECS`` are superquadrics at k = 11 to 14 where earlier
+finders reported 18 to 486 records, judged by the finder alone.
 """
 
 import json
@@ -90,13 +91,10 @@ def test_envelope_spec_judged_correct(fields):
 
 
 NEAR_EPS_C = {
-    6: pytest.mark.xfail(strict=True, reason=(
-        "the 8 newborn points are found, but their index rings and the pole's, at their caps (radius"
-        " 2.7e-4 to 4.6e-4, half the 5e-4 to 9e-4 gap between the pole and the newborn points), raise"
-        " NonConvergentLift")),
-    8: pytest.mark.xfail(strict=True, reason=(
-        "all 10 points are found, within 2.1e-12 of the closed form, but their index rings raise"
-        " NonConvergentLift")),
+    8: pytest.mark.xfail(strict=True, raises=NonConvergentLift, reason=(
+        "all 10 points are found, within 2.1e-12 of the closed form, but on their index rings (radius"
+        " 2.7e-5 to 4.6e-5) B stays within the rounding floor of its scale at every sample, so sign(B)"
+        " is 0 throughout and each ring has a hop of +-pi or a sample with both signs 0")),
 }
 LADDER = [
     pytest.param(a, b, eps_c * (1.0 + side * 10.0 ** -j),
@@ -113,7 +111,7 @@ LADDER = [
 def test_eps_c_ladder(a, b, eps):
     """Perturbed ellipsoids at eps_c (1 +- 10^-j): every spec below eps_c is
     right, and above it a < b is right down to 1 + 1e-8 and a > b down to
-    1 + 1e-4.  The newborn points sit closest to each other, to their mirror
+    1 + 1e-6.  The newborn points sit closest to each other, to their mirror
     images and to the pole or the equator here."""
     assert_judged_correct(SurfaceSpec.perturbed_ellipsoid(a, b, eps))
 
@@ -132,7 +130,8 @@ def test_eps_c_ladder_finder_only(a, b, eps):
     isolated and on the closed form both ways.  Next to the pole the face
     function is ~ y^2, and the faces' curvature difference at 0 is exactly
     0, so it adds nothing to the rounding floor that would hide the
-    newborn points.  Their index rings stay unresolved (``NEAR_EPS_C``)."""
+    newborn points.  Their index rings are unresolved from 1 + 1e-8 on
+    (``NEAR_EPS_C``)."""
     spec = SurfaceSpec.perturbed_ellipsoid(a, b, eps)
     records = um.find_umbilics(spec)
     assert len(records) == um.expected_count(spec) == 10
@@ -186,22 +185,18 @@ def test_superquadric_sets_finder_only(a, b, c, k):
     assert_closed_form_both_ways(spec, records)
 
 
-UNRESOLVED_AT_CAP = pytest.mark.xfail(strict=True, raises=NonConvergentLift, reason=(
-    "the line angle's step next to a flat axis point is narrower than the ring's bisection floor"
-    " (ROADMAP item 4), so the ring stays unresolved at its cap"))
-HIGH_K_SET = [
-    pytest.param(*p.values, id=p.id, marks=[UNRESOLVED_AT_CAP] if p.id in {
-        "high-k-111-k15", "high-k-111-k16", "high-k-123-k14", "high-k-123-k15", "high-k-123-k16",
-        "high-k-211-k14", "high-k-211-k15", "high-k-211-k16", "high-k-random4", "high-k-random9",
-        "high-k-random11", "high-k-random15", "high-k-random16", "high-k-random18",
-    } else [])
-    for p in SUPERQUADRIC_SETS if p.id.startswith("high-k")
+HIGH_K_SET = [p for p in SUPERQUADRIC_SETS if p.id.startswith("high-k")]
+FLAT_K_SET = [
+    pytest.param(a, b, c, k, id=f"flat-{a}{b}{c}-k{k}")
+    for a, b, c in ((1, 1, 1), (1, 2, 3), (2, 1, 1)) for k in (20, 32, 64)
 ]
 
 
-@pytest.mark.parametrize("a, b, c, k", HIGH_K_SET)
+@pytest.mark.parametrize("a, b, c, k", HIGH_K_SET + FLAT_K_SET)
 def test_high_k_set_judged_correct(a, b, c, k):
-    """The high-k set, indices included: every ring is lifted once, at its
-    cap (halved only while it leaves its chart), and an unresolved ring
+    """The high-k set and, far past it, the flat-k set, whose axis points
+    are flatter still (the principal curvatures vanish there to order
+    2k - 2), indices included: every ring is drawn once, at its cap
+    (halved only while it leaves its chart), and an unresolved ring
     fails."""
     assert_judged_correct(SurfaceSpec.superquadric(a, b, c, k))

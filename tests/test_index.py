@@ -36,7 +36,7 @@ def _classify(rec):
 def test_superquadric_indices(results):
     recs = results.indexed(SQ_1112)
     multiset = dict(ix.index_multiset(recs))
-    # dense-lift oracle (samples=4096) fixed these values during design;
+    # dense-ring oracle (samples=4096) fixed these values during design;
     # re-checked against the default sampling below
     assert multiset == {1.0: 6, -0.5: 8}
     for rec in recs:
@@ -53,7 +53,7 @@ def _index_with(monkeypatch, name, value, rec, recs):
 
 
 def test_index_sampling_oracle(results, monkeypatch):
-    """Default sampling agrees with a dense 4096-sample lift exactly."""
+    """Default sampling agrees with a dense 4096-sample ring exactly."""
     recs = results.records(SQ_1112)
     axis = next(r for r in recs if _classify(r) == "axis")
     diag = next(r for r in recs if _classify(r) == "diag")
@@ -141,7 +141,7 @@ def test_ring_leaving_chart_is_circle_invalid(results, monkeypatch):
     diagonal point seen from Z- needs radius 2^-10, nine halvings down from
     its cap of 0.5, half the chart half-width.  A ring that never fits is
     CircleInvalid once the radius is 1e-9 or less (29 halvings), without a
-    lift."""
+    kernel call."""
     spec, rec = _sq_c100_diagonal_from_z_minus()
     records = results.records(spec)
     res = ix.umbilic_index(spec, rec, records)
@@ -154,27 +154,85 @@ def test_ring_leaving_chart_is_circle_invalid(results, monkeypatch):
         return np.zeros(np.shape(u), bool)
 
     monkeypatch.setattr(sf, "chart_valid", nowhere)
-    monkeypatch.setattr(fm, "lift_lines", None)
+    monkeypatch.setattr(fm, "closed_forms_arrays", None)
     with pytest.raises(CircleInvalid):
         ix.umbilic_index(spec, rec, records)
     assert rings.count(ix.RING_SAMPLES + 1) == 30
 
 
-def test_unresolved_ring_raises_after_one_lift(results, monkeypatch):
-    """An unresolved lift raises at once: the ring is lifted once, at the
-    radius that fits in its chart, and never redrawn."""
-    spec, rec = _sq_c100_diagonal_from_z_minus()
-    lift, lifts = fm.lift_lines, []
+def _index_with_signs(monkeypatch, edit):
+    """umbilic_index of sq_1112's first diagonal record, with the ring's
+    signs (sD, sB) edited in place by ``edit`` and its kernel calls
+    counted."""
+    records = um.find_umbilics(SQ_1112)
+    rec = next(r for r in records if _classify(r) == "diag")
+    signs, kernel, calls = ix.beta_signs, fm.closed_forms_arrays, []
 
-    def unresolved(*args):
-        lifts.append(args)
-        *out, resolved = lift(*args)
-        return (*out, np.zeros_like(resolved))
+    def edited(*forms):
+        sd, sb = signs(*forms)
+        edit(sd, sb)
+        return sd, sb
 
-    monkeypatch.setattr(fm, "lift_lines", unresolved)
-    with pytest.raises(NonConvergentLift):
-        ix.umbilic_index(spec, rec, results.records(spec))
-    assert len(lifts) == 1
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(ix, "beta_signs", edited)
+    monkeypatch.setattr(fm, "closed_forms_arrays", counted)
+    try:
+        return ix.umbilic_index(SQ_1112, rec, records)
+    finally:
+        assert len(calls) == 1           # one kernel call; the ring is never redrawn
+
+
+def _wound(turns):
+    """Sign edit that winds beta ``turns`` times round the ring, octant by
+    octant: the index is turns / 2."""
+
+    def edit(sd, sb):
+        theta = 0.25 * math.pi * np.floor(np.arange(sd.shape[1]) * 8 * turns / ix.RING_SAMPLES)
+        sd[:], sb[:] = np.rint(np.cos(theta)), np.rint(np.sin(theta))
+
+    return edit
+
+
+def test_ring_signs_alone_give_index(monkeypatch):
+    """The index is read from the signs alone: unedited, the diagonal ring
+    counts -1/2; beta held still counts 0, beta wound once +1/2 and twice
+    backwards -1; beta turned to the opposite octant through +i and back,
+    +-pi/2 per hop, counts 0."""
+    assert _index_with_signs(monkeypatch, lambda sd, sb: None).index == -0.5
+    wound = [_index_with_signs(monkeypatch, _wound(turns)).index for turns in (0, 1, -2)]
+    assert wound == [0.0, 0.5, -1.0]
+
+    def turned(sd, sb):
+        sd[:], sb[:] = 1.0, 0.0
+        sd[:, 180:360] = -1.0
+        sd[:, [179, 360]], sb[:, [179, 360]] = 0.0, 1.0
+
+    assert _index_with_signs(monkeypatch, turned).index == 0.0
+
+
+def _opposite(sd, sb):
+    """beta from +1 straight to -1 and back: two hops of +-pi."""
+    sd[:], sb[:] = 1.0, 0.0
+    sd[:, 180:360] = -1.0
+
+
+def _degenerate(sd, sb):
+    """beta on +1 but at one sample with both signs 0."""
+    sd[:], sb[:] = 1.0, 0.0
+    sd[:, 100] = 0.0
+
+
+@pytest.mark.parametrize("edit", [_opposite, _degenerate], ids=["pi-hop", "both-zero"])
+def test_unresolved_ring_raises(monkeypatch, edit):
+    """A hop of +-pi has no sense the signs can tell, and a sample with
+    both signs 0 puts beta nowhere (atan2(0, 0) = 0 would read it as +1):
+    either leaves the ring unresolved, where reading it would count a
+    winding of +-1/2 or 0."""
+    with pytest.raises(NonConvergentLift, match="unresolved"):
+        _index_with_signs(monkeypatch, edit)
 
 
 @pytest.mark.parametrize("name", ["sq_c100", "pe_lt"])
@@ -193,10 +251,11 @@ def test_one_chart_margin(name, monkeypatch):
     assert margins == {sf.DELTA_VALID}
 
 
-def test_bisection_one_kernel_call_per_level(results, monkeypatch):
-    """All midpoints of one bisection level take their forms in one kernel
-    call: sq_c100's X- axis ring (radius 0.158, its cap: half the smaller
-    chart half-width) holds 40 bisection samples, 4 on each of 10 levels."""
+def test_flat_ring_one_kernel_call(results, monkeypatch):
+    """sq_c100's X- axis ring (radius 0.158, its cap: half the smaller chart
+    half-width) crosses a swing of the line field too fast for any fixed
+    angle step; its signs still count +1 from one kernel call on its 721
+    samples, with no bisection level."""
     spec = BUNDLED["sq_c100"]
     records = results.records(spec)
     [rec] = [r for r in records
@@ -209,9 +268,9 @@ def test_bisection_one_kernel_call_per_level(results, monkeypatch):
 
     monkeypatch.setattr(fm, "closed_forms_arrays", counted)
     res = ix.umbilic_index(spec, rec, records)
-    assert (res.index, res.samples) == (1.0, 761)
+    assert (res.index, res.samples) == (1.0, ix.RING_SAMPLES + 1)
     assert res.radius == pytest.approx(0.158113883, rel=1e-9)
-    assert len(calls) == 11 < res.samples - (ix.RING_SAMPLES + 1)
+    assert len(calls) == 1
 
 
 def _ring_key(rec):
@@ -221,7 +280,7 @@ def _ring_key(rec):
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_attach_indices_draws_each_ring_once(name, results, monkeypatch):
     """Mirrored records share one ring per (axis, |u|, |v|, kind) key: the
-    first ring round's kernel call takes RING_SAMPLES + 1 rows per key
+    one kernel call of attach_indices takes RING_SAMPLES + 1 rows per key
     (pe_lt's 18 records need 4 rings, and each superquadric's 14 need 4
     where the signed uv would need 7), and the shared results equal each
     record's own umbilic_index."""
@@ -236,7 +295,7 @@ def test_attach_indices_draws_each_ring_once(name, results, monkeypatch):
 
     monkeypatch.setattr(fm, "closed_forms_arrays", counted)
     indexed = ix.attach_indices(spec, records)
-    assert rows[0] == len(rings) * (ix.RING_SAMPLES + 1)
+    assert rows == [len(rings) * (ix.RING_SAMPLES + 1)]
     if name == "pe_lt":
         assert (len(records), len(rings)) == (18, 4)
     if spec.family == sf.SUPERQUADRIC:
@@ -271,7 +330,7 @@ def test_ring_rounds_broadcast_lanes(spec, monkeypatch):
 
 
 def test_attach_indices_lifts_rings_together(results, monkeypatch):
-    """All rings of a spec are drawn and lifted in one pass per round:
+    """All rings of a spec are drawn and counted in one pass:
     attach_indices on sq_k4 makes fewer kernel calls than its rings drawn
     one at a time."""
     spec = BUNDLED["sq_k4"]
@@ -316,25 +375,28 @@ def _cap(spec, rec, records):
     return 0.5 * min([g for g in gaps if g > 0.0] + list(sf.chart_bounds(spec, rec.chart)))
 
 
-def test_ring_radius_is_cap_halved_and_lifted_once(monkeypatch):
+def test_ring_radius_is_cap_halved_at_721_samples(monkeypatch):
     """Every ring of sq(1, 2, 3, 11) is drawn at its cap, halved only while
-    it leaves its chart (radius = cap / 2^n), and attach_indices lifts all
-    rings in one lift_lines call."""
+    it leaves its chart (radius = cap / 2^n), and has RING_SAMPLES + 1
+    samples, the last one the first again; attach_indices takes all rings'
+    forms in one kernel call."""
     spec = SQ_123_K11
     records = um.find_umbilics(spec)
     for rec in records:
         res = ix.umbilic_index(spec, rec, records)
         halvings = math.log2(_cap(spec, rec, records) / res.radius)
         assert halvings == round(halvings) >= 0
-    lift, lifts = fm.lift_lines, []
+        assert res.samples == ix.RING_SAMPLES + 1
+    kernel, calls = fm.closed_forms_arrays, []
 
-    def counted(*args):
-        lifts.append(args)
-        return lift(*args)
+    def counted(spec, chart, u, v):
+        calls.append((u, v))
+        return kernel(spec, chart, u, v)
 
-    monkeypatch.setattr(fm, "lift_lines", counted)
+    monkeypatch.setattr(fm, "closed_forms_arrays", counted)
     ix.attach_indices(spec, records)
-    assert len(lifts) == 1
+    [(u, v)] = calls
+    assert (u[:, -1] == u[:, 0]).all() and (v[:, -1] == v[:, 0]).all()
 
 
 def test_ring_clips_to_mirror_image_one_ulp_above_eps_c():
@@ -348,22 +410,28 @@ def test_ring_clips_to_mirror_image_one_ulp_above_eps_c():
 
 
 def test_ring_angle_bisects_principal_frame():
-    """The ring angle psi halves theta1 + theta2 mod pi, the angles of the
-    Weingarten-matrix eigenvectors, wherever the curvatures are
-    distinguishable."""
+    """The ring's signs (sD, sB) are those of cos and sin of arg beta =
+    2 theta1 - (theta1 - theta2) mod pi, i.e. theta1 + theta2 on the branch
+    theta1 >= theta2 and theta1 + theta2 + pi otherwise, from the chart
+    angles in [0, pi) of the Weingarten-matrix eigenvectors: arg beta / 2
+    bisects the principal directions, turned back from the k1 direction by
+    half the chart-angle turn from the k2 direction to it.  This holds
+    wherever the curvatures are distinguishable; where the cos or sin is at
+    rounding level, its sign may read 0 or either way."""
     rng = np.random.default_rng(10)
     checked = 0
     for spec in BUNDLED.values():
         for chart in sf.ATLAS:
             uu, vv = random_valid_chart_points(spec, chart, 200, rng)
-            psi = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu, vv))
-            forms = zip(*(a.tolist() for a in fm.closed_forms_arrays(spec, chart, uu, vv)))
-            for p, ff in zip(psi.tolist(), forms):
+            forms = fm.closed_forms_arrays(spec, chart, uu, vv)
+            signs = zip(*(s.tolist() for s in ix.beta_signs(*forms)))
+            for (sd, sb), ff in zip(signs, zip(*(a.tolist() for a in forms))):
                 k1, k2, theta1, theta2 = weingarten_eig(*ff)
                 if k1 - k2 < 1e-6 * (abs(k1) + abs(k2)):
                     continue
-                gap = (theta1 + theta2 - 2.0 * p) % math.pi
-                assert min(gap, math.pi - gap) < 1e-12
+                arg = 2.0 * theta1 - (theta1 - theta2) % math.pi
+                for sign, x in ((sd, math.cos(arg)), (sb, math.sin(arg))):
+                    assert sign == math.copysign(1.0, x) or abs(x) < 1e-12
                 checked += 1
     assert checked > 10_000
 

@@ -201,6 +201,53 @@ def test_continuum_gives_one_record(spec):
 
 CELLS = 63          # oracle scan cells per chart axis (odd: the centre cell straddles both axes)
 EDGE_DEPTH = 30     # bisection levels of an oracle cell edge
+LINE_DEGENERATE = 1e3 * float(np.finfo(float).eps)   # line-quadratic separation at noise level
+MAX_JUMP = math.pi / 4.0                             # a lifted hop at least this large splits its edge
+
+
+def line_angle(E, F, G, e, f, g):
+    """Line angle psi = atan2(B, A - C) / 2 of the curvature-line quadratic
+    (A, B, C): it bisects the principal directions and winds as they do.
+    NaN where hypot(A - C, B) is within LINE_DEGENERATE of the rounding
+    scale of A, B and C, the sum of their products' magnitudes."""
+    A, B, C = fm.line_quadratic(E, F, G, e, f, g)
+    scale = sum(np.abs(x * y) for x, y in ((f, E), (e, F), (g, E), (e, G), (g, F), (f, G)))
+    return np.where(np.hypot(A - C, B) > LINE_DEGENERATE * scale, 0.5 * np.arctan2(B, A - C), np.nan)
+
+
+def lift_edges(spec, chart, psi, points):
+    """Lift the line angle modulo pi along straight edges of one chart.
+
+    Row k of ``psi`` holds edge k's angles at its ends t = 0 and 1, and
+    ``points(ids, t)`` gives the (u, v) of edges ``ids`` at t.  A hop is the
+    mod-pi distance from an end's angle to the nearest representative of
+    the other's.  Every segment whose hop reaches MAX_JUMP is split at its
+    midpoint, level by level; an edge with a degenerate sample, or still
+    hopping EDGE_DEPTH levels deep, is unresolved.  Returns per edge the
+    total lifted change and whether it is resolved."""
+    n = len(psi)
+    total = np.zeros(n)
+    resolved = ~np.isnan(psi).any(axis=1)
+    edge, ts = np.arange(n), np.tile([0.0, 1.0], (n, 1))
+    for depth in range(EDGE_DEPTH + 1):
+        hops = psi[:, 1] - psi[:, 0]
+        hops -= math.pi * np.round(hops / math.pi)
+        split = np.abs(hops) >= MAX_JUMP
+        total += np.bincount(edge[~split], hops[~split], n)
+        if depth == EDGE_DEPTH:
+            resolved[edge[split]] = False
+        keep = split & resolved[edge]
+        if not keep.any():
+            break
+        edge, ts, psi = edge[keep], ts[keep], psi[keep]
+        mid = 0.5 * (ts[:, 0] + ts[:, 1])
+        mid_psi = line_angle(*fm.closed_forms_arrays(spec, chart, *points(edge, mid)))
+        resolved[edge[np.isnan(mid_psi)]] = False
+        # Each split segment becomes its two halves.
+        edge = np.repeat(edge, 2)
+        ts = np.stack([ts[:, 0], mid, mid, ts[:, 1]], axis=1).reshape(-1, 2)
+        psi = np.stack([psi[:, 0], mid_psi, mid_psi, psi[:, 1]], axis=1).reshape(-1, 2)
+    return total, resolved
 
 
 def full_grid_cell_scan(spec, chart):
@@ -216,7 +263,7 @@ def full_grid_cell_scan(spec, chart):
     uu, vv = np.meshgrid(offsets * (2.0 * umax / n), offsets * (2.0 * vmax / n), indexing="ij")
     valid = sf.chart_valid(spec, chart, uu, vv)
     psi = np.full(uu.shape, np.nan)
-    psi[valid] = fm.line_angle(*fm.closed_forms_arrays(spec, chart, uu[valid], vv[valid]))
+    psi[valid] = line_angle(*fm.closed_forms_arrays(spec, chart, uu[valid], vv[valid]))
     k = np.arange(uu.size).reshape(uu.shape)
     starts = np.concatenate([k[:-1, :].ravel(), k[:, :-1].ravel()])
     ends = np.concatenate([k[1:, :].ravel(), k[:, 1:].ravel()])
@@ -224,11 +271,8 @@ def full_grid_cell_scan(spec, chart):
     live = np.flatnonzero(valid[starts] & valid[ends])
     a, b = starts[live], ends[live]
     u0, v0, du, dv = uu[a], vv[a], uu[b] - uu[a], vv[b] - vv[a]
-    change, _, resolved = fm.lift_lines(
-        spec, np.full(live.size, sf.ATLAS.index(chart)),
-        np.tile([0.0, 1.0], (live.size, 1)), np.stack([psi[a], psi[b]], axis=1),
-        lambda i, t: (u0[i] + t * du[i], v0[i] + t * dv[i]), EDGE_DEPTH,
-    )
+    change, resolved = lift_edges(spec, chart, np.stack([psi[a], psi[b]], axis=1),
+                                  lambda i, t: (u0[i] + t * du[i], v0[i] + t * dv[i]))
     total = np.full(starts.size, np.nan)
     total[live] = np.where(resolved, change, np.nan)
     tu, tv = total[: n * (n + 1)].reshape(n, n + 1), total[n * (n + 1):].reshape(n + 1, n)
@@ -327,8 +371,8 @@ def test_mirror_fold_matches_six_chart_scan(name, results):
     """The finder solves one octant and records each point at its distinct
     sign flips: the record set is closed under every flip, no two records
     coincide, and each record evaluated alone in its own chart, one of all
-    six, gives the residual bits of the finder's one lane call and a
-    degenerate line field."""
+    six, gives the residual bits of the finder's one lane call and beta
+    signs (sD, sB) that are both 0."""
     spec, records = BUNDLED[name], results.records(BUNDLED[name])
     points = {r.ambient for r in records}
     assert len(points) == len(records)
@@ -337,7 +381,7 @@ def test_mirror_fold_matches_six_chart_scan(name, results):
     for r in records:
         forms = fm.closed_forms_arrays(spec, r.chart, np.array(r.uv[:1]), np.array(r.uv[1:]))
         assert um.scaled_residual(*forms).tolist() == [r.residual]
-        assert np.isnan(fm.line_angle(*forms)).all(), r
+        assert [s.tolist() for s in ix.beta_signs(*forms)] == [[0.0], [0.0]], r
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
