@@ -24,11 +24,12 @@ whose sense the signs cannot tell), leaves the ring unresolved, and its
 index raises NonConvergentLift.  There is no bisection.
 
 :func:`attach_indices` draws each distinct ring once: the records of a root
-in both charts of an axis, and of its mirror images (+-u, +-v) in them,
-share one ring.  All rings are drawn together: the caps of all rings are
-one array step, each fit pass takes one radicand call, and the fitted
-(rings, samples) array takes one kernel call on a ChartLane of shape
-(rings, 1).  :func:`umbilic_index` is that pass on one ring.
+at its mirror images (sign flips) and at its swap images (two axes with
+equal terms trading coordinates) share one ring.  All rings are drawn
+together: the caps of all rings are one array step, each fit pass takes
+one radicand call, and the fitted (rings, samples) array takes one kernel
+call on a ChartLane of shape (rings, 1).  :func:`umbilic_index` is that
+pass on one ring.
 
 Sums of half-integers are formed in doubled-integer arithmetic, so the
 Euler-characteristic comparison (sum == 2) is exact.
@@ -98,10 +99,11 @@ def _windings(spec, rings, records):
     # The 721st sample is the first again: the circuit closes exactly.
     ts = np.append(np.linspace(0.0, 2.0 * math.pi, RING_SAMPLES, endpoint=False), 0.0)
     uu, vv = np.empty((2, len(rings), ts.size))
+    cos, sin = np.cos(ts), np.sin(ts)
     test = np.flatnonzero([res is None for res in out])
     while test.size:                           # halve each ring that leaves its chart
-        uu[test] = centre[test, :1] + radius[test, None] * np.cos(ts)
-        vv[test] = centre[test, 1:] + radius[test, None] * np.sin(ts)
+        uu[test] = centre[test, :1] + radius[test, None] * cos
+        vv[test] = centre[test, 1:] + radius[test, None] * sin
         fits = sf.chart_valid(spec, sf.ChartLane(spec, lane[test, None]), uu[test], vv[test])
         test = test[~fits.all(axis=1)]
         for i in test:
@@ -148,14 +150,18 @@ def attach_indices(spec, records):
     """Copy of the record list with winding indices filled in.
 
     A ring's index depends only on the chart's forms, its centre and its
-    radius cap, and is unchanged by a reflection.  The two charts of an
-    axis share their forms, the forms at (+-u, +-v) are mirror images and
-    the finder's records are mirror-symmetric, so the records of one
-    ``(axis, |u|, |v|, kind)`` key share one ring, drawn for the first of
-    them.  All rings are drawn and counted together; when rings fail,
-    the error of the first record's ring is raised.
+    radius cap, and is unchanged by an isometry of the surface.  The sign
+    flips of the coordinates are such isometries, and so is the swap of
+    two axes whose terms are equal (``AxisTerm ==``), as x and y on the
+    perturbed ellipsoids; the finder's record set is closed under both.
+    So the records of one key share one ring, drawn for the first of
+    them: the |ambient| coordinates, sorted within each group of axes
+    with equal terms, and the kind.  All rings are drawn and counted
+    together; when rings fail, the error of the first record's ring is
+    raised.
     """
-    keys = [(rec.chart.axis, abs(rec.uv[0]), abs(rec.uv[1]), rec.kind) for rec in records]
+    group = [spec.terms.index(term) for term in spec.terms]     # first axis with an equal term
+    keys = [(tuple(sorted(zip(group, map(abs, rec.ambient)))), rec.kind) for rec in records]
     rings = {}
     for key, rec in zip(keys, records):
         rings.setdefault(key, rec)

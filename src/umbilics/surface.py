@@ -130,8 +130,16 @@ class AxisTerm:
         return (out if self.bare is None else np.where(self.bare, t / self.c, out))[()]
 
     def root(self, t):
-        """The s >= 0 where the term equals t."""
-        return self.power(t) ** (1.0 / self.m)
+        """The s >= 0 where the term equals t.
+
+        Where m = 2 a square root: numpy's array ``** 0.5`` is np.sqrt, and
+        math.sqrt rounds as it does, where Python's float ``** 0.5`` (libm
+        ``pow``) may not, so a Python float t gives the bits of an array.
+        """
+        p = self.power(t)
+        if self.m > 2:
+            return p ** (1.0 / self.m)
+        return math.sqrt(p) if isinstance(p, float) else np.sqrt(p)
 
 
 @dataclass(frozen=True)

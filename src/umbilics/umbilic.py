@@ -147,18 +147,19 @@ def _slope_rise(term, s):
     return first, 0.0 if d2 is None else d2 * (s * s)
 
 
-def _face_values(spec, lane, ti, tj):
+def _face_values(spec, chart, ti, tj):
     """Face function of the face x_k = 0 at T_i(x_i) = ti, T_j(x_j) = tj.
 
-    Row r lies on the face of the height axis k of the ChartLane ``lane``'s
-    chart, whose u and v slots are i and j.  Returns the face function
+    The face is that of the height axis k of ``chart``, whose u and v slots
+    are i and j: a ChartId on Python floats, or a ChartLane whose row r
+    lies on the face of its own chart.  Returns the face function
     (d_i - d_k) g_j^2 + (d_j - d_k) g_i^2, its magnitude sum (each
     curvature difference at 0 and each rise counted positive) and x_i, x_j.
     A difference at 0 that is exactly 0, as on the a > b faces of the
     perturbed ellipsoids, adds nothing to the sum, so face values that
     only the rise makes nonzero keep their sign.
     """
-    tu, tv, th = lane.terms(spec)
+    tu, tv, th = chart.terms(spec)
     xi, xj = tu.root(ti), tv.root(tj)
     (gi, ei), (gj, ej) = _slope_rise(tu, xi), _slope_rise(tv, xj)
     ci, cj, ck = _at_zero(tu), _at_zero(tv), _at_zero(th)
@@ -168,34 +169,33 @@ def _face_values(spec, lane, ti, tj):
     return phi, mag, xi, xj
 
 
-def _falsi(spec, lane, a, b, fa, fb):
-    """Illinois regula falsi on face brackets.
+def _falsi(spec, chart, a, b, fa, fb):
+    """Illinois regula falsi (Dowell & Jarratt, BIT 1971) on one face
+    bracket, on Python floats.
 
-    Row r brackets a sign change of the face function of the face of chart
-    ``surface.ATLAS[lane[r]]``'s height axis between the face parameters
-    a[r] and b[r], rows (ti, tj), where it takes the values fa[r] and fb[r].
-    The rows run in lockstep, one face evaluation per step over all of
-    them, and do not interact.  A row stops where the face function is 0
-    or the new point is an end of its bracket.  Returns x_i and x_j at each
-    row's last point.
+    The bracket holds a sign change of the face function of the face of
+    ``chart``'s height axis between the face parameters a and b, pairs
+    (ti, tj), where it takes the values fa and fb.  It stops where the
+    face function is 0 or the new point is an end of the bracket.  Each
+    step is the arithmetic of one row of the sampling pass, square roots
+    included (:meth:`surface.AxisTerm.root`), so a bracket ends on the
+    bits an array pass over all brackets would give it.  Returns x_i and
+    x_j at the last point.
     """
-    lane = sf.ChartLane(spec, lane)
-    side = np.zeros(len(a), int)             # end replaced last: -1 for a, +1 for b
-    active = np.ones(len(a), bool)
+    side = 0                                 # end replaced last: -1 for a, +1 for b
     for _ in range(MAX_FALSI):
-        x = a + (fa / (fa - fb))[:, None] * (b - a)
-        phi, _, xi, xj = _face_values(spec, lane, x[:, 0], x[:, 1])
-        active &= (phi != 0.0) & (x != a).any(axis=1) & (x != b).any(axis=1)
-        if not active.any():
+        q = fa / (fa - fb)
+        x = (a[0] + q * (b[0] - a[0]), a[1] + q * (b[1] - a[1]))
+        phi, _, xi, xj = _face_values(spec, chart, *x)
+        if phi == 0.0 or x == a or x == b:
             break
-        to_a = active & ((phi > 0.0) == (fa > 0.0))
-        to_b = active & ~to_a
         # Illinois: an end kept twice in a row has its value halved.
-        fb = np.where(to_a & (side < 0), 0.5 * fb, fb)
-        fa = np.where(to_b & (side > 0), 0.5 * fa, fa)
-        a, fa = np.where(to_a[:, None], x, a), np.where(to_a, phi, fa)
-        b, fb = np.where(to_b[:, None], x, b), np.where(to_b, phi, fb)
-        side = np.where(to_a, -1, np.where(to_b, 1, side))
+        if (phi > 0.0) == (fa > 0.0):
+            fb = 0.5 * fb if side < 0 else fb
+            a, fa, side = x, phi, -1
+        else:
+            fa = 0.5 * fa if side > 0 else fa
+            b, fb, side = x, phi, 1
     return xi, xj
 
 
@@ -223,28 +223,36 @@ def _face_umbilics(spec):
 
     Where both curvature differences at 0, d_i - d_k and d_j - d_k, are
     nonnegative, the face function is positive (the rises are
-    nonnegative) and the face is skipped.  The other faces are sampled on
+    nonnegative) and the face is skipped.  A face whose height term equals
+    that of an earlier face is its twin: swapping the two axes maps
+    one face onto the other, and the face function's two products trade
+    places in its sum, so the twin's points are the other face's points
+    with those two coordinates swapped.  The other faces are sampled on
     FACE_GRID in one pass.  A sample within ROUNDING_FLOOR of its magnitude
     sum has no known sign; every sign change between consecutive samples of
     known sign is refined by :func:`_falsi`.
     """
-    c0 = [_at_zero(term) for term in spec.terms]
-    lane = np.array([2 * k for k in range(3) if min(c0[i] for i in _PLACE[k, :2]) < c0[k]], int)
-    if not lane.size:
+    terms, c0 = spec.terms, [_at_zero(term) for term in spec.terms]
+    faces = [k for k in range(3) if min(c0[i] for i in _PLACE[k, :2]) < c0[k]]
+    twin = {k: next(f for f in faces if terms[f] == terms[k]) for k in faces}     # k itself if sampled
+    sampled = [k for k in faces if twin[k] == k]
+    if not sampled:
         return np.empty((0, 3))
-    phi, mag, _, _ = _face_values(spec, sf.ChartLane(spec, lane[:, None]), *FACE_GRID)
+    phi, mag, _, _ = _face_values(spec, sf.ChartLane(spec, 2 * np.array(sampled)[:, None]), *FACE_GRID)
     sign = np.where(np.abs(phi) > ROUNDING_FLOOR * mag, np.sign(phi), 0.0)
     row, col = np.nonzero(sign)
     known = sign[row, col]
     cut = np.flatnonzero((row[1:] == row[:-1]) & (known[1:] != known[:-1]))
-    if not cut.size:
-        return np.empty((0, 3))
     row, lo, hi = row[cut], col[cut], col[cut + 1]
-    xi, xj = _falsi(spec, lane[row], FACE_GRID[:, lo].T, FACE_GRID[:, hi].T, phi[row, lo], phi[row, hi])
-    place, rows = _PLACE[lane[row] // 2], np.arange(row.size)
-    out = np.zeros((row.size, 3))
-    out[rows, place[:, 0]], out[rows, place[:, 1]] = xi, xj
-    return out
+    found = {k: [] for k in sampled}
+    for r, a, b, fa, fb in zip(row.tolist(), map(tuple, FACE_GRID[:, lo].T.tolist()),
+                               map(tuple, FACE_GRID[:, hi].T.tolist()), phi[row, lo].tolist(), phi[row, hi].tolist()):
+        k = sampled[r]
+        p, (iu, iv, _) = [0.0, 0.0, 0.0], _PLACE[k]
+        p[iu], p[iv] = _falsi(spec, sf.ATLAS[2 * k], a, b, fa, fb)
+        found[k].append(p)
+    swaps = [(twin[k], [k if i == twin[k] else twin[k] if i == k else i for i in range(3)]) for k in faces]
+    return np.array([[p[i] for i in swap] for f, swap in swaps for p in found[f]]).reshape(-1, 3)
 
 
 def _interior_umbilic(spec):

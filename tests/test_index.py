@@ -1,5 +1,6 @@
 """Winding indices, index sums, and the parameter sweep."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -273,20 +274,32 @@ def test_flat_ring_one_kernel_call(results, monkeypatch):
     assert len(calls) == 1
 
 
-def _ring_key(rec):
-    return (rec.chart.axis, abs(rec.uv[0]), abs(rec.uv[1]), rec.kind)
+def _ring_key(spec, rec):
+    """The images of rec's |ambient| point under every permutation of axes
+    with equal terms, and rec's kind."""
+    p = [abs(c) for c in rec.ambient]
+    swaps = [s for s in itertools.permutations(range(3)) if [spec.terms[i] for i in s] == list(spec.terms)]
+    return frozenset(tuple(p[i] for i in s) for s in swaps), rec.kind
+
+
+# Rings per bundled spec: one per orbit of the sign flips and of the swaps
+# of equal-term axes.  The perturbed x = 0 and y = 0 face points share one
+# ring, and so do the axis points of equal-coefficient superquadric axes.
+RINGS = {"ellipsoid_123": 1, "pe_gt": 2, "pe_gt_eps_hi": 2, "pe_gt_eps_lo": 1, "pe_lt": 3, "pe_lt_eps_lo": 1,
+         "sq_1112": 2, "sq_123_k3": 4, "sq_2352": 4, "sq_b10_c10": 3, "sq_c100": 3, "sq_k4": 2}
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_attach_indices_draws_each_ring_once(name, results, monkeypatch):
-    """Mirrored records share one ring per (axis, |u|, |v|, kind) key: the
-    one kernel call of attach_indices takes RING_SAMPLES + 1 rows per key
-    (pe_lt's 18 records need 4 rings, and each superquadric's 14 need 4
-    where the signed uv would need 7), and the shared results equal each
-    record's own umbilic_index."""
+    """Records share one ring per orbit of the sign flips and of the swaps of
+    equal-term axes: the one kernel call of attach_indices takes
+    RING_SAMPLES + 1 rows per orbit (pe_gt's 10 records need 2 rings and
+    pe_lt's 18 need 3; sq_1112's 14 need 2 where the mirror fold alone
+    would need 4), and the shared results equal each record's own
+    umbilic_index."""
     spec = BUNDLED[name]
     records, windings = results.records(spec), results.windings(spec)
-    rings = {_ring_key(r) for r in records}
+    rings = {_ring_key(spec, r) for r in records}
     kernel, rows = fm.closed_forms_arrays, []
 
     def counted(spec, chart, u, v):
@@ -295,11 +308,8 @@ def test_attach_indices_draws_each_ring_once(name, results, monkeypatch):
 
     monkeypatch.setattr(fm, "closed_forms_arrays", counted)
     indexed = ix.attach_indices(spec, records)
+    assert len(rings) == RINGS[name]
     assert rows == [len(rings) * (ix.RING_SAMPLES + 1)]
-    if name == "pe_lt":
-        assert (len(records), len(rings)) == (18, 4)
-    if spec.family == sf.SUPERQUADRIC:
-        assert (len({(r.chart.axis, r.uv, r.kind) for r in records}), len(rings)) == (7, 4)
     assert [r.index for r in indexed] == [w.index for w in windings]
 
 
@@ -346,7 +356,7 @@ def test_attach_indices_lifts_rings_together(results, monkeypatch):
     together = len(calls)
     firsts = {}
     for rec in records:
-        firsts.setdefault(_ring_key(rec), rec)
+        firsts.setdefault(_ring_key(spec, rec), rec)
     calls.clear()
     for rec in firsts.values():
         ix.umbilic_index(spec, rec, records)

@@ -340,30 +340,62 @@ def test_snap_centre_wins_residual_ties():
     assert (pole.ambient[:2], pole.uv, pole.residual) == ((0.0, 0.0), (0.0, 0.0), 0.0)
 
 
-@pytest.mark.parametrize("name", ["pe_gt", "pe_lt", "sq_c100"])
+def _lockstep_falsi(spec, lane, a, b, fa, fb):
+    """Reference: the Illinois regula falsi on the brackets (rows) of the
+    charts ``surface.ATLAS[lane]`` in lockstep, one array face evaluation
+    per step over all of them, each row stopping as _falsi does."""
+    lane = sf.ChartLane(spec, lane)
+    side, active = np.zeros(len(a), int), np.ones(len(a), bool)
+    for _ in range(um.MAX_FALSI):
+        x = a + (fa / (fa - fb))[:, None] * (b - a)
+        phi, _, xi, xj = um._face_values(spec, lane, x[:, 0], x[:, 1])
+        active &= (phi != 0.0) & (x != a).any(axis=1) & (x != b).any(axis=1)
+        if not active.any():
+            break
+        to_a = active & ((phi > 0.0) == (fa > 0.0))
+        to_b = active & ~to_a
+        fb = np.where(to_a & (side < 0), 0.5 * fb, fb)
+        fa = np.where(to_b & (side > 0), 0.5 * fa, fa)
+        a, fa = np.where(to_a[:, None], x, a), np.where(to_a, phi, fa)
+        b, fb = np.where(to_b[:, None], x, b), np.where(to_b, phi, fb)
+        side = np.where(to_a, -1, np.where(to_b, 1, side))
+    return xi, xj
+
+
+@pytest.mark.parametrize("name", ["pe_gt", "pe_lt", "ellipsoid_123", "sq_c100"])
 def test_newton_lanes_independent(monkeypatch, name):
-    """The lockstep root refiner (regula falsi on the face brackets) keeps
-    its rows apart: each bracket refined alone ends on the bits it ends on
-    in the batch, and a collapsed bracket (both ends one point) stops where
-    it starts without changing the others.  sq_c100 has no face bracket
-    (every face function is positive), so only the collapsed one runs."""
+    """The root refiner (regula falsi on the face brackets) takes each
+    bracket alone, on Python floats, and ends on the bits that the array
+    reference gives it in lockstep with the others and with a collapsed
+    bracket (both ends one point), which stops where it starts.  sq_c100
+    has no face bracket (every face function is positive), so only the
+    collapsed one runs."""
     spec, calls, falsi = BUNDLED[name], [], um._falsi
     monkeypatch.setattr(um, "_falsi", lambda *args: calls.append(args) or falsi(*args))
     um.find_umbilics(spec)
-    assert len(calls) == (name != "sq_c100")
-    _, lane, a, b, fa, fb = calls[0] if calls else (spec, np.empty(0, int), *np.empty((2, 0, 2)),
-                                                     *np.empty((2, 0)))
-    assert len(lane) >= 2 or name == "sq_c100"
-    start = np.array([[0.25, 0.75]])
-    batch = np.column_stack(falsi(spec, np.append(lane, 4), np.vstack([a, start]), np.vstack([b, start]),
-                                  np.append(fa, 1.0), np.append(fb, -1.0)))
-    tu, tv, _ = sf.ChartLane(spec, np.array([4])).terms(spec)
-    assert batch[-1].tolist() == [tu.root(start[:, 0])[0], tv.root(start[:, 1])[0]]
-    if calls:
-        assert np.array_equal(batch[:-1], np.column_stack(falsi(spec, lane, a, b, fa, fb)))
-    for r in range(len(lane)):
-        alone = falsi(spec, lane[r:r + 1], a[r:r + 1], b[r:r + 1], fa[r:r + 1], fb[r:r + 1])
-        assert np.column_stack(alone).tolist() == [batch[r].tolist()]
+    assert bool(calls) == (name != "sq_c100")
+    collapsed = (spec, sf.ATLAS[4], (0.25, 0.75), (0.25, 0.75), 1.0, -1.0)
+    brackets = calls + [collapsed]
+    lane = np.array([sf.ATLAS.index(chart) for _, chart, *_ in brackets])
+    a, b, fa, fb = (np.array([bracket[n] for bracket in brackets]) for n in range(2, 6))
+    batch = np.column_stack(_lockstep_falsi(spec, lane, a, b, fa, fb))
+    alone = [falsi(*bracket) for bracket in brackets]
+    assert [list(x) for x in alone] == batch.tolist()
+    tu, tv, _ = sf.ATLAS[4].terms(spec)
+    assert alone[-1] == (tu.root(0.25), tv.root(0.75))
+
+
+@pytest.mark.parametrize("name", ["pe_gt", "pe_lt", "ellipsoid_123"])
+def test_face_values_scalar_matches_array(name):
+    """The face function on Python floats is the array pass's, bit for bit
+    (phi, its magnitude sum, x_i and x_j), at every FACE_GRID column of
+    the face of each axis: the m = 2 root is a square root on both."""
+    spec = BUNDLED[name]
+    for k in range(3):
+        chart = sf.ATLAS[2 * k]
+        arrays = um._face_values(spec, sf.ChartLane(spec, np.array([2 * k])), *um.FACE_GRID)
+        floats = [um._face_values(spec, chart, ti, tj) for ti, tj in um.FACE_GRID.T.tolist()]
+        assert np.column_stack(arrays).tolist() == [list(row) for row in floats], chart
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
@@ -382,6 +414,21 @@ def test_mirror_fold_matches_six_chart_scan(name, results):
         forms = fm.closed_forms_arrays(spec, r.chart, np.array(r.uv[:1]), np.array(r.uv[1:]))
         assert um.scaled_residual(*forms).tolist() == [r.residual]
         assert [s.tolist() for s in ix.beta_signs(*forms)] == [[0.0], [0.0]], r
+
+
+@pytest.mark.parametrize("spec", [*BUNDLED.values(), SurfaceSpec.perturbed_ellipsoid(
+    0.6, 0.25, um.critical_epsilon(0.6, 0.25).epsilon_critical * (1.0 + 1e-4))], ids=[*BUNDLED, "pe-0.6-0.25-above-1e-4"])
+def test_swap_fold_closes_records(spec):
+    """The record set is closed, bit for bit, under swapping the
+    coordinates of any two axes with equal terms: the perturbed x = 0 and
+    y = 0 faces, and the equal-coefficient superquadric axes.  Next to
+    eps_c a y = 0 face point refined on its own face would end a few ulps
+    off the swap of its x = 0 twin."""
+    records = {(r.ambient, r.kind) for r in um.find_umbilics(spec)}
+    for i, j in itertools.combinations(range(3), 2):
+        if spec.terms[i] == spec.terms[j]:
+            swap = [j if n == i else i if n == j else n for n in range(3)]
+            assert {(tuple(p[n] for n in swap), kind) for p, kind in records} == records
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
